@@ -2221,7 +2221,7 @@ impl System {
                     None => {
                         let (socket, devid, nsid, lba) = self.os.fs.location(file, page);
                         match self.device_index.get(&(socket.0, devid.0)) {
-                            Some(&d) => self.devices[d].namespace(nsid).read_block(lba).checksum(),
+                            Some(&d) => self.devices[d].namespace(nsid).block_checksum(lba),
                             None => 0,
                         }
                     }

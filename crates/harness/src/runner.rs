@@ -9,7 +9,7 @@ use crate::seed::repeat_seed;
 use crate::spec::{JobSpec, Scenario};
 use crate::stats::summarize;
 use hwdp_core::anatomy::{hwdp_anatomy, osdp_anatomy, swonly_anatomy};
-use hwdp_core::{HwId, Mode, RunResult, SystemBuilder};
+use hwdp_core::{HwId, Mode, RunResult, System, SystemBuilder};
 use hwdp_os::costs::{OsdpCosts, SwOnlyCosts};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::time::Duration;
@@ -142,13 +142,23 @@ fn aggregate_repeats(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
 
 /// Builds the system described by `spec` and runs its workload.
 pub fn simulate(spec: &JobSpec) -> RunResult {
-    simulate_with_digest(spec).0
+    prepare(spec).run(Duration::from_millis(spec.time_cap_ms))
 }
 
 /// Like [`simulate`], but also returns the end-of-run content digest
 /// (`System::content_digest`) — the user-visible storage state the chaos
 /// oracle compares between a faulted run and its fault-free twin.
+/// Hashing every file page is observation-only but not free, so only the
+/// oracle pays for it; campaigns call [`simulate`].
 pub fn simulate_with_digest(spec: &JobSpec) -> (RunResult, u64) {
+    let mut sys = prepare(spec);
+    let result = sys.run(Duration::from_millis(spec.time_cap_ms));
+    (result, sys.content_digest())
+}
+
+/// Builds the system described by `spec`, creates its dataset and spawns
+/// its workload threads, ready to run.
+fn prepare(spec: &JobSpec) -> System {
     let mut builder = SystemBuilder::new(spec.mode)
         .memory_frames(spec.memory_frames)
         .device(spec.device.profile())
@@ -200,7 +210,6 @@ pub fn simulate_with_digest(spec: &JobSpec) -> (RunResult, u64) {
         });
     }
     let mut sys = builder.build();
-    let time_cap = Duration::from_millis(spec.time_cap_ms);
     let pages = spec.dataset_pages();
     // Hardware-context pinning: workload thread i goes on context
     // `pin + i`, a co-run partner right after the workload threads.
@@ -265,9 +274,7 @@ pub fn simulate_with_digest(spec: &JobSpec) -> (RunResult, u64) {
         }
         Scenario::Anatomy => unreachable!("anatomy jobs are closed-form"),
     }
-    let result = sys.run(time_cap);
-    let digest = sys.content_digest();
-    (result, digest)
+    sys
 }
 
 /// Closed-form Fig. 10/17 anatomy metrics (no event simulation).

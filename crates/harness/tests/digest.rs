@@ -1,0 +1,94 @@
+//! The end-of-run content digest is observation-only and pinned.
+//!
+//! Campaigns run `runner::simulate`, which skips the whole-dataset hash;
+//! only the chaos oracle calls `runner::simulate_with_digest`. These tests
+//! hold both halves of that split: skipping the digest never changes a
+//! simulated result, and the digest itself (page-pattern expansion,
+//! checksums, the FNV fold over file pages) stays bit-identical.
+
+use hwdp_core::{Mode, RunResult};
+use hwdp_harness::runner::{simulate, simulate_with_digest};
+use hwdp_harness::{JobSpec, Scenario, TierSpec};
+use hwdp_nvme::fault::FaultConfig;
+use hwdp_workloads::YcsbKind;
+
+/// Read-only fio, two threads, twice as much data as memory.
+fn fio() -> JobSpec {
+    let mut spec = JobSpec::new(Scenario::FioRand, Mode::Hwdp, 0xD16E57);
+    spec.memory_frames = 128;
+    spec.threads = 2;
+    spec.ops = 300;
+    spec
+}
+
+/// YCSB-A (50 % updates) under OSDP with a 4× dataset: dirty pages get
+/// evicted, so the digest covers written-back device blocks as well as
+/// dirty page-cache copies.
+fn ycsb_a() -> JobSpec {
+    let mut spec = JobSpec::new(Scenario::Ycsb(YcsbKind::A), Mode::Osdp, 0xA11CE);
+    spec.memory_frames = 128;
+    spec.ratio = 4.0;
+    spec.ops = 600;
+    spec
+}
+
+/// YCSB-C over a Z-SSD capacity tier with an Optane-PMM fast tier.
+fn tiered() -> JobSpec {
+    let mut spec = JobSpec::new(Scenario::Ycsb(YcsbKind::C), Mode::Hwdp, 0x71E2);
+    spec.memory_frames = 128;
+    spec.ratio = 4.0;
+    spec.ops = 400;
+    spec.tiers = Some(TierSpec::parse("fast:pmm,slow:zssd,policy:lru").expect("valid tiers"));
+    spec
+}
+
+/// fio under an all-class device fault plan with a controller crash.
+fn faulted() -> JobSpec {
+    let mut spec = fio();
+    let plan = "media=0.1,persistent=0.2,delay=0.05x50,drop=0.05,qfull=0.05x4,crash=500x1,reset=100";
+    spec.faults = Some(FaultConfig::parse(plan).expect("valid fault plan"));
+    spec
+}
+
+fn metric(result: &RunResult, name: &str) -> f64 {
+    result.export_metrics().into_iter().find(|(k, _)| *k == name).map_or(0.0, |(_, v)| v)
+}
+
+/// Every exported value, aggregate and per thread, compared bit for bit.
+fn exported(result: &RunResult) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> =
+        result.export_metrics().into_iter().map(|(k, v)| (k.to_string(), v.to_bits())).collect();
+    for (i, t) in result.threads.iter().enumerate() {
+        let per_thread = t.export_metrics().into_iter();
+        out.extend(per_thread.map(|(k, v)| (format!("thread/{i}/{k}"), v.to_bits())));
+    }
+    out
+}
+
+#[test]
+fn content_digest_matches_pinned_values() {
+    let (a, a_digest) = simulate_with_digest(&ycsb_a());
+    assert!(metric(&a, "evictions") > 0.0, "the YCSB-A case must evict");
+    assert!(metric(&a, "writebacks") > 0.0, "the YCSB-A case must write back");
+    let (t, t_digest) = simulate_with_digest(&tiered());
+    assert!(metric(&t, "tier/promotions") > 0.0, "the tiered case must migrate");
+    let digests = [simulate_with_digest(&fio()).1, a_digest, t_digest];
+    assert_eq!(
+        digests.map(|d| format!("{d:#018x}")),
+        ["0x81d8475753c9041a", "0xd8dcb6a0e467d4d9", "0x4985c17f5b35531e"],
+        "the content digest changed: page contents, checksums or the digest fold drifted"
+    );
+}
+
+#[test]
+fn skipping_the_digest_never_changes_a_result() {
+    let crashed = simulate(&faulted());
+    assert!(metric(&crashed, "io_retries") > 0.0, "the faulted case must retry");
+    assert!(metric(&crashed, "fault/controller_resets") > 0.0, "the faulted case must reset");
+    let specs = [("fio", fio()), ("ycsb-a", ycsb_a()), ("tiered", tiered()), ("faulted", faulted())];
+    for (name, spec) in specs {
+        let plain = simulate(&spec);
+        let (digested, _) = simulate_with_digest(&spec);
+        assert_eq!(exported(&plain), exported(&digested), "{name}: the digest changed a result");
+    }
+}

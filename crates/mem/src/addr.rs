@@ -193,16 +193,32 @@ impl fmt::Debug for PageData {
     }
 }
 
-/// Expands a pattern seed into the byte at `offset` without materializing
-/// the page (SplitMix64 per 8-byte lane).
-fn pattern_byte(seed: u64, offset: usize) -> u8 {
-    let lane = (offset / 8) as u64;
-    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// Lane `lane` of a pattern page: the page's bytes are the little-endian
+/// bytes of SplitMix64 lanes 0, 1, … in order, one lane per 8 bytes.
+fn pattern_lane(seed: u64, lane: usize) -> [u8; 8] {
+    let mut z = seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    z.to_le_bytes()[offset % 8]
+    z.to_le_bytes()
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Folds `bytes` into the FNV-1a state `h`.
+const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+}
+
+/// [`PageData::checksum`] of an all-zero page.
+const ZERO_CHECKSUM: u64 = fnv1a(FNV_OFFSET, &[0; PAGE_SIZE]);
 
 impl PageData {
     /// Reads `buf.len()` bytes starting at `offset`.
@@ -215,8 +231,22 @@ impl PageData {
         match self {
             PageData::Zero => buf.fill(0),
             PageData::Pattern(seed) => {
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = pattern_byte(*seed, offset + i);
+                // An unaligned head from its first lane, whole lanes, then
+                // the tail from one more lane.
+                let skip = offset % 8;
+                let (head, body) = buf.split_at_mut(((8 - skip) % 8).min(buf.len()));
+                if !head.is_empty() {
+                    head.copy_from_slice(&pattern_lane(*seed, offset / 8)[skip..skip + head.len()]);
+                }
+                let first = (offset + head.len()) / 8;
+                let whole = body.len() / 8;
+                let mut lanes = body.chunks_exact_mut(8);
+                for (i, chunk) in (&mut lanes).enumerate() {
+                    chunk.copy_from_slice(&pattern_lane(*seed, first + i));
+                }
+                let tail = lanes.into_remainder();
+                if !tail.is_empty() {
+                    tail.copy_from_slice(&pattern_lane(*seed, first + whole)[..tail.len()]);
                 }
             }
             PageData::Bytes(bytes) => buf.copy_from_slice(&bytes[offset..offset + buf.len()]),
@@ -247,22 +277,18 @@ impl PageData {
         }
     }
 
-    /// A cheap 64-bit checksum of the page contents (FNV-1a over bytes for
-    /// `Bytes`, closed-form for `Zero`/`Pattern` — consistent across
-    /// representations).
+    /// A cheap 64-bit checksum of the page contents: FNV-1a over its
+    /// bytes, so equal contents hash equally whatever the representation.
+    /// `Zero` is a compile-time constant and `Pattern` is hashed lane by
+    /// lane without materializing the page.
     pub fn checksum(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut tmp = [0u8; 64];
-        for chunk_start in (0..PAGE_SIZE).step_by(64) {
-            self.read(chunk_start, &mut tmp);
-            for &b in &tmp {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
+        match self {
+            PageData::Zero => ZERO_CHECKSUM,
+            PageData::Pattern(seed) => {
+                (0..PAGE_SIZE / 8).fold(FNV_OFFSET, |h, lane| fnv1a(h, &pattern_lane(*seed, lane)))
             }
+            PageData::Bytes(bytes) => fnv1a(FNV_OFFSET, &bytes[..]),
         }
-        h
     }
 }
 
@@ -335,6 +361,20 @@ mod tests {
     }
 
     #[test]
+    fn unaligned_pattern_reads_are_slices_of_the_page() {
+        let p = PageData::Pattern(0x5EED);
+        let mut whole = [0u8; PAGE_SIZE];
+        p.read(0, &mut whole);
+        for offset in (0..24).chain(PAGE_SIZE - 24..PAGE_SIZE) {
+            for len in 0..=24.min(PAGE_SIZE - offset) {
+                let mut part = [0u8; 24];
+                p.read(offset, &mut part[..len]);
+                assert_eq!(part[..len], whole[offset..offset + len], "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
     fn write_materializes_and_preserves_rest() {
         let mut p = PageData::Pattern(7);
         let mut before = [0u8; 8];
@@ -355,6 +395,16 @@ mod tests {
         mat.materialize();
         assert_eq!(pat.checksum(), mat.checksum());
         assert_ne!(pat.checksum(), PageData::Zero.checksum());
+    }
+
+    #[test]
+    fn checksums_match_pinned_values() {
+        // FNV-1a over the bytes as first defined; datasets, chaos digests
+        // and baselines all rest on these staying put.
+        assert_eq!(PageData::Pattern(42).checksum(), 0x564d_d338_8cb4_8700);
+        assert_eq!(PageData::Pattern(0xDEAD_BEEF_F00D).checksum(), 0x886c_24a5_5e64_7062);
+        assert_eq!(PageData::Zero.checksum(), 0xb93a_0c83_ce3b_6325);
+        assert_eq!(PageData::Bytes(Box::new([0; PAGE_SIZE])).checksum(), ZERO_CHECKSUM);
     }
 
     #[test]

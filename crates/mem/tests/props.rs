@@ -113,6 +113,22 @@ proptest! {
         }
     }
 
+    /// A pattern read at any offset and length, aligned or not, is that
+    /// slice of a whole-page read. Each case also reads a short slice
+    /// (under 16 bytes), which may end inside the lane it starts in.
+    #[test]
+    fn pattern_read_is_a_slice_of_the_page(seed: u64, offset in 0usize..4096, len in 0usize..4096) {
+        let page = PageData::Pattern(seed);
+        let mut whole = vec![0u8; 4096];
+        page.read(0, &mut whole);
+        for len in [len, len % 16] {
+            let len = len.min(4096 - offset);
+            let mut part = vec![0u8; len];
+            page.read(offset, &mut part);
+            prop_assert_eq!(&part[..], &whole[offset..offset + len]);
+        }
+    }
+
     /// Checksums are representation-independent and sensitive to content.
     #[test]
     fn checksum_consistency(seed: u64, offset in 0usize..4088) {

@@ -73,10 +73,28 @@ impl BlockStore {
         assert!(self.contains(lba), "read of {lba:?} beyond namespace end");
         match self.written.get(&lba.0) {
             Some(d) => d.clone(),
-            None => match self.default {
-                DefaultContents::Zero => PageData::Zero,
-                DefaultContents::Pattern { seed } => PageData::Pattern(seed ^ lba.0),
-            },
+            None => self.unwritten(lba),
+        }
+    }
+
+    /// [`PageData::checksum`] of a block, without copying a written one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lba` is out of range.
+    pub fn block_checksum(&self, lba: Lba) -> u64 {
+        assert!(self.contains(lba), "checksum of {lba:?} beyond namespace end");
+        match self.written.get(&lba.0) {
+            Some(d) => d.checksum(),
+            None => self.unwritten(lba).checksum(),
+        }
+    }
+
+    /// Contents of `lba` while it has never been written.
+    fn unwritten(&self, lba: Lba) -> PageData {
+        match self.default {
+            DefaultContents::Zero => PageData::Zero,
+            DefaultContents::Pattern { seed } => PageData::Pattern(seed ^ lba.0),
         }
     }
 
@@ -128,6 +146,18 @@ mod tests {
         assert_eq!(s.written_blocks(), 1);
         // Other blocks keep the pattern.
         assert_eq!(s.read_block(Lba(6)), PageData::Pattern(42 ^ 6));
+    }
+
+    #[test]
+    fn block_checksum_matches_read_block() {
+        let mut s = BlockStore::with_pattern(10, 42);
+        let mut d = PageData::Zero;
+        d.write(7, b"dirty");
+        s.write_block(Lba(5), d);
+        s.write_block(Lba(6), PageData::Zero);
+        for l in 0..10 {
+            assert_eq!(s.block_checksum(Lba(l)), s.read_block(Lba(l)).checksum(), "lba {l}");
+        }
     }
 
     #[test]

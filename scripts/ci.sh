@@ -52,6 +52,12 @@ echo "== static analysis: hwdp lint =="
 echo "== tier-1: tests =="
 cargo test -q --workspace --offline
 
+echo "== benchmark: build and smoke check =="
+# The benchmark package sits outside the root workspace, so the tests
+# above do not build it; this catches a crates/ API change that breaks
+# it, and runs its traced-mirror parity test.
+benchmark/check.sh
+
 echo "== harness: smoke campaign (16 jobs, 4 workers) =="
 if [[ -n "${HWDP_CI_OUT:-}" ]]; then
   out="$HWDP_CI_OUT"
