@@ -602,7 +602,7 @@ fn lint_cmd(args: &Args) -> Result<ExitCode, ArgError> {
         }
         for (entry, actual) in &outcome.stale {
             eprintln!(
-                "note: stale baseline budget '{} {} {}' (now {actual}); tighten it or run --write-baseline",
+                "stale baseline budget '{} {} {}' (now {actual}); tighten it or run --write-baseline",
                 entry.count, entry.rule, entry.path
             );
         }
@@ -614,7 +614,8 @@ fn lint_cmd(args: &Args) -> Result<ExitCode, ArgError> {
             outcome.grandfathered
         );
     }
-    if args.flag("deny") && !outcome.remaining.is_empty() {
+    // A stale budget fails too: freed headroom would let findings regrow.
+    if args.flag("deny") && !(outcome.remaining.is_empty() && outcome.stale.is_empty()) {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)

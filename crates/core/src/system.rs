@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use hwdp_cpu::perf::PerfCounters;
 use hwdp_cpu::pollution::Pollution;
 use hwdp_cpu::smt::{issue_factor, HwThreadState};
-use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, SocketId, Vpn};
+use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, ReadSnapshot, SocketId, Vpn};
 use hwdp_mem::pte::{Pte, PteClass};
 use hwdp_mem::tlb::Tlb;
 use hwdp_mem::walker::Walker;
@@ -84,7 +84,8 @@ struct Thread {
     state: ThreadState,
     /// The step being executed (kept across fault retries).
     current: Option<Step>,
-    last_read: Option<Vec<u8>>,
+    /// What the thread's last read saw, captured at access time.
+    last_read: Option<ReadSnapshot>,
     pin: Option<HwId>,
     /// Last hardware context this thread ran on (SMT identity for the
     /// per-thread report; `None` until first installed).
@@ -774,9 +775,9 @@ impl System {
             Some(s) => s,
             None => {
                 let t = &mut self.threads[tid.0];
-                // The previous read buffer is verified here but *kept*
-                // (not dropped), so the next read recycles its allocation.
-                let step = t.workload.next(t.last_read.as_deref());
+                // The previous read's snapshot is verified here but *kept*
+                // (not dropped), so the next read recycles its buffer.
+                let step = t.workload.next(t.last_read.as_ref());
                 step.validate();
                 if matches!(step, Step::Read { .. }) {
                     t.read_start = Some(now);
@@ -850,14 +851,13 @@ impl System {
             None => {
                 t += self.hw[hw.0].walker.walk(vpn);
                 let pte = self.os.page_table.pte(vpn);
-                match pte.class() {
-                    PteClass::Resident | PteClass::ResidentNeedsSync => {
-                        let pfn = pte.pfn().expect("present");
+                match (pte.class(), pte.pfn()) {
+                    (PteClass::Resident | PteClass::ResidentNeedsSync, Some(pfn)) => {
                         self.os.page_table.update_pte(vpn, Pte::with_accessed);
                         self.hw[hw.0].tlb.fill(vpn, pfn);
                         pfn
                     }
-                    PteClass::LbaAugmented => {
+                    (PteClass::LbaAugmented, _) => {
                         debug_assert!(self.cfg.mode.uses_lba_ptes());
                         self.threads[tid.0].current = Some(step);
                         self.threads[tid.0].miss_start = Some(now);
@@ -870,7 +870,9 @@ impl System {
                         }
                         return;
                     }
-                    PteClass::NotPresentOsHandled => {
+                    // Not present, or a resident-class PTE without a
+                    // frame: the OSDP path handles any PTE state.
+                    _ => {
                         self.threads[tid.0].current = Some(step);
                         self.threads[tid.0].miss_start = Some(now);
                         self.start_osdp_fault(tid, hw, vpn, t);
@@ -883,15 +885,16 @@ impl System {
         // Resident: perform the access against real frame contents.
         match &step {
             Step::Read { len, .. } => {
-                // Recycle the thread's previous read buffer instead of
-                // allocating one per access (the hottest line in the run).
-                let mut buf = self.threads[tid.0].last_read.take().unwrap_or_default();
-                buf.clear();
-                buf.resize(*len as usize, 0);
-                self.os.frames.read(pfn, (offset % 4096) as usize, &mut buf);
+                // Snapshot the read now: the frame may be rewritten or
+                // evicted before the thread's next step. A pattern or zero
+                // page costs O(1) here (the bytes are made only if the
+                // workload asks); explicit bytes copy just the window into
+                // the recycled buffer of the thread's previous snapshot.
+                let mut snap = self.threads[tid.0].last_read.take().unwrap_or_default();
+                self.os.frames.read(pfn, (offset % 4096) as usize, *len as usize, &mut snap);
                 t += if *len > 64 { ACCESS_4K } else { ACCESS_SMALL };
                 let thread = &mut self.threads[tid.0];
-                thread.last_read = Some(buf);
+                thread.last_read = Some(snap);
                 if let Some(start) = thread.read_start.take() {
                     thread.read_hist.record(t - start);
                 }
@@ -2022,7 +2025,7 @@ impl System {
                 end = deadline;
                 break;
             }
-            let (now, event) = self.queue.pop().expect("peeked");
+            let Some((now, event)) = self.queue.pop() else { break };
             end = now;
             self.events_processed += 1;
             match event {
@@ -3010,5 +3013,40 @@ mod tests {
             .find(|v| v.invariant == "reset-tier-quiesced")
             .expect("in-flight tier migration detected");
         assert!(v.message.contains("migration still in flight"));
+    }
+
+    #[test]
+    fn read_snapshots_are_taken_at_access_time() {
+        // One record, pre-populated so every read is resident; the thread
+        // is stepped by hand so a store can land between a read and the
+        // thread's next step.
+        let mut sys = SystemBuilder::new(Mode::Osdp).memory_frames(64).seed(5).build();
+        let file = sys.create_kv_file("snap.db", 1, 1);
+        let region = sys.map_file_with(file, MmapFlags::populate());
+        let rng = sys.fork_rng();
+        let db = hwdp_workloads::MiniDb::new(region, 1, 1);
+        let tid =
+            sys.spawn(Box::new(hwdp_workloads::DbBenchReadRandom::new(db, 2, rng)), 1.0, None);
+        sys.install(tid, HwId(0), Time::ZERO);
+        let vpn = sys.region_vpn(region, 0).expect("mapped");
+        let pfn = sys.os.page_table.pte(vpn).pfn().expect("populated");
+        let garbage = [0xEE; hwdp_workloads::RECORD_HEADER_LEN];
+        let failures = |sys: &System| sys.threads[tid.0].workload.verify_failures();
+
+        // Op 1: compute, then a read of the intact header; the frame is
+        // overwritten before the thread's next step, which verifies what
+        // the read saw.
+        sys.advance(tid, Time::ZERO);
+        sys.advance(tid, Time::ZERO);
+        sys.os.frames.write(pfn, 0, &garbage);
+        sys.advance(tid, Time::ZERO);
+        assert_eq!(failures(&sys), 0, "verified the bytes as they were at the access");
+
+        // Op 2 reads the frame corrupted before the access: flagged.
+        sys.advance(tid, Time::ZERO);
+        sys.advance(tid, Time::ZERO);
+        assert_eq!(failures(&sys), 1, "a frame corrupted before the read fails verification");
+        assert_eq!(sys.threads[tid.0].workload.ops_done(), 2);
+        assert_eq!(sys.threads[tid.0].state, ThreadState::Finished);
     }
 }

@@ -203,6 +203,27 @@ fn pattern_lane(seed: u64, lane: usize) -> [u8; 8] {
     z.to_le_bytes()
 }
 
+/// Fills `buf` with the bytes of pattern page `seed` from `offset` on:
+/// an unaligned head from its first lane, whole lanes, then the tail from
+/// one more lane.
+fn read_pattern(seed: u64, offset: usize, buf: &mut [u8]) {
+    let skip = offset % 8;
+    let (head, body) = buf.split_at_mut(((8 - skip) % 8).min(buf.len()));
+    if !head.is_empty() {
+        head.copy_from_slice(&pattern_lane(seed, offset / 8)[skip..skip + head.len()]);
+    }
+    let first = (offset + head.len()) / 8;
+    let whole = body.len() / 8;
+    let mut lanes = body.chunks_exact_mut(8);
+    for (i, chunk) in (&mut lanes).enumerate() {
+        chunk.copy_from_slice(&pattern_lane(seed, first + i));
+    }
+    let tail = lanes.into_remainder();
+    if !tail.is_empty() {
+        tail.copy_from_slice(&pattern_lane(seed, first + whole)[..tail.len()]);
+    }
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -230,25 +251,7 @@ impl PageData {
         assert!(offset + buf.len() <= PAGE_SIZE, "read beyond page");
         match self {
             PageData::Zero => buf.fill(0),
-            PageData::Pattern(seed) => {
-                // An unaligned head from its first lane, whole lanes, then
-                // the tail from one more lane.
-                let skip = offset % 8;
-                let (head, body) = buf.split_at_mut(((8 - skip) % 8).min(buf.len()));
-                if !head.is_empty() {
-                    head.copy_from_slice(&pattern_lane(*seed, offset / 8)[skip..skip + head.len()]);
-                }
-                let first = (offset + head.len()) / 8;
-                let whole = body.len() / 8;
-                let mut lanes = body.chunks_exact_mut(8);
-                for (i, chunk) in (&mut lanes).enumerate() {
-                    chunk.copy_from_slice(&pattern_lane(*seed, first + i));
-                }
-                let tail = lanes.into_remainder();
-                if !tail.is_empty() {
-                    tail.copy_from_slice(&pattern_lane(*seed, first + whole)[..tail.len()]);
-                }
-            }
+            PageData::Pattern(seed) => read_pattern(*seed, offset, buf),
             PageData::Bytes(bytes) => buf.copy_from_slice(&bytes[offset..offset + buf.len()]),
         }
     }
@@ -289,6 +292,83 @@ impl PageData {
             }
             PageData::Bytes(bytes) => fnv1a(FNV_OFFSET, &bytes[..]),
         }
+    }
+}
+
+/// What one read of a page saw: the window `offset..offset + len`,
+/// captured when the read ran.
+///
+/// `Zero` and `Pattern` pages are values that never change in place, so
+/// their snapshot records only the representation and the window: O(1),
+/// no bytes copied. An explicit-bytes page may be rewritten before the
+/// reader looks, so its window is copied into the snapshot's buffer,
+/// which the next [`ReadSnapshot::capture`] reuses. The bytes come out
+/// only through [`ReadSnapshot::copy_to`], and always equal what
+/// [`PageData::read`] returned for the same window at capture time.
+#[derive(Clone, Debug, Default)]
+pub struct ReadSnapshot {
+    seen: Seen,
+    offset: usize,
+    len: usize,
+    /// The copied window when `seen` is [`Seen::Bytes`]; otherwise spare
+    /// capacity for the next capture.
+    bytes: Vec<u8>,
+}
+
+/// The representation a [`ReadSnapshot`] saw.
+#[derive(Clone, Copy, Debug, Default)]
+enum Seen {
+    #[default]
+    Zero,
+    Pattern(u64),
+    Bytes,
+}
+
+impl ReadSnapshot {
+    /// A snapshot of `len` bytes of `page` at `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + len` exceeds [`PAGE_SIZE`].
+    pub fn of(page: &PageData, offset: usize, len: usize) -> Self {
+        let mut snap = ReadSnapshot::default();
+        snap.capture(page, offset, len);
+        snap
+    }
+
+    /// Re-captures this snapshot as a read of `len` bytes of `page` at
+    /// `offset`, reusing its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + len` exceeds [`PAGE_SIZE`].
+    pub fn capture(&mut self, page: &PageData, offset: usize, len: usize) {
+        assert!(offset + len <= PAGE_SIZE, "read beyond page");
+        self.offset = offset;
+        self.len = len;
+        self.bytes.clear();
+        self.seen = match page {
+            PageData::Zero => Seen::Zero,
+            PageData::Pattern(seed) => Seen::Pattern(*seed),
+            PageData::Bytes(bytes) => {
+                self.bytes.extend_from_slice(&bytes[offset..offset + len]);
+                Seen::Bytes
+            }
+        };
+    }
+
+    /// Copies the first `min(self.len(), buf.len())` bytes of the window
+    /// into `buf` and returns that count; a short read shows as a count
+    /// below `buf.len()`.
+    pub fn copy_to(&self, buf: &mut [u8]) -> usize {
+        let n = self.len.min(buf.len());
+        let out = &mut buf[..n];
+        match self.seen {
+            Seen::Zero => out.fill(0),
+            Seen::Pattern(seed) => read_pattern(seed, self.offset, out),
+            Seen::Bytes => out.copy_from_slice(&self.bytes[..n]),
+        }
+        n
     }
 }
 
@@ -362,15 +442,42 @@ mod tests {
 
     #[test]
     fn unaligned_pattern_reads_are_slices_of_the_page() {
-        let p = PageData::Pattern(0x5EED);
-        let mut whole = [0u8; PAGE_SIZE];
-        p.read(0, &mut whole);
-        for offset in (0..24).chain(PAGE_SIZE - 24..PAGE_SIZE) {
-            for len in 0..=24.min(PAGE_SIZE - offset) {
-                let mut part = [0u8; 24];
-                p.read(offset, &mut part[..len]);
-                assert_eq!(part[..len], whole[offset..offset + len], "offset {offset} len {len}");
+        let mut bytes = PageData::Pattern(0x5EED);
+        bytes.write(3, b"explicit");
+        for page in [PageData::Zero, PageData::Pattern(0x5EED), bytes] {
+            let mut whole = [0u8; PAGE_SIZE];
+            page.read(0, &mut whole);
+            for offset in (0..24).chain(PAGE_SIZE - 24..PAGE_SIZE) {
+                for len in 0..=24.min(PAGE_SIZE - offset) {
+                    let mut part = [0u8; 24];
+                    page.read(offset, &mut part[..len]);
+                    assert_eq!(part[..len], whole[offset..offset + len], "offset {offset} len {len}");
+                    // The snapshot of the same window yields the same bytes,
+                    // and a shorter buffer gets a prefix of them.
+                    let snap = ReadSnapshot::of(&page, offset, len);
+                    let mut lazy = [0xAAu8; 25];
+                    assert_eq!(snap.copy_to(&mut lazy), len);
+                    assert_eq!(lazy[..len], part[..len], "{page:?} offset {offset} len {len}");
+                    assert_eq!(lazy[len], 0xAA, "copy_to stops at the window");
+                    let short = len / 2;
+                    assert_eq!(snap.copy_to(&mut lazy[..short]), short);
+                    assert_eq!(lazy[..short], part[..short]);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn snapshot_outlives_a_rewrite_of_its_page() {
+        for mut page in [PageData::Zero, PageData::Pattern(5), PageData::Bytes(Box::new([7; PAGE_SIZE]))] {
+            let mut before = [0u8; 16];
+            page.read(40, &mut before);
+            let mut snap = ReadSnapshot::of(&PageData::Zero, 0, 4);
+            snap.capture(&page, 40, 16);
+            page.write(40, &[0xEE; 16]);
+            let mut seen = [0u8; 16];
+            assert_eq!(snap.copy_to(&mut seen), 16);
+            assert_eq!(seen, before, "{page:?}");
         }
     }
 

@@ -5,7 +5,9 @@
 //!
 //! * [`addr`] — virtual/physical address and page/frame number newtypes,
 //!   plus the storage-location triple ([`addr::BlockRef`]: socket ID,
-//!   device ID, LBA) that an LBA-augmented PTE encodes.
+//!   device ID, LBA) that an LBA-augmented PTE encodes, and page contents
+//!   ([`addr::PageData`]) with the lazy [`addr::ReadSnapshot`] a user
+//!   load hands its workload.
 //! * [`pte`] — the paper's **LBA-augmented page-table entry** (Fig. 6):
 //!   a 64-bit word whose payload is a physical frame number when present
 //!   and a `<SID, device ID, LBA>` triple when non-present with the LBA
@@ -35,7 +37,9 @@ pub mod pte;
 pub mod tlb;
 pub mod walker;
 
-pub use addr::{BlockRef, DeviceId, Lba, PageData, Pfn, PhysAddr, SocketId, VirtAddr, Vpn, PAGE_SIZE};
+pub use addr::{
+    BlockRef, DeviceId, Lba, PageData, Pfn, PhysAddr, ReadSnapshot, SocketId, VirtAddr, Vpn, PAGE_SIZE,
+};
 pub use audit::MemAudit;
 pub use page_table::{PageTable, WalkResult};
 pub use phys::{FramePool, FrameState};

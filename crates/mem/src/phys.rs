@@ -5,7 +5,7 @@
 //! integration tests assert byte-for-byte integrity across full
 //! fault → DMA → evict → re-fault cycles.
 
-use crate::addr::{PageData, Pfn};
+use crate::addr::{PageData, Pfn, ReadSnapshot};
 
 /// What a frame is currently used for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,12 +32,14 @@ struct Frame {
 /// A fixed-size pool of 4 KiB physical frames with a free list.
 ///
 /// ```
-/// use hwdp_mem::phys::FramePool;
+/// use hwdp_mem::{phys::FramePool, ReadSnapshot};
 /// let mut pool = FramePool::new(8);
 /// let f = pool.alloc().unwrap();
 /// pool.write(f, 0, b"abc");
+/// let mut snap = ReadSnapshot::default();
+/// pool.read(f, 0, 3, &mut snap);
 /// let mut buf = [0u8; 3];
-/// pool.read(f, 0, &mut buf);
+/// snap.copy_to(&mut buf);
 /// assert_eq!(&buf, b"abc");
 /// pool.free(f);
 /// ```
@@ -114,9 +116,10 @@ impl FramePool {
         f.dirty = false;
     }
 
-    /// Reads bytes from a frame (user load / DMA read for writeback).
-    pub fn read(&self, pfn: Pfn, offset: usize, buf: &mut [u8]) {
-        self.frames[pfn.0 as usize].data.read(offset, buf);
+    /// A user load of `len` bytes at `offset`: captures what the frame
+    /// holds now into `into` (see [`ReadSnapshot`]).
+    pub fn read(&self, pfn: Pfn, offset: usize, len: usize, into: &mut ReadSnapshot) {
+        into.capture(&self.frames[pfn.0 as usize].data, offset, len);
     }
 
     /// Writes bytes into a frame (user store), marking it dirty.
@@ -247,8 +250,10 @@ mod tests {
         pool.write(a, 0, b"secret");
         pool.free(a);
         let b = pool.alloc().unwrap();
+        let mut snap = ReadSnapshot::default();
+        pool.read(b, 0, 6, &mut snap);
         let mut buf = [0xAAu8; 6];
-        pool.read(b, 0, &mut buf);
+        snap.copy_to(&mut buf);
         assert_eq!(buf, [0u8; 6], "no data leaks across allocations");
     }
 

@@ -2,7 +2,7 @@
 //! under random operation sequences, TLB coherence, and page-data
 //! round-trips.
 
-use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, SocketId, Vpn};
+use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, ReadSnapshot, SocketId, Vpn};
 use hwdp_mem::page_table::PageTable;
 use hwdp_mem::pte::{Pte, PteClass, PteFlags};
 use hwdp_mem::tlb::Tlb;
@@ -115,17 +115,27 @@ proptest! {
 
     /// A pattern read at any offset and length, aligned or not, is that
     /// slice of a whole-page read. Each case also reads a short slice
-    /// (under 16 bytes), which may end inside the lane it starts in.
+    /// (under 16 bytes), which may end inside the lane it starts in. A
+    /// snapshot of the same window, of a pattern, zero or explicit-bytes
+    /// page, yields the same bytes as `PageData::read`.
     #[test]
     fn pattern_read_is_a_slice_of_the_page(seed: u64, offset in 0usize..4096, len in 0usize..4096) {
         let page = PageData::Pattern(seed);
         let mut whole = vec![0u8; 4096];
         page.read(0, &mut whole);
+        let mut bytes = page.clone();
+        bytes.write(offset, &[seed as u8 ^ 0x5A]);
         for len in [len, len % 16] {
             let len = len.min(4096 - offset);
             let mut part = vec![0u8; len];
             page.read(offset, &mut part);
             prop_assert_eq!(&part[..], &whole[offset..offset + len]);
+            for p in [&page, &PageData::Zero, &bytes] {
+                p.read(offset, &mut part);
+                let mut lazy = vec![0u8; len];
+                prop_assert_eq!(ReadSnapshot::of(p, offset, len).copy_to(&mut lazy), len);
+                prop_assert_eq!(&lazy, &part);
+            }
         }
     }
 

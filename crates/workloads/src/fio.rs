@@ -8,7 +8,7 @@
 
 use hwdp_sim::rng::Prng;
 
-use crate::{RegionId, Step, Workload};
+use crate::{ReadSnapshot, RegionId, Step, Workload};
 
 /// FIO `--rw=randread --bs=4k` over an mmap'd file.
 #[derive(Debug)]
@@ -60,7 +60,7 @@ impl FioRandRead {
 }
 
 impl Workload for FioRandRead {
-    fn next(&mut self, _last_read: Option<&[u8]>) -> Step {
+    fn next(&mut self, _last_read: Option<&ReadSnapshot>) -> Step {
         if self.ops_done >= self.ops_target {
             return Step::Finish;
         }
@@ -195,7 +195,7 @@ impl FioSeqRead {
 }
 
 impl Workload for FioSeqRead {
-    fn next(&mut self, _last_read: Option<&[u8]>) -> Step {
+    fn next(&mut self, _last_read: Option<&ReadSnapshot>) -> Step {
         if self.ops_done >= self.ops_target {
             return Step::Finish;
         }

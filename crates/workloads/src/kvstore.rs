@@ -11,7 +11,7 @@
 
 use hwdp_sim::rng::Prng;
 
-use crate::{RegionId, Step, Workload};
+use crate::{ReadSnapshot, RegionId, Step, Workload};
 
 /// Bytes of the verifiable record header.
 pub const RECORD_HEADER_LEN: usize = 24;
@@ -28,16 +28,12 @@ pub fn record_header(key: u64, version: u64) -> [u8; RECORD_HEADER_LEN] {
 }
 
 /// Parses and validates a record header for `key`; returns the version.
+/// Bytes past the header are ignored; fewer than [`RECORD_HEADER_LEN`]
+/// bytes (a short read) fail.
 pub fn check_header(key: u64, bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < RECORD_HEADER_LEN {
-        return None;
-    }
-    let magic = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-    let k = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    if magic != MAGIC || k != key {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")))
+    let header = bytes.get(..RECORD_HEADER_LEN)?;
+    let word = |i: usize| u64::from_le_bytes(std::array::from_fn(|j| header[8 * i + j]));
+    (word(0) == MAGIC && word(1) == key).then(|| word(2))
 }
 
 /// The embedded store: key → one 4 KiB record page in a mapped region.
@@ -103,9 +99,10 @@ impl MiniDb {
         }))
     }
 
-    /// Verifies bytes returned by a [`MiniDb::get`] on `key`.
-    pub fn verify(&self, key: u64, bytes: &[u8]) -> bool {
-        check_header(key, bytes).is_some()
+    /// Verifies what a [`MiniDb::get`] on `key` read.
+    pub fn verify(&self, key: u64, read: &ReadSnapshot) -> bool {
+        let mut header = [0u8; RECORD_HEADER_LEN];
+        read.copy_to(&mut header) == RECORD_HEADER_LEN && check_header(key, &header).is_some()
     }
 }
 
@@ -147,10 +144,10 @@ impl DbBenchReadRandom {
 }
 
 impl Workload for DbBenchReadRandom {
-    fn next(&mut self, last_read: Option<&[u8]>) -> Step {
+    fn next(&mut self, last_read: Option<&ReadSnapshot>) -> Step {
         // Verify the completed read, if any.
-        if let (Some(key), Some(bytes)) = (self.pending_key.take(), last_read) {
-            if !self.db.verify(key, bytes) {
+        if let (Some(key), Some(read)) = (self.pending_key.take(), last_read) {
+            if !self.db.verify(key, read) {
                 self.verify_failures += 1;
             }
             self.ops_done += 1;
@@ -188,6 +185,14 @@ impl Workload for DbBenchReadRandom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwdp_mem::PageData;
+
+    /// What a `len`-byte read sees on a page starting with `header`.
+    fn header_read(header: &[u8], len: usize) -> ReadSnapshot {
+        let mut page = PageData::Zero;
+        page.write(0, header);
+        ReadSnapshot::of(&page, 0, len)
+    }
 
     #[test]
     fn header_roundtrip() {
@@ -198,6 +203,10 @@ mod tests {
         corrupt[0] ^= 0xFF;
         assert_eq!(check_header(42, &corrupt), None, "bad magic rejected");
         assert_eq!(check_header(42, &h[..10]), None, "short read rejected");
+        let db = MiniDb::new(RegionId(0), 50, 64);
+        assert!(db.verify(42, &header_read(&h, RECORD_HEADER_LEN)));
+        assert!(!db.verify(42, &header_read(&corrupt, RECORD_HEADER_LEN)));
+        assert!(!db.verify(42, &header_read(&h, 10)), "short snapshot rejected");
     }
 
     #[test]
@@ -226,17 +235,17 @@ mod tests {
     fn dbbench_counts_and_verifies() {
         let db = MiniDb::new(RegionId(0), 50, 64);
         let mut w = DbBenchReadRandom::new(db, 5, Prng::seed_from(1));
-        let mut last: Option<Vec<u8>> = None;
+        let mut last: Option<ReadSnapshot> = None;
         let mut reads = 0;
         loop {
-            let step = w.next(last.as_deref());
+            let step = w.next(last.as_ref());
             last = None;
             match step {
                 Step::Read { offset, .. } => {
                     reads += 1;
                     // Simulate the system returning correct data.
                     let key = offset / 4096;
-                    last = Some(record_header(key, 0).to_vec());
+                    last = Some(header_read(&record_header(key, 0), RECORD_HEADER_LEN));
                 }
                 Step::Finish => break,
                 _ => {}
@@ -251,13 +260,13 @@ mod tests {
     fn dbbench_detects_corruption() {
         let db = MiniDb::new(RegionId(0), 50, 64);
         let mut w = DbBenchReadRandom::new(db, 2, Prng::seed_from(1));
-        let mut last: Option<Vec<u8>> = None;
+        let mut last: Option<ReadSnapshot> = None;
         loop {
-            let step = w.next(last.as_deref());
+            let step = w.next(last.as_ref());
             last = None;
             match step {
                 Step::Read { .. } => {
-                    last = Some(vec![0u8; RECORD_HEADER_LEN]); // garbage
+                    last = Some(ReadSnapshot::of(&PageData::Pattern(9), 0, RECORD_HEADER_LEN)); // garbage
                 }
                 Step::Finish => break,
                 _ => {}

@@ -6,9 +6,12 @@
 //! A workload is a deterministic state machine producing [`Step`]s; the
 //! system simulator executes each step in virtual time (compute advances
 //! the thread's clock at its effective IPC; reads/writes walk the full
-//! demand-paging machinery) and feeds read data back into
-//! [`Workload::next`], so data-dependent behavior (and end-to-end data
-//! *verification*) is possible.
+//! demand-paging machinery) and hands each read's result back to
+//! [`Workload::next`] as a [`ReadSnapshot`], so data-dependent behavior
+//! (and end-to-end data *verification*) is possible. The snapshot is lazy:
+//! a workload that never asks for the bytes (FIO, SPEC) costs no byte
+//! copies, while MiniDB/YCSB/DBBench and [`ScratchChurn`] copy out just
+//! the record header or counter they check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +21,8 @@ pub mod kvstore;
 pub mod scratch;
 pub mod spec;
 pub mod ycsb;
+
+pub use hwdp_mem::ReadSnapshot;
 
 pub use fio::{FioRandRead, FioSeqRead};
 pub use kvstore::{DbBenchReadRandom, MiniDb, RECORD_HEADER_LEN};
@@ -40,7 +45,7 @@ pub enum Step {
         instructions: u64,
     },
     /// Read `len` bytes at `offset` within `region` (a load through the
-    /// mapped file — may fault). The bytes come back via
+    /// mapped file — may fault). A snapshot of the bytes comes back via
     /// [`Workload::next`].
     Read {
         /// Target region.
@@ -89,9 +94,12 @@ impl Step {
 
 /// A deterministic workload state machine.
 pub trait Workload {
-    /// Produces the next step. `last_read` carries the data returned by the
-    /// immediately preceding [`Step::Read`], if any.
-    fn next(&mut self, last_read: Option<&[u8]>) -> Step;
+    /// Produces the next step. `last_read` is what the thread's most
+    /// recent [`Step::Read`] saw, captured when that read ran (a later
+    /// store to the page does not change it); `None` before the first
+    /// read and after a read that failed with an I/O error. Its bytes are
+    /// produced only by [`ReadSnapshot::copy_to`].
+    fn next(&mut self, last_read: Option<&ReadSnapshot>) -> Step;
 
     /// Completed application-level operations (for throughput metrics).
     fn ops_done(&self) -> u64;

@@ -12,7 +12,7 @@
 
 use hwdp_sim::rng::Prng;
 
-use crate::{RegionId, Step, Workload};
+use crate::{ReadSnapshot, RegionId, Step, Workload};
 
 /// Anonymous scratch-memory churn with full value verification.
 #[derive(Debug)]
@@ -63,13 +63,13 @@ impl ScratchChurn {
 }
 
 impl Workload for ScratchChurn {
-    fn next(&mut self, last_read: Option<&[u8]>) -> Step {
+    fn next(&mut self, last_read: Option<&ReadSnapshot>) -> Step {
         if self.state == State::Write {
-            // Verify the read that just completed.
-            let got = last_read
-                .and_then(|b| b.get(..8))
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
-            if got != Some(self.expected[self.current_page as usize]) {
+            // Verify the read that just completed; a missing or short read
+            // fails.
+            let mut counter = [0u8; 8];
+            let whole = last_read.is_some_and(|read| read.copy_to(&mut counter) == counter.len());
+            if !whole || u64::from_le_bytes(counter) != self.expected[self.current_page as usize] {
                 self.verify_failures += 1;
             }
             // Write the next counter value.
@@ -116,23 +116,31 @@ impl Workload for ScratchChurn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwdp_mem::PageData;
     use std::collections::HashMap;
+
+    /// What an 8-byte read sees on a page whose counter is `v`.
+    fn counter_read(v: u64) -> ReadSnapshot {
+        let mut page = PageData::Zero;
+        page.write(0, &v.to_le_bytes());
+        ReadSnapshot::of(&page, 0, 8)
+    }
 
     /// Drives the workload against a perfect in-memory page store.
     fn run_perfect(pages: u64, ops: u64) -> ScratchChurn {
         let mut w = ScratchChurn::new(RegionId(0), pages, ops, Prng::seed_from(1));
         let mut mem: HashMap<u64, u64> = HashMap::new();
-        let mut last: Option<Vec<u8>> = None;
+        let mut last: Option<ReadSnapshot> = None;
         let mut pending_page = None;
         loop {
-            let step = w.next(last.as_deref());
+            let step = w.next(last.as_ref());
             last = None;
             match step {
                 Step::Read { offset, .. } => {
                     let page = offset / 4096;
                     pending_page = Some(page);
                     let v = mem.get(&page).copied().unwrap_or(0);
-                    last = Some(v.to_le_bytes().to_vec());
+                    last = Some(counter_read(v));
                 }
                 Step::Write { offset, data, .. } => {
                     let page = offset / 4096;
@@ -159,8 +167,7 @@ mod tests {
         assert!(matches!(w.next(None), Step::Compute { .. }));
         assert!(matches!(w.next(None), Step::Read { .. }));
         // Return nonzero for a never-written page: must be flagged.
-        let bad = 7u64.to_le_bytes().to_vec();
-        let step = w.next(Some(&bad));
+        let step = w.next(Some(&counter_read(7)));
         assert!(matches!(step, Step::Write { .. }));
         assert_eq!(w.verify_failures(), 1);
     }
@@ -171,13 +178,13 @@ mod tests {
         // Op 1: read 0 (ok), write 1.
         w.next(None); // compute
         w.next(None); // read
-        let step = w.next(Some(&0u64.to_le_bytes().to_vec()));
+        let step = w.next(Some(&counter_read(0)));
         let Step::Write { data, .. } = step else { panic!("write") };
         assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 1);
         // Op 2: same page; returning stale 0 must be flagged.
         w.next(None); // compute
         w.next(None); // read
-        w.next(Some(&0u64.to_le_bytes().to_vec()));
+        w.next(Some(&counter_read(0)));
         assert_eq!(w.verify_failures(), 1, "stale read caught");
     }
 }

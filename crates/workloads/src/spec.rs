@@ -7,7 +7,7 @@
 //! workloads' *IPC personalities* matter for that, so each kernel is an
 //! endless stream of compute chunks at its benchmark's characteristic IPC.
 
-use crate::{Step, Workload};
+use crate::{ReadSnapshot, Step, Workload};
 
 /// IPC personality of one SPEC CPU 2017 benchmark.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -66,7 +66,7 @@ impl SpecKernel {
 }
 
 impl Workload for SpecKernel {
-    fn next(&mut self, _last_read: Option<&[u8]>) -> Step {
+    fn next(&mut self, _last_read: Option<&ReadSnapshot>) -> Step {
         self.chunks_done += 1;
         Step::Compute { instructions: self.chunk }
     }

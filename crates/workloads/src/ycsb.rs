@@ -19,7 +19,7 @@ use hwdp_sim::dist::{Latest, ScrambledZipfian};
 use hwdp_sim::rng::Prng;
 
 use crate::kvstore::MiniDb;
-use crate::{Step, Workload};
+use crate::{ReadSnapshot, Step, Workload};
 
 /// The six YCSB core workloads.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -199,10 +199,10 @@ impl Ycsb {
 }
 
 impl Workload for Ycsb {
-    fn next(&mut self, last_read: Option<&[u8]>) -> Step {
+    fn next(&mut self, last_read: Option<&ReadSnapshot>) -> Step {
         if let Some(key) = self.awaiting.take() {
             match last_read {
-                Some(bytes) if self.db.verify(key, bytes) => {}
+                Some(read) if self.db.verify(key, read) => {}
                 _ => self.verify_failures += 1,
             }
         }
@@ -237,8 +237,9 @@ impl Workload for Ycsb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kvstore::record_header;
+    use crate::kvstore::{record_header, RECORD_HEADER_LEN};
     use crate::RegionId;
+    use hwdp_mem::PageData;
 
     /// Runs a YCSB client against a perfect in-memory "system" that always
     /// returns correct record headers; returns (reads, writes).
@@ -246,14 +247,16 @@ mod tests {
         let db = MiniDb::new(RegionId(0), 1000, 2000);
         let mut w = Ycsb::new(kind, db, ops, Prng::seed_from(seed));
         let (mut reads, mut writes) = (0u64, 0u64);
-        let mut last: Option<Vec<u8>> = None;
+        let mut last: Option<ReadSnapshot> = None;
         loop {
-            let step = w.next(last.as_deref());
+            let step = w.next(last.as_ref());
             last = None;
             match step {
                 Step::Read { offset, .. } => {
                     reads += 1;
-                    last = Some(record_header(offset / 4096, 0).to_vec());
+                    let mut page = PageData::Zero;
+                    page.write(0, &record_header(offset / 4096, 0));
+                    last = Some(ReadSnapshot::of(&page, 0, RECORD_HEADER_LEN));
                 }
                 Step::Write { .. } => writes += 1,
                 Step::Finish => break,
@@ -312,12 +315,14 @@ mod tests {
     fn verification_catches_bad_data() {
         let db = MiniDb::new(RegionId(0), 100, 100);
         let mut w = Ycsb::new(YcsbKind::C, db, 10, Prng::seed_from(7));
-        let mut last: Option<Vec<u8>> = None;
+        let mut last: Option<ReadSnapshot> = None;
         loop {
-            let step = w.next(last.as_deref());
+            let step = w.next(last.as_ref());
             last = None;
             match step {
-                Step::Read { .. } => last = Some(vec![0u8; 24]),
+                Step::Read { .. } => {
+                    last = Some(ReadSnapshot::of(&PageData::Zero, 0, RECORD_HEADER_LEN));
+                }
                 Step::Finish => break,
                 _ => {}
             }
@@ -337,14 +342,16 @@ mod tests {
         let db = MiniDb::new(RegionId(0), 1000, 1000);
         let mut w = Ycsb::new(YcsbKind::C, db, 500, Prng::seed_from(8));
         let mut counts = std::collections::HashMap::new();
-        let mut last: Option<Vec<u8>> = None;
+        let mut last: Option<ReadSnapshot> = None;
         loop {
-            let step = w.next(last.as_deref());
+            let step = w.next(last.as_ref());
             last = None;
             match step {
                 Step::Read { offset, .. } => {
                     *counts.entry(offset / 4096).or_insert(0u64) += 1;
-                    last = Some(record_header(offset / 4096, 0).to_vec());
+                    let mut page = PageData::Zero;
+                    page.write(0, &record_header(offset / 4096, 0));
+                    last = Some(ReadSnapshot::of(&page, 0, RECORD_HEADER_LEN));
                 }
                 Step::Finish => break,
                 _ => {}

@@ -1,32 +1,38 @@
 //! Property-based tests of the workload generators: every step produced by
 //! every workload is well-formed, in range, and deterministic per seed.
 
+use hwdp_mem::PageData;
 use hwdp_sim::rng::Prng;
 use hwdp_workloads::kvstore::record_header;
 use hwdp_workloads::{
-    DbBenchReadRandom, FioRandRead, MiniDb, RegionId, ScratchChurn, Step, Workload, Ycsb,
-    YcsbKind,
+    DbBenchReadRandom, FioRandRead, MiniDb, ReadSnapshot, RegionId, ScratchChurn, Step, Workload,
+    Ycsb, YcsbKind,
 };
+
+/// A snapshot of a `len`-byte read at the start of a page that begins
+/// with `prefix`.
+fn read_of(prefix: &[u8], len: u32) -> ReadSnapshot {
+    let mut page = PageData::Zero;
+    page.write(0, prefix);
+    ReadSnapshot::of(&page, 0, len as usize)
+}
 use proptest::prelude::*;
 
 /// Drains a workload, answering every read with a correct record header,
 /// and validates each step.
 fn drive(w: &mut dyn Workload, region_pages: u64, max_steps: usize) -> (u64, u64) {
-    let mut last: Option<Vec<u8>> = None;
+    let mut last: Option<ReadSnapshot> = None;
     let mut reads = 0;
     let mut writes = 0;
     for _ in 0..max_steps {
-        let step = w.next(last.as_deref());
+        let step = w.next(last.as_ref());
         last = None;
         step.validate();
         match step {
             Step::Read { offset, len, .. } => {
                 assert!(offset / 4096 < region_pages, "read beyond region");
                 reads += 1;
-                let key = offset / 4096;
-                let mut data = record_header(key, 0).to_vec();
-                data.resize(len as usize, 0);
-                last = Some(data);
+                last = Some(read_of(&record_header(offset / 4096, 0), len));
             }
             Step::Write { offset, .. } => {
                 assert!(offset / 4096 < region_pages, "write beyond region");
@@ -95,15 +101,15 @@ proptest! {
     fn scratch_wellformed(seed: u64, pages in 1u64..256, ops in 1u64..150) {
         let mut w = ScratchChurn::new(RegionId(0), pages, ops, Prng::seed_from(seed));
         let mut mem: std::collections::HashMap<u64, u64> = Default::default();
-        let mut last: Option<Vec<u8>> = None;
+        let mut last: Option<ReadSnapshot> = None;
         loop {
-            let step = w.next(last.as_deref());
+            let step = w.next(last.as_ref());
             last = None;
             step.validate();
             match step {
-                Step::Read { offset, .. } => {
+                Step::Read { offset, len, .. } => {
                     let v = mem.get(&(offset / 4096)).copied().unwrap_or(0);
-                    last = Some(v.to_le_bytes().to_vec());
+                    last = Some(read_of(&v.to_le_bytes(), len));
                 }
                 Step::Write { offset, data, .. } => {
                     mem.insert(offset / 4096, u64::from_le_bytes(data[..8].try_into().unwrap()));
