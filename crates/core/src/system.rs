@@ -3016,6 +3016,41 @@ mod tests {
     }
 
     #[test]
+    fn kv_records_stay_inline_through_puts_evictions_and_writebacks() {
+        // A MiniDB record is a zero page with a 24-byte header. Neither the
+        // dataset build nor YCSB puts, and the evictions, writebacks and
+        // re-reads that follow them, may turn one into a 4 KiB heap buffer.
+        use hwdp_mem::phys::FrameState;
+        use hwdp_workloads::{MiniDb, Ycsb, YcsbKind};
+        for mode in [Mode::Osdp, Mode::Hwdp] {
+            let mut sys = SystemBuilder::new(mode).memory_frames(64).seed(21).build();
+            let records = 256u64;
+            let file = sys.create_kv_file("inline.db", records, records);
+            let stored = |sys: &System, key| {
+                sys.devices[0].namespace(1).read_block(sys.os.fs.lba_of(file, key))
+            };
+            for key in 0..records {
+                assert!(!stored(&sys, key).is_materialized(), "{mode:?}: built record {key}");
+            }
+            let region = sys.map_file(file);
+            let db = MiniDb::new(region, records, records);
+            let rng = sys.fork_rng();
+            sys.spawn(Box::new(Ycsb::new(YcsbKind::A, db, 2000, rng)), 1.6, None);
+            let r = sys.run(Duration::from_millis(4000));
+            assert_eq!(r.verify_failures(), 0, "{mode:?}");
+            assert!(sys.os.stats().writebacks > 0, "{mode:?}: puts were written back");
+            for key in 0..records {
+                assert!(!stored(&sys, key).is_materialized(), "{mode:?}: stored record {key}");
+            }
+            for pfn in (0..sys.os.frames.total() as u64).map(Pfn) {
+                if sys.os.frames.state(pfn) == FrameState::Allocated {
+                    assert!(!sys.os.frames.snapshot(pfn).is_materialized(), "{mode:?}: {pfn:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn read_snapshots_are_taken_at_access_time() {
         // One record, pre-populated so every read is resident; the thread
         // is stepped by hand so a store can land between a read and the

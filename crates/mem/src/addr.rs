@@ -160,19 +160,34 @@ impl BlockRef {
     }
 }
 
-/// Contents of a 4 KiB page or storage block.
+/// Contents of a 4 KiB page or storage block, in one of four
+/// representations:
 ///
-/// Real byte buffers are only materialized when a workload actually writes
-/// distinct data; read-only synthetic datasets (e.g. FIO's pre-generated
-/// file) use the O(1) [`PageData::Pattern`] representation, whose bytes are
-/// a pure function of the seed. This keeps multi-GiB-ratio simulations
-/// cheap while still letting integration tests verify every byte.
-#[derive(Clone, PartialEq, Eq)]
+/// - [`PageData::Zero`]: all zeroes, O(1) (a fresh anonymous page or an
+///   unwritten block).
+/// - [`PageData::Pattern`]: a read-only synthetic dataset page (e.g.
+///   FIO's pre-generated file), O(1), its bytes a pure function of the
+///   seed.
+/// - [`PageData::Patched`]: a zero page with one written window of at
+///   most [`PATCH_MAX`] bytes, stored inline with no heap allocation (a
+///   MiniDB record header, a scratch counter).
+/// - [`PageData::Bytes`]: an explicit 4 KiB heap buffer.
+///
+/// [`PageData::write`] keeps a `Zero` or `Patched` page patched while the
+/// window that covers every write so far fits [`PATCH_MAX`] bytes; a
+/// wider window, or any write to a `Pattern` page, materializes the page
+/// into `Bytes`, as does [`PageData::materialize`]. Reads, snapshots,
+/// checksums and equality depend on the contents only, never on the
+/// representation. This keeps multi-GiB-ratio simulations cheap while
+/// still letting integration tests verify every byte.
+#[derive(Clone)]
 pub enum PageData {
     /// All zeroes (fresh anonymous page / unwritten block).
     Zero,
     /// Deterministic pseudo-random contents generated from a seed.
     Pattern(u64),
+    /// Zeroes except for one short written window.
+    Patched(Patch),
     /// Explicit bytes.
     Bytes(Box<[u8; PAGE_SIZE]>),
 }
@@ -188,8 +203,92 @@ impl fmt::Debug for PageData {
         match self {
             PageData::Zero => write!(f, "PageData::Zero"),
             PageData::Pattern(s) => write!(f, "PageData::Pattern({s:#x})"),
+            PageData::Patched(p) => write!(f, "PageData::Patched({:#x}..{:#x})", p.start(), p.end()),
             PageData::Bytes(_) => write!(f, "PageData::Bytes(..)"),
         }
+    }
+}
+
+impl PartialEq for PageData {
+    /// Equal contents, whatever the representation. Two `Pattern`s compare
+    /// by seed: the SplitMix64 mix is a bijection, so distinct seeds differ
+    /// in lane 0 already.
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (PageData::Zero, PageData::Zero) => true,
+            (PageData::Pattern(a), PageData::Pattern(b)) => a == b,
+            (PageData::Bytes(a), PageData::Bytes(b)) => a == b,
+            _ => {
+                let (mut a, mut b) = ([0u8; 256], [0u8; 256]);
+                (0..PAGE_SIZE).step_by(a.len()).all(|at| {
+                    self.read(at, &mut a);
+                    other.read(at, &mut b);
+                    a == b
+                })
+            }
+        }
+    }
+}
+
+impl Eq for PageData {}
+
+/// Widest written window a [`PageData::Patched`] page keeps inline: room
+/// for a MiniDB record header (24 bytes) or a scratch counter (8).
+pub const PATCH_MAX: usize = 32;
+
+/// The written window of a [`PageData::Patched`] page: `len` bytes at
+/// `offset`; every byte outside it is zero.
+#[derive(Clone, Copy, Debug)]
+pub struct Patch {
+    offset: u16,
+    len: u8,
+    bytes: [u8; PATCH_MAX],
+}
+
+impl Patch {
+    /// A zero page with nothing written.
+    const EMPTY: Patch = Patch { offset: 0, len: 0, bytes: [0; PATCH_MAX] };
+
+    fn start(&self) -> usize {
+        usize::from(self.offset)
+    }
+
+    fn end(&self) -> usize {
+        self.start() + usize::from(self.len)
+    }
+
+    fn window(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    /// Fills `buf` with the page's bytes from `offset` on.
+    fn read(&self, offset: usize, buf: &mut [u8]) {
+        buf.fill(0);
+        let lo = self.start().max(offset);
+        let hi = self.end().min(offset + buf.len());
+        if lo < hi {
+            buf[lo - offset..hi - offset].copy_from_slice(&self.window()[lo - self.start()..hi - self.start()]);
+        }
+    }
+
+    /// This page with `data` (non-empty) written at `offset`, if the
+    /// window covering both still fits [`PATCH_MAX`] bytes.
+    fn with_write(&self, offset: usize, data: &[u8]) -> Option<Patch> {
+        let end = offset + data.len();
+        let (lo, hi) = if self.len == 0 {
+            (offset, end)
+        } else {
+            (self.start().min(offset), self.end().max(end))
+        };
+        let len = hi - lo;
+        if len > PATCH_MAX {
+            return None;
+        }
+        let mut bytes = [0; PATCH_MAX];
+        self.read(lo, &mut bytes[..len]);
+        bytes[offset - lo..end - lo].copy_from_slice(data);
+        // `lo < PAGE_SIZE` and `len <= PATCH_MAX`, so both fit.
+        Some(Patch { offset: lo as u16, len: len as u8, bytes })
     }
 }
 
@@ -238,8 +337,14 @@ const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// Folds `n` zero bytes into the FNV-1a state `h`: each one only
+/// multiplies by the prime.
+const fn fnv1a_zeros(h: u64, n: usize) -> u64 {
+    h.wrapping_mul(FNV_PRIME.wrapping_pow(n as u32))
+}
+
 /// [`PageData::checksum`] of an all-zero page.
-const ZERO_CHECKSUM: u64 = fnv1a(FNV_OFFSET, &[0; PAGE_SIZE]);
+const ZERO_CHECKSUM: u64 = fnv1a_zeros(FNV_OFFSET, PAGE_SIZE);
 
 impl PageData {
     /// Reads `buf.len()` bytes starting at `offset`.
@@ -252,24 +357,42 @@ impl PageData {
         match self {
             PageData::Zero => buf.fill(0),
             PageData::Pattern(seed) => read_pattern(*seed, offset, buf),
+            PageData::Patched(patch) => patch.read(offset, buf),
             PageData::Bytes(bytes) => buf.copy_from_slice(&bytes[offset..offset + buf.len()]),
         }
     }
 
-    /// Writes `data` at `offset`, materializing a byte buffer if needed.
+    /// Writes `data` at `offset`. A `Zero` or `Patched` page stays patched
+    /// while its written window fits [`PATCH_MAX`] bytes; otherwise the
+    /// page is materialized. An empty write changes nothing.
     ///
     /// # Panics
     ///
     /// Panics if `offset + data.len()` exceeds [`PAGE_SIZE`].
     pub fn write(&mut self, offset: usize, data: &[u8]) {
         assert!(offset + data.len() <= PAGE_SIZE, "write beyond page");
-        let bytes = self.materialize();
-        bytes[offset..offset + data.len()].copy_from_slice(data);
+        if data.is_empty() {
+            return;
+        }
+        let patched = match self {
+            PageData::Zero => Patch::EMPTY.with_write(offset, data),
+            PageData::Patched(patch) => patch.with_write(offset, data),
+            PageData::Pattern(_) | PageData::Bytes(_) => None,
+        };
+        match patched {
+            Some(patch) => *self = PageData::Patched(patch),
+            None => self.materialize()[offset..offset + data.len()].copy_from_slice(data),
+        }
+    }
+
+    /// Whether the page holds an explicit heap byte buffer.
+    pub fn is_materialized(&self) -> bool {
+        matches!(self, PageData::Bytes(_))
     }
 
     /// Converts to an explicit byte buffer and returns it mutably.
     pub fn materialize(&mut self) -> &mut [u8; PAGE_SIZE] {
-        if !matches!(self, PageData::Bytes(_)) {
+        if !self.is_materialized() {
             let mut bytes = Box::new([0u8; PAGE_SIZE]);
             self.read(0, &mut bytes[..]);
             *self = PageData::Bytes(bytes);
@@ -283,12 +406,17 @@ impl PageData {
     /// A cheap 64-bit checksum of the page contents: FNV-1a over its
     /// bytes, so equal contents hash equally whatever the representation.
     /// `Zero` is a compile-time constant and `Pattern` is hashed lane by
-    /// lane without materializing the page.
+    /// lane without materializing the page; `Patched` hashes its window
+    /// and folds the zero runs around it in closed form.
     pub fn checksum(&self) -> u64 {
         match self {
             PageData::Zero => ZERO_CHECKSUM,
             PageData::Pattern(seed) => {
                 (0..PAGE_SIZE / 8).fold(FNV_OFFSET, |h, lane| fnv1a(h, &pattern_lane(*seed, lane)))
+            }
+            PageData::Patched(patch) => {
+                let h = fnv1a(fnv1a_zeros(FNV_OFFSET, patch.start()), patch.window());
+                fnv1a_zeros(h, PAGE_SIZE - patch.end())
             }
             PageData::Bytes(bytes) => fnv1a(FNV_OFFSET, &bytes[..]),
         }
@@ -298,9 +426,10 @@ impl PageData {
 /// What one read of a page saw: the window `offset..offset + len`,
 /// captured when the read ran.
 ///
-/// `Zero` and `Pattern` pages are values that never change in place, so
-/// their snapshot records only the representation and the window: O(1),
-/// no bytes copied. An explicit-bytes page may be rewritten before the
+/// `Zero`, `Pattern` and `Patched` pages are values that never change in
+/// place, so their snapshot records only the representation (a patch is
+/// copied whole, at most [`PATCH_MAX`] bytes) and the window: O(1), no
+/// page bytes expanded. An explicit-bytes page may be rewritten before the
 /// reader looks, so its window is copied into the snapshot's buffer,
 /// which the next [`ReadSnapshot::capture`] reuses. The bytes come out
 /// only through [`ReadSnapshot::copy_to`], and always equal what
@@ -321,6 +450,7 @@ enum Seen {
     #[default]
     Zero,
     Pattern(u64),
+    Patched(Patch),
     Bytes,
 }
 
@@ -350,6 +480,7 @@ impl ReadSnapshot {
         self.seen = match page {
             PageData::Zero => Seen::Zero,
             PageData::Pattern(seed) => Seen::Pattern(*seed),
+            PageData::Patched(patch) => Seen::Patched(*patch),
             PageData::Bytes(bytes) => {
                 self.bytes.extend_from_slice(&bytes[offset..offset + len]);
                 Seen::Bytes
@@ -366,6 +497,7 @@ impl ReadSnapshot {
         match self.seen {
             Seen::Zero => out.fill(0),
             Seen::Pattern(seed) => read_pattern(seed, self.offset, out),
+            Seen::Patched(patch) => patch.read(self.offset, out),
             Seen::Bytes => out.copy_from_slice(&self.bytes[..n]),
         }
         n
@@ -444,7 +576,10 @@ mod tests {
     fn unaligned_pattern_reads_are_slices_of_the_page() {
         let mut bytes = PageData::Pattern(0x5EED);
         bytes.write(3, b"explicit");
-        for page in [PageData::Zero, PageData::Pattern(0x5EED), bytes] {
+        let mut patched = PageData::Zero;
+        patched.write(PAGE_SIZE - 20, b"near the end");
+        patched.write(PAGE_SIZE - 30, b"tail");
+        for page in [PageData::Zero, PageData::Pattern(0x5EED), bytes, patched] {
             let mut whole = [0u8; PAGE_SIZE];
             page.read(0, &mut whole);
             for offset in (0..24).chain(PAGE_SIZE - 24..PAGE_SIZE) {
@@ -469,7 +604,9 @@ mod tests {
 
     #[test]
     fn snapshot_outlives_a_rewrite_of_its_page() {
-        for mut page in [PageData::Zero, PageData::Pattern(5), PageData::Bytes(Box::new([7; PAGE_SIZE]))] {
+        let mut patched = PageData::Zero;
+        patched.write(44, b"window");
+        for mut page in [PageData::Zero, PageData::Pattern(5), patched, PageData::Bytes(Box::new([7; PAGE_SIZE]))] {
             let mut before = [0u8; 16];
             page.read(40, &mut before);
             let mut snap = ReadSnapshot::of(&PageData::Zero, 0, 4);
@@ -512,6 +649,82 @@ mod tests {
         assert_eq!(PageData::Pattern(0xDEAD_BEEF_F00D).checksum(), 0x886c_24a5_5e64_7062);
         assert_eq!(PageData::Zero.checksum(), 0xb93a_0c83_ce3b_6325);
         assert_eq!(PageData::Bytes(Box::new([0; PAGE_SIZE])).checksum(), ZERO_CHECKSUM);
+    }
+
+    #[test]
+    fn short_writes_to_a_zero_page_stay_inline() {
+        let mut page = PageData::Zero;
+        page.write(100, b"header");
+        page.write(90, b"0123456789"); // adjacent, before
+        page.write(110, &[9; 12]); // disjoint, merged window 90..122
+        assert!(!page.is_materialized(), "{page:?}");
+        assert!(matches!(page, PageData::Patched(_)), "{page:?}");
+        let mut whole = [0u8; PAGE_SIZE];
+        page.read(0, &mut whole);
+        let mut expect = [0u8; PAGE_SIZE];
+        expect[90..100].copy_from_slice(b"0123456789");
+        expect[100..106].copy_from_slice(b"header");
+        expect[110..122].copy_from_slice(&[9; 12]);
+        assert_eq!(whole, expect);
+        // A write that widens the window past PATCH_MAX materializes, and
+        // keeps every byte.
+        page.write(122 - PATCH_MAX - 1, &[1]);
+        assert!(page.is_materialized());
+        expect[122 - PATCH_MAX - 1] = 1;
+        page.read(0, &mut whole);
+        assert_eq!(whole, expect);
+        // Writes to a pattern page materialize as before.
+        let mut pattern = PageData::Pattern(3);
+        pattern.write(0, &[1]);
+        assert!(pattern.is_materialized());
+    }
+
+    #[test]
+    fn equal_contents_compare_equal_in_every_representation() {
+        let header = *b"MiniDB!!key.....version.";
+        let mut patched = PageData::Zero;
+        patched.write(8, &header);
+        let mut materialized = patched.clone();
+        materialized.materialize();
+        let mut explicit = Box::new([0u8; PAGE_SIZE]);
+        explicit[8..32].copy_from_slice(&header);
+        let explicit = PageData::Bytes(explicit);
+        // The same window written as two halves and a trailing zero.
+        let mut halves = PageData::Zero;
+        halves.write(20, &header[12..]);
+        halves.write(8, &header[..12]);
+        halves.write(32, &[0]);
+        let same = [&patched, &materialized, &explicit, &halves];
+        for a in same {
+            for b in same {
+                assert_eq!(a, b);
+                assert_eq!(a.checksum(), b.checksum());
+            }
+        }
+        assert!(matches!((&patched, &halves), (PageData::Patched(_), PageData::Patched(_))));
+        assert_ne!(patched, PageData::Zero);
+        let mut off_by_one = PageData::Zero;
+        off_by_one.write(9, &header);
+        assert_ne!(patched, off_by_one);
+        // Pattern pages equal their materialized bytes; a zero page equals
+        // an all-zero buffer.
+        let mut pattern = PageData::Pattern(11);
+        pattern.materialize();
+        assert_eq!(pattern, PageData::Pattern(11));
+        assert_ne!(pattern, PageData::Pattern(12));
+        assert_eq!(PageData::Bytes(Box::new([0; PAGE_SIZE])), PageData::Zero);
+    }
+
+    #[test]
+    fn patched_checksum_matches_its_bytes() {
+        for (offset, len) in [(0, 24), (0, PATCH_MAX), (PAGE_SIZE - 8, 8), (1000, 1)] {
+            let mut page = PageData::Zero;
+            page.write(offset, &vec![0xA5; len]);
+            let mut bytes = [0u8; PAGE_SIZE];
+            page.read(0, &mut bytes);
+            assert!(!page.is_materialized());
+            assert_eq!(page.checksum(), fnv1a(FNV_OFFSET, &bytes), "offset {offset} len {len}");
+        }
     }
 
     #[test]

@@ -87,19 +87,20 @@ impl FramePool {
         Some(pfn)
     }
 
-    /// Returns a frame to the free list.
+    /// Returns a frame to the free list and hands back the contents it
+    /// held, moved out rather than copied (an eviction's writeback data).
     ///
     /// # Panics
     ///
     /// Panics if the frame is already free (double free) or out of range.
-    pub fn free(&mut self, pfn: Pfn) {
+    pub fn free(&mut self, pfn: Pfn) -> PageData {
         let f = &mut self.frames[pfn.0 as usize];
         assert_eq!(f.state, FrameState::Allocated, "double free of {pfn:?}");
         f.state = FrameState::Free;
-        f.data = PageData::Zero;
         f.owner = None;
         f.dirty = false;
         self.free_list.push(pfn);
+        std::mem::take(&mut f.data)
     }
 
     /// Current state of a frame.
@@ -281,6 +282,19 @@ mod tests {
         assert_eq!(&buf, b"zz");
         pool.clear_dirty(a);
         assert!(!pool.is_dirty(a));
+    }
+
+    #[test]
+    fn free_hands_back_the_contents() {
+        let mut pool = FramePool::new(1);
+        let a = pool.alloc().unwrap();
+        pool.dma_fill(a, PageData::Pattern(3));
+        pool.write(a, 10, b"zz");
+        let mut expect = PageData::Pattern(3);
+        expect.write(10, b"zz");
+        assert_eq!(pool.free(a), expect);
+        let b = pool.alloc().unwrap();
+        assert_eq!(pool.checksum(b), PageData::Zero.checksum(), "freed frame is zeroed");
     }
 
     #[test]

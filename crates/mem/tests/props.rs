@@ -2,7 +2,7 @@
 //! under random operation sequences, TLB coherence, and page-data
 //! round-trips.
 
-use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, ReadSnapshot, SocketId, Vpn};
+use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, ReadSnapshot, SocketId, Vpn, PAGE_SIZE, PATCH_MAX};
 use hwdp_mem::page_table::PageTable;
 use hwdp_mem::pte::{Pte, PteClass, PteFlags};
 use hwdp_mem::tlb::Tlb;
@@ -136,6 +136,45 @@ proptest! {
                 prop_assert_eq!(ReadSnapshot::of(p, offset, len).copy_to(&mut lazy), len);
                 prop_assert_eq!(&lazy, &part);
             }
+        }
+    }
+
+    /// Random write sequences on a zero page match a plain byte array
+    /// after every write: reads, snapshots, checksums and equality. Most
+    /// writes land near one base offset, so they overlap, abut or leave
+    /// gaps, and the hull of the windows written so far crosses
+    /// `PATCH_MAX` at a random point; the rest land anywhere. The page
+    /// stays inline exactly while that hull fits.
+    #[test]
+    fn zero_page_writes_match_a_byte_array(
+        base in 0usize..4096,
+        writes in prop::collection::vec((0usize..80, 1usize..48, any::<u8>(), prop::bool::ANY), 1..24),
+        probe in 0usize..4096,
+    ) {
+        let mut page = PageData::Zero;
+        let mut reference = [0u8; PAGE_SIZE];
+        let mut hull = (PAGE_SIZE, 0);
+        for (delta, len, byte, far) in writes {
+            let at = if far { delta * 51 } else { base.saturating_sub(40) + delta };
+            let at = at.min(PAGE_SIZE - len);
+            let data: Vec<u8> = (0..len).map(|i| if byte % 4 == 0 { 0 } else { byte ^ i as u8 }).collect();
+            page.write(at, &data);
+            reference[at..at + len].copy_from_slice(&data);
+            hull = (hull.0.min(at), hull.1.max(at + len));
+            prop_assert_eq!(page.is_materialized(), hull.1 - hull.0 > PATCH_MAX);
+            let near = at.saturating_sub(8);
+            let probe_len = (probe % 64).min(PAGE_SIZE - probe);
+            for (offset, len) in [(0, PAGE_SIZE), (near, (len + 16).min(PAGE_SIZE - near)), (probe, probe_len)] {
+                let mut read = vec![0xEEu8; len];
+                page.read(offset, &mut read);
+                prop_assert_eq!(&read[..], &reference[offset..offset + len]);
+                let mut lazy = vec![0xEEu8; len];
+                prop_assert_eq!(ReadSnapshot::of(&page, offset, len).copy_to(&mut lazy), len);
+                prop_assert_eq!(&lazy[..], &reference[offset..offset + len]);
+            }
+            let explicit = PageData::Bytes(Box::new(reference));
+            prop_assert_eq!(page.checksum(), explicit.checksum());
+            prop_assert_eq!(&page, &explicit);
         }
     }
 

@@ -13,7 +13,7 @@ use hwdp_mem::pte::{Pte, PteFlags};
 
 use crate::costs::{BackgroundCosts, OsdpCosts, SwOnlyCosts};
 use crate::fs::{FileId, MiniFs};
-use crate::page_cache::PageCache;
+use crate::page_cache::{PageCache, Victim};
 use crate::vma::{AddressSpace, MmapFlags, Vma, VmaId};
 
 /// A page chosen for eviction, with everything the I/O layer needs to
@@ -134,6 +134,8 @@ pub struct Os {
     stats: OsStats,
     /// Frames the OS keeps in reserve for its own allocations.
     reserve: usize,
+    /// Reusable victim buffer for [`Os::reclaim_into`].
+    scratch_victims: Vec<Victim>,
 }
 
 impl Os {
@@ -151,6 +153,7 @@ impl Os {
             acct: KernelAccounting::default(),
             stats: OsStats::default(),
             reserve: (total_frames / 64).max(8),
+            scratch_victims: Vec::new(),
         }
     }
 
@@ -292,19 +295,24 @@ impl Os {
     /// Allocation-free [`Os::reclaim`]: evictions are appended to `out`.
     pub fn reclaim_into(&mut self, n: usize, out: &mut Vec<Eviction>) {
         // Split borrows: the clock callback inspects PTE accessed bits.
+        let mut victims = std::mem::take(&mut self.scratch_victims);
         let Os { cache, page_table, .. } = self;
-        let victims = cache.select_victims(n, |_, _, vpn| {
-            let Some(vpn) = vpn else { return false };
-            let pte = page_table.pte(vpn);
-            if pte.is_accessed() {
-                page_table.update_pte(vpn, Pte::clear_accessed);
-                true
-            } else {
-                false
-            }
-        });
+        cache.select_victims_into(
+            n,
+            |_, _, vpn| {
+                let Some(vpn) = vpn else { return false };
+                let pte = page_table.pte(vpn);
+                if pte.is_accessed() {
+                    page_table.update_pte(vpn, Pte::clear_accessed);
+                    true
+                } else {
+                    false
+                }
+            },
+            &mut victims,
+        );
         out.reserve(victims.len());
-        for v in victims {
+        for &v in &victims {
             let dirty = self.frames.is_dirty(v.pfn)
                 || v.vpn.map(|vpn| self.page_table.pte(vpn).is_dirty()).unwrap_or(false);
             // A dirty anonymous page is being swapped out for the first
@@ -319,7 +327,7 @@ impl Os {
             let (socket, device, _, lba) = self.fs.location(v.file, v.page);
             let wb_block = BlockRef::new(socket, device, lba);
             let pte_block = self.block_for(v.file, v.page);
-            let data = self.frames.snapshot(v.pfn);
+            let data = self.frames.free(v.pfn);
             if let Some(vpn) = v.vpn {
                 let fast = self
                     .aspace
@@ -332,7 +340,6 @@ impl Os {
                     self.page_table.set_pte(vpn, Pte::EMPTY);
                 }
             }
-            self.frames.free(v.pfn);
             self.stats.evictions += 1;
             if dirty {
                 self.stats.writebacks += 1;
@@ -341,6 +348,7 @@ impl Os {
             self.acct.app_kernel_instr += 800;
             out.push(Eviction { file: v.file, page: v.page, block: wb_block, dirty, data, vpn: v.vpn });
         }
+        self.scratch_victims = victims;
     }
 
     /// §IV-B: the file system moved `page` of `file` to a new block
@@ -550,9 +558,8 @@ impl Os {
                 if dirty && self.fs.is_anon(vma.file) {
                     self.fs.mark_swap_initialized(vma.file, file_page);
                 }
-                let data = self.frames.snapshot(pfn);
                 self.cache.remove(vma.file, file_page);
-                self.frames.free(pfn);
+                let data = self.frames.free(pfn);
                 if dirty {
                     self.stats.writebacks += 1;
                     evictions.push(Eviction {

@@ -102,12 +102,28 @@ impl PageCache {
     /// since the last sweep (its PTE accessed bit) — if so the page gets a
     /// second chance and rotates to the tail; the callback should clear
     /// the accessed bit.
+    ///
+    /// Convenience wrapper over [`PageCache::select_victims_into`] for
+    /// tests.
     pub fn select_victims(
         &mut self,
         n: usize,
-        mut referenced: impl FnMut(FileId, u64, Option<Vpn>) -> bool,
+        referenced: impl FnMut(FileId, u64, Option<Vpn>) -> bool,
     ) -> Vec<Victim> {
         let mut victims = Vec::with_capacity(n);
+        self.select_victims_into(n, referenced, &mut victims);
+        victims
+    }
+
+    /// Allocation-free [`PageCache::select_victims`]: clears `victims`,
+    /// then fills it with up to `n` victims.
+    pub fn select_victims_into(
+        &mut self,
+        n: usize,
+        mut referenced: impl FnMut(FileId, u64, Option<Vpn>) -> bool,
+        victims: &mut Vec<Victim>,
+    ) {
+        victims.clear();
         // Bound the sweep: each live page is inspected at most twice per
         // call (first pass may grant a second chance).
         let mut budget = self.clock.len() * 2;
@@ -125,7 +141,6 @@ impl PageCache {
             self.map.remove(&key);
             victims.push(Victim { file, page, pfn: cached.pfn, vpn: cached.vpn });
         }
-        victims
     }
 }
 
