@@ -10,29 +10,12 @@ use hwdp_mem::tlb::Tlb;
 use hwdp_sim::dist::ScrambledZipfian;
 use hwdp_sim::events::EventQueue;
 use hwdp_sim::rng::Prng;
-use hwdp_sim::sched::{EventScheduler, SchedulerKind};
-use hwdp_sim::time::{Duration, Time};
+use hwdp_sim::time::Duration;
 use hwdp_smu::free_queue::{FreePage, FreePageQueue};
 use hwdp_smu::pmshr::Pmshr;
 
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_1k", |b| {
-        b.iter_batched(
-            EventQueue::<u32>::new,
-            |mut q| {
-                for i in 0..1000u32 {
-                    q.schedule(Time::ZERO + Duration::from_nanos((i * 7 % 997) as u64), i);
-                }
-                while q.pop().is_some() {}
-                q
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-/// One step of a Fig. 12-shaped scheduler workload, pre-generated so
-/// both backends replay the identical program.
+/// One step of a Fig. 12-shaped event-queue workload, pre-generated so
+/// every run replays the identical program.
 enum SchedOp {
     /// Schedule an event this many nanoseconds past the current clock.
     Schedule(u64),
@@ -73,42 +56,36 @@ fn fig12_sched_program(ops: usize) -> Vec<SchedOp> {
     program
 }
 
-fn bench_scheduler_backends(c: &mut Criterion) {
+fn bench_event_queue(c: &mut Criterion) {
     let program = fig12_sched_program(4096);
-    let mut group = c.benchmark_group("scheduler_fig12_mix_4k");
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        group.bench_function(kind.name(), |b| {
-            b.iter_batched(
-                || EventScheduler::<u32>::new(kind),
-                |mut sched| {
-                    let mut live = Vec::with_capacity(256);
-                    for op in &program {
-                        match op {
-                            SchedOp::Schedule(delay) => {
-                                let at = sched.now() + Duration::from_nanos(*delay);
-                                live.push(sched.schedule(at, 0));
-                            }
-                            SchedOp::Pop => {
-                                // Tombstones mean a pop may need to skip
-                                // cancelled entries; drain until a live one.
-                                std::hint::black_box(sched.pop());
-                                live.pop();
-                            }
-                            SchedOp::Cancel(k) => {
-                                let idx = live.len() - 1 - (k % live.len());
-                                let id = live.swap_remove(idx);
-                                sched.cancel(id);
-                            }
+    c.bench_function("event_queue_fig12_mix_4k", |b| {
+        b.iter_batched(
+            EventQueue::<u32>::new,
+            |mut q| {
+                let mut live = Vec::with_capacity(256);
+                for op in &program {
+                    match op {
+                        SchedOp::Schedule(delay) => {
+                            let at = q.now() + Duration::from_nanos(*delay);
+                            live.push(q.schedule(at, 0));
+                        }
+                        SchedOp::Pop => {
+                            std::hint::black_box(q.pop());
+                            live.pop();
+                        }
+                        SchedOp::Cancel(k) => {
+                            let idx = live.len() - 1 - (k % live.len());
+                            let id = live.swap_remove(idx);
+                            q.cancel(id);
                         }
                     }
-                    while sched.pop().is_some() {}
-                    sched
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
+                }
+                while q.pop().is_some() {}
+                q
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_pmshr(c: &mut Criterion) {
@@ -231,7 +208,7 @@ fn bench_free_queue(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default();
-    targets = bench_event_queue, bench_scheduler_backends, bench_pmshr, bench_page_walk,
+    targets = bench_event_queue, bench_pmshr, bench_page_walk,
               bench_kpted_scan, bench_tlb, bench_zipfian, bench_pte_encode, bench_free_queue
 }
 criterion_main!(micro);

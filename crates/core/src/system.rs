@@ -31,8 +31,7 @@ use hwdp_smu::host_controller::QueueDescriptor;
 use hwdp_smu::pmshr::{EntryIdx, Pmshr};
 use hwdp_smu::smu::{MissOutcome, MissRequest, Smu};
 use hwdp_smu::timing::SmuTiming;
-use hwdp_sim::events::EventId;
-use hwdp_sim::sched::EventScheduler;
+use hwdp_sim::events::{EventId, EventQueue};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
 use hwdp_sim::stats::LatencyHist;
@@ -210,7 +209,7 @@ pub struct IoError {
 /// The full system under test.
 pub struct System {
     cfg: SystemConfig,
-    queue: EventScheduler<Event>,
+    queue: EventQueue<Event>,
     /// The kernel (public for inspection in tests and benches).
     pub os: Os,
     smu: Smu,
@@ -232,7 +231,7 @@ pub struct System {
     long_io_switches: u64,
     readahead_reads: u64,
     /// Events dispatched by the main loop (scheduler-throughput
-    /// denominator; identical across backends by the ordering contract).
+    /// denominator; deterministic by the queue's ordering contract).
     events_processed: u64,
     /// Retired OSDP waiter lists, recycled so the fault path does not
     /// allocate a fresh `Vec` per major fault (bounded; see
@@ -341,7 +340,7 @@ impl System {
 
         let mut sys = System {
             cfg,
-            queue: EventScheduler::new(cfg.scheduler),
+            queue: EventQueue::new(),
             os,
             smu,
             devices: vec![dev],

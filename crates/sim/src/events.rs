@@ -1,19 +1,27 @@
-//! A deterministic event queue.
+//! The simulator's deterministic event queue.
 //!
-//! Events are ordered by `(time, sequence)` where the sequence number is
-//! assigned at scheduling time, so two events scheduled for the same instant
-//! fire in the order they were scheduled. This makes whole-system runs
-//! bit-for-bit reproducible, which the calibration tests rely on.
+//! Events fire in ascending `(time, EventId)` order. Ids are assigned from
+//! one monotonic counter at scheduling time, so two events scheduled for
+//! the same instant fire in the order they were scheduled. This makes
+//! whole-system runs bit-for-bit reproducible, which the calibration tests
+//! rely on; DESIGN.md's "Scheduler contract" states the full law, and
+//! `tests/scheduler_diff.rs` checks this queue against an independent
+//! linear-scan model.
 //!
-//! This binary-heap queue is the *reference* implementation of the
-//! [`crate::sched::Scheduler`] contract; production runs use the
-//! [`crate::sched::TimingWheel`], and `tests/scheduler_diff.rs` drives both
-//! with identical operation streams to prove they agree.
+//! The queue is a binary heap keyed by `(time, id)`. Whether an id is still
+//! pending lives in a retirement ring of one bit per id, so cancel is O(1):
+//! it clears the bit and leaves the heap entry behind as a tombstone that
+//! `pop`/`peek_time` skip. The simulator's queues are a handful of events
+//! deep (a mean of 2–7 pending on the benchmark workloads), so the heap's
+//! `O(log n)` is a few comparisons.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, BTreeSet};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Time;
+
+/// Ids per retirement-ring word.
+const WORD: u64 = 64;
 
 /// A handle to a scheduled event, usable for cancellation.
 ///
@@ -22,28 +30,15 @@ use crate::time::Time;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
-impl EventId {
-    /// Rebuilds a handle from its raw counter value (scheduler internals).
-    pub(crate) fn from_raw(raw: u64) -> EventId {
-        EventId(raw)
-    }
-
-    /// The raw counter value behind the handle (scheduler internals).
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 struct Entry<E> {
     at: Time,
-    seq: u64,
-    id: EventId,
+    id: u64,
     payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.id == other.id
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -55,14 +50,25 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert to get earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        (other.at, other.id).cmp(&(self.at, self.id))
     }
 }
 
-/// A time-ordered queue of events with stable same-time ordering and
-/// O(log n) cancellation (lazy deletion with bounded tombstone debt:
-/// the heap compacts whenever cancelled entries outnumber half the live
-/// ones, so cancel-heavy plans cannot grow it without bound).
+/// Whether `id`'s bit is set in a ring whose first word starts at `base`.
+/// Ids below the ring were trimmed (retired), and ids past the issued
+/// range have clear bits, so both read as not pending.
+fn is_pending(ring: &VecDeque<u64>, base: u64, id: u64) -> bool {
+    let Some(off) = id.checked_sub(base) else {
+        return false;
+    };
+    ring.get((off / WORD) as usize)
+        .is_some_and(|w| w >> (off % WORD) & 1 == 1)
+}
+
+/// A time-ordered queue of events with stable same-time ordering and O(1)
+/// cancellation (lazy deletion with bounded tombstone debt: the heap
+/// compacts whenever cancelled entries outnumber half the live ones, so
+/// cancel-heavy plans cannot grow it without bound).
 ///
 /// ```
 /// use hwdp_sim::events::EventQueue;
@@ -77,12 +83,17 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
+    /// One bit per id in `[base, next_id)`, set while the event is pending
+    /// (neither fired nor cancelled). Heap entries whose bit is clear are
+    /// tombstones. Fully retired words are trimmed from the front, so the
+    /// ring spans the ids from the oldest pending event on, not the whole
+    /// history.
+    ring: VecDeque<u64>,
+    /// The id of bit 0 of `ring[0]` (a multiple of [`WORD`]).
+    base: u64,
     next_id: u64,
-    /// Raw ids of scheduled-but-not-yet-fired, not-cancelled events. Heap
-    /// entries whose id left this set are tombstones, skipped lazily and
-    /// bounded by [`Self::maybe_compact`].
-    pending: BTreeSet<u64>,
+    /// Pending events: the number of set bits in `ring`.
+    live: usize,
     now: Time,
 }
 
@@ -97,9 +108,10 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
+            ring: VecDeque::new(),
+            base: 0,
             next_id: 0,
-            pending: BTreeSet::new(),
+            live: 0,
             now: Time::ZERO,
         }
     }
@@ -115,23 +127,46 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is permitted (the event fires "immediately",
     /// i.e. before any later event) but never rewinds [`Self::now`].
     pub fn schedule(&mut self, at: Time, payload: E) -> EventId {
-        let id = EventId(self.next_id);
+        let id = self.next_id;
         self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(id.0);
-        self.heap.push(Entry { at, seq, id, payload });
-        id
+        let off = id - self.base;
+        if off == self.ring.len() as u64 * WORD {
+            self.ring.push_back(0);
+        }
+        // The newest id always lives in the last word.
+        if let Some(w) = self.ring.back_mut() {
+            *w |= 1 << (off % WORD);
+        }
+        self.live += 1;
+        self.heap.push(Entry { at, id, payload });
+        EventId(id)
+    }
+
+    /// Clears `id`'s pending bit, returning whether it was set, and trims
+    /// fully retired words from the front of the ring. A word is trimmed
+    /// only once all of its ids have been issued.
+    fn retire(&mut self, id: u64) -> bool {
+        let Some(off) = id.checked_sub(self.base) else {
+            return false;
+        };
+        let bit = 1 << (off % WORD);
+        match self.ring.get_mut((off / WORD) as usize) {
+            Some(w) if *w & bit != 0 => *w &= !bit,
+            _ => return false,
+        }
+        self.live -= 1;
+        while self.ring.front() == Some(&0) && self.base + WORD <= self.next_id {
+            self.ring.pop_front();
+            self.base += WORD;
+        }
+        true
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending — ids that already fired (or were already
     /// cancelled, or were never issued) report `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_id {
-            return false;
-        }
-        if !self.pending.remove(&id.0) {
+        if !self.retire(id.0) {
             return false;
         }
         self.maybe_compact();
@@ -142,10 +177,10 @@ impl<E> EventQueue<E> {
     /// the live ones, bounding the queue's footprint under cancel-heavy
     /// plans (fault-injection watchdogs cancel almost every event).
     fn maybe_compact(&mut self) {
-        let cancelled = self.heap.len() - self.pending.len();
-        if cancelled > self.pending.len() / 2 {
-            let pending = &self.pending;
-            self.heap.retain(|e| pending.contains(&e.id.0));
+        let cancelled = self.heap.len() - self.live;
+        if cancelled > self.live / 2 {
+            let (ring, base) = (&self.ring, self.base);
+            self.heap.retain(|e| is_pending(ring, base, e.id));
         }
     }
 
@@ -153,20 +188,20 @@ impl<E> EventQueue<E> {
     /// timestamp (clamped so time never goes backwards).
     pub fn pop(&mut self) -> Option<(Time, E)> {
         while let Some(entry) = self.heap.pop() {
-            if !self.pending.remove(&entry.id.0) {
-                continue; // cancelled tombstone
+            if self.retire(entry.id) {
+                self.now = self.now.max(entry.at);
+                return Some((self.now, entry.payload));
             }
-            self.now = self.now.max(entry.at);
-            return Some((self.now, entry.payload));
         }
         None
     }
 
-    /// The timestamp of the next pending event, if any.
+    /// The raw scheduled time of the next pending event, if any (it may lie
+    /// before [`Self::now`]; [`Self::pop`] clamps it).
     pub fn peek_time(&mut self) -> Option<Time> {
         // Purge cancelled heads so peek agrees with the next pop.
         while let Some(entry) = self.heap.peek() {
-            if self.pending.contains(&entry.id.0) {
+            if is_pending(&self.ring, self.base, entry.id) {
                 return Some(entry.at);
             }
             self.heap.pop();
@@ -176,12 +211,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 }
 
@@ -251,6 +286,8 @@ mod tests {
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(!q.cancel(EventId(42)));
+        q.schedule(at(1), ());
+        assert!(!q.cancel(EventId(1)), "an unissued id in the live word");
     }
 
     #[test]
@@ -277,6 +314,33 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn peek_then_past_schedule_keeps_global_order() {
+        // A schedule behind the peeked head (but after `now`) must still
+        // fire first.
+        let mut q = EventQueue::new();
+        q.schedule(at(1_000_000), 'z');
+        assert_eq!(q.peek_time(), Some(at(1_000_000)));
+        q.schedule(at(100), 'a');
+        q.schedule(at(200), 'b');
+        assert_eq!(q.peek_time(), Some(at(100)));
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'z']);
+    }
+
+    #[test]
+    fn far_future_times_span_the_whole_domain() {
+        // Timestamps from 1 ps to 2^60 ps, scheduled largest first.
+        let mut q = EventQueue::new();
+        let mut times: Vec<u64> = (0..16).map(|k| 1u64 << (k * 4)).rev().collect();
+        for &t in &times {
+            q.schedule(Time::ZERO + Duration::from_ps(t), t);
+        }
+        times.sort_unstable();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, times);
     }
 
     #[test]
@@ -314,5 +378,44 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, keep.len());
+    }
+
+    #[test]
+    fn far_future_event_pins_the_ring_but_not_the_heap() {
+        // A controller crash scheduled past the run's end stays pending for
+        // the whole run, so the ring cannot trim past its id. The ring then
+        // grows by one bit per schedule; the heap must still stay within
+        // the tombstone bound and the queue must stay exact.
+        let mut q = EventQueue::new();
+        let crash = q.schedule(at(u64::MAX / 2_000), u64::MAX);
+        let mut t = 0;
+        for i in 0..20_000u64 {
+            t += 1 + i % 7;
+            // A step that fires...
+            q.schedule(at(t), i);
+            // ...and a watchdog that is cancelled before it would fire.
+            let watchdog = q.schedule(at(t + 1_000), i);
+            assert!(q.cancel(watchdog));
+            assert_eq!(q.len(), 2);
+            assert!(
+                q.heap.len() <= q.len() + q.len() / 2 + 1,
+                "tombstone debt unbounded at step {i}: heap holds {} entries for {} live",
+                q.heap.len(),
+                q.len()
+            );
+            assert_eq!(q.peek_time(), Some(at(t)));
+            assert_eq!(q.pop(), Some((at(t), i)));
+            assert_eq!(q.len(), 1);
+        }
+        // One bit per id issued since the crash, rounded up to whole words.
+        assert_eq!(q.base, 0);
+        assert_eq!(q.ring.len() as u64, q.next_id.div_ceil(WORD));
+        assert!(q.cancel(crash));
+        assert!(q.is_empty());
+        assert!(
+            q.ring.len() <= 1,
+            "retiring the pinning id trims every issued word"
+        );
+        assert_eq!(q.pop(), None);
     }
 }

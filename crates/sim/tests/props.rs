@@ -3,7 +3,6 @@
 use hwdp_sim::dist::{Latest, ScrambledZipfian, Zipfian};
 use hwdp_sim::events::EventQueue;
 use hwdp_sim::rng::Prng;
-use hwdp_sim::sched::TimingWheel;
 use hwdp_sim::stats::LatencyHist;
 use hwdp_sim::time::{Duration, Freq, Time};
 use proptest::prelude::*;
@@ -107,27 +106,36 @@ proptest! {
         }
     }
 
-    /// The timing wheel satisfies the same total-order law as the heap
-    /// queue: everything pops, in time order, FIFO among equal times
-    /// (the full observational diff lives in `tests/scheduler_diff.rs`).
+    /// The same total-order law over the whole picosecond domain, with
+    /// pops interleaved so later schedules can land behind the clock (the
+    /// full observational diff lives in `tests/scheduler_diff.rs`).
     #[test]
-    fn timing_wheel_total_order(times in prop::collection::vec(0u64..1000u64, 1..100)) {
-        let mut w = TimingWheel::new();
-        for (i, &t) in times.iter().enumerate() {
-            w.schedule(Time::ZERO + Duration::from_nanos(t), (t, i));
-        }
+    fn event_queue_total_order_over_the_full_time_domain(
+        times in prop::collection::vec(any::<u64>(), 1..100)
+    ) {
+        let mut q = EventQueue::new();
         let mut popped = Vec::new();
-        while let Some((at, (t, i))) = w.pop() {
-            prop_assert_eq!(at.since_start().as_nanos(), t);
-            popped.push((t, i));
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for win in popped.windows(2) {
-            prop_assert!(win[0].0 <= win[1].0, "time order");
-            if win[0].0 == win[1].0 {
-                prop_assert!(win[0].1 < win[1].1, "FIFO among equal times");
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(Time::ZERO + Duration::from_ps(t), (t, i));
+            if i % 3 == 2 {
+                popped.extend(q.pop());
             }
         }
+        popped.extend(std::iter::from_fn(|| q.pop()));
+        prop_assert_eq!(popped.len(), times.len());
+        for win in popped.windows(2) {
+            // Pops report the clamped time: never backwards.
+            prop_assert!(win[0].0 <= win[1].0, "clock order");
+        }
+        // Without interleaved pops the raw order is exactly (time, id).
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(Time::ZERO + Duration::from_ps(t), (t, i));
+        }
+        let order: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        let mut expected: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
+        expected.sort_unstable();
+        prop_assert_eq!(order, expected);
     }
 
     /// Cycle/duration conversions round-trip for any frequency.

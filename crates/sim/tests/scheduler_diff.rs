@@ -1,21 +1,66 @@
-//! Differential equivalence suite for the two [`hwdp_sim::sched::Scheduler`]
-//! implementations: the binary-heap [`EventQueue`] (reference semantics)
-//! and the hierarchical [`TimingWheel`] (production).
+//! Differential equivalence suite for [`EventQueue`] against an
+//! independent reference: [`Model`], a flat list scanned linearly for the
+//! minimum `(time, id)`.
 //!
-//! Both schedulers are driven with *identical* operation streams —
-//! schedule (including same-timestamp bursts and far-future times that
-//! land in the wheel's truncated top level), pop, peek, cancel (including
-//! cancel-of-popped and double-cancel), and cancel+reschedule — and every
-//! observable result must agree exactly: returned [`EventId`]s, cancel
+//! Both are driven with *identical* operation streams — schedule
+//! (including same-timestamp bursts, far-future times and times behind the
+//! clock), pop, peek, drain, cancel (including cancel-of-popped and
+//! double-cancel), and cancel+reschedule — and every observable result
+//! must agree exactly: the order of returned [`EventId`]s, cancel
 //! booleans, pop order and clamped times, peeked times, and live counts.
 //!
-//! Runs under `scripts/ci.sh --proptest` alongside the other kernel
-//! property suites.
+//! The seeded streams run in the default test suite; the property-based
+//! streams need the `proptest` feature (`scripts/ci.sh --proptest`).
 
 use hwdp_sim::events::{EventId, EventQueue};
-use hwdp_sim::sched::TimingWheel;
 use hwdp_sim::time::{Duration, Time};
-use proptest::prelude::*;
+
+/// The reference queue: every pending event in one unsorted list. Pop and
+/// peek scan for the minimum `(time, id)`; cancel removes by id. Ids are
+/// the queue's ordinals, so the n-th schedule returns `n`.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(u64, u64, usize)>,
+    next_id: u64,
+    now: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, t: u64, payload: usize) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.pending.push((t, id, payload));
+        id
+    }
+
+    fn cancel(&mut self, id: u64) -> bool {
+        match self.pending.iter().position(|&(_, i, _)| i == id) {
+            Some(pos) => {
+                self.pending.swap_remove(pos);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn earliest(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&k| (self.pending[k].0, self.pending[k].1))
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.earliest().map(|k| self.pending[k].0)
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let (t, _, payload) = self.pending.swap_remove(self.earliest()?);
+        self.now = self.now.max(t);
+        Some((self.now, payload))
+    }
+}
+
+fn ps(t: u64) -> Time {
+    Time::ZERO + Duration::from_ps(t)
+}
 
 /// One step of the interpreted operation stream. Raw `(kind, a, b)`
 /// triples decode into ops so proptest shrinking stays effective.
@@ -23,10 +68,12 @@ use proptest::prelude::*;
 enum Op {
     /// Schedule at a derived time; the payload is the op index.
     Schedule(u64),
-    /// Pop one event from both schedulers.
+    /// Pop one event from both queues.
     Pop,
     /// Peek the next pending time on both.
     Peek,
+    /// Pop both dry, so the stream goes on from an empty queue.
+    Drain,
     /// Cancel the `a % issued`-th id ever handed out (which may already
     /// have fired or been cancelled — the result must still agree).
     Cancel(u64),
@@ -35,17 +82,17 @@ enum Op {
     Reschedule(u64, u64),
 }
 
-/// Derives a timestamp mixing the three interesting regimes: dense small
-/// times (same-timestamp bursts land whole clusters in one level-0
-/// slot), microsecond-scale spreads (the fig12 shape), and far-future
-/// times whose high bits exercise the wheel's top levels.
+/// Derives a timestamp mixing the interesting regimes: dense small times
+/// (same-timestamp bursts, and times behind the clock once it has
+/// advanced), microsecond-scale spreads (the fig12 shape), and far-future
+/// times across the full 64-bit domain.
 fn derive_time(a: u64, b: u64) -> u64 {
     match b % 7 {
-        0 => a % 64,                                  // one level-0 window
-        1 | 2 => a % 5_000,                           // dense bursts
-        3 | 4 => a % 100_000_000,                     // ~100 us spread
-        5 => (a % 1_000) * 1_000_000_000,             // ms-scale, mid levels
-        _ => a.wrapping_mul(0x9E37_79B9_7F4A_7C15),   // full u64 domain
+        0 => a % 64,                                // one tight cluster
+        1 | 2 => a % 5_000,                         // dense bursts
+        3 | 4 => a % 100_000_000,                   // ~100 us spread
+        5 => (a % 1_000) * 1_000_000_000,           // ms-scale
+        _ => a.wrapping_mul(0x9E37_79B9_7F4A_7C15), // full u64 domain
     }
 }
 
@@ -53,8 +100,9 @@ fn decode(raw: &[(u8, u64, u64)]) -> Vec<Op> {
     raw.iter()
         .map(|&(k, a, b)| match k % 8 {
             // Weight toward schedule/pop so streams stay busy.
-            0 | 1 | 2 => Op::Schedule(derive_time(a, b)),
+            0..=2 => Op::Schedule(derive_time(a, b)),
             3 | 4 => Op::Pop,
+            5 if a % 16 == 0 => Op::Drain,
             5 => Op::Peek,
             6 => Op::Cancel(a),
             _ => Op::Reschedule(a, derive_time(a, b)),
@@ -62,150 +110,124 @@ fn decode(raw: &[(u8, u64, u64)]) -> Vec<Op> {
         .collect()
 }
 
-/// Runs one stream against both schedulers, asserting observable
-/// equivalence at every step. Returns the total number of pops that
-/// produced an event (so callers can sanity-check coverage).
+/// The queue and the model fed the same stream, plus the ids each handed
+/// out (index-aligned: entry n is the n-th schedule on both).
+#[derive(Default)]
+struct Pair {
+    queue: EventQueue<usize>,
+    model: Model,
+    issued: Vec<(EventId, u64)>,
+}
+
+impl Pair {
+    fn schedule(&mut self, t: u64, payload: usize) {
+        let q = self.queue.schedule(ps(t), payload);
+        let m = self.model.schedule(t, payload);
+        if let Some(&(prev, _)) = self.issued.last() {
+            assert!(prev < q, "EventIds must increase with every schedule");
+        }
+        self.issued.push((q, m));
+    }
+
+    /// Cancels the `sel % issued`-th id on both (a no-op before the first
+    /// schedule).
+    fn cancel(&mut self, sel: u64) {
+        if self.issued.is_empty() {
+            return;
+        }
+        let (q, m) = self.issued[(sel % self.issued.len() as u64) as usize];
+        assert_eq!(
+            self.queue.cancel(q),
+            self.model.cancel(m),
+            "cancel({q:?}) diverged"
+        );
+    }
+
+    fn pop(&mut self) -> bool {
+        let q = self.queue.pop();
+        let m = self.model.pop().map(|(t, p)| (ps(t), p));
+        assert_eq!(q, m, "pop diverged");
+        assert_eq!(self.queue.now(), ps(self.model.now), "clock diverged");
+        q.is_some()
+    }
+
+    fn peek(&mut self) {
+        assert_eq!(
+            self.queue.peek_time(),
+            self.model.peek_time().map(ps),
+            "peek diverged"
+        );
+    }
+
+    fn check_len(&self) {
+        assert_eq!(self.queue.len(), self.model.pending.len(), "len diverged");
+        assert_eq!(self.queue.is_empty(), self.model.pending.is_empty());
+    }
+
+    /// Pops both dry (the tail order must agree too), returning the count.
+    fn drain(&mut self) -> usize {
+        let mut n = 0;
+        while self.pop() {
+            n += 1;
+        }
+        self.check_len();
+        n
+    }
+}
+
+/// Runs one stream against the queue and the model, asserting
+/// observable equivalence at every step. Returns the total number of pops
+/// that produced an event (so callers can sanity-check coverage).
 fn run_diff(ops: &[Op]) -> usize {
-    let mut heap: EventQueue<usize> = EventQueue::new();
-    let mut wheel: TimingWheel<usize> = TimingWheel::new();
-    let mut issued: Vec<EventId> = Vec::new();
+    let mut pair = Pair::default();
     let mut fired = 0usize;
     for (i, &op) in ops.iter().enumerate() {
         match op {
-            Op::Schedule(t) => {
-                let at = Time::ZERO + Duration::from_ps(t);
-                let h = heap.schedule(at, i);
-                let w = wheel.schedule(at, i);
-                assert_eq!(h, w, "EventId stability broke at op {i}");
-                issued.push(h);
-            }
-            Op::Pop => {
-                let h = heap.pop();
-                let w = wheel.pop();
-                assert_eq!(h, w, "pop diverged at op {i}");
-                if h.is_some() {
-                    fired += 1;
-                }
-                assert_eq!(heap.now(), wheel.now(), "clock diverged at op {i}");
-            }
-            Op::Peek => {
-                assert_eq!(heap.peek_time(), wheel.peek_time(), "peek diverged at op {i}");
-            }
-            Op::Cancel(sel) => {
-                if issued.is_empty() {
-                    continue;
-                }
-                let id = issued[(sel % issued.len() as u64) as usize];
-                let h = heap.cancel(id);
-                let w = wheel.cancel(id);
-                assert_eq!(h, w, "cancel({id:?}) diverged at op {i}");
-            }
+            Op::Schedule(t) => pair.schedule(t, i),
+            Op::Pop => fired += usize::from(pair.pop()),
+            Op::Peek => pair.peek(),
+            Op::Drain => fired += pair.drain(),
+            Op::Cancel(sel) => pair.cancel(sel),
             Op::Reschedule(sel, t) => {
-                if !issued.is_empty() {
-                    let id = issued[(sel % issued.len() as u64) as usize];
-                    assert_eq!(heap.cancel(id), wheel.cancel(id), "reschedule-cancel at op {i}");
-                }
-                let at = Time::ZERO + Duration::from_ps(t);
-                let h = heap.schedule(at, i);
-                let w = wheel.schedule(at, i);
-                assert_eq!(h, w, "reschedule id diverged at op {i}");
-                issued.push(h);
+                pair.cancel(sel);
+                pair.schedule(t, i);
             }
         }
-        assert_eq!(heap.len(), wheel.len(), "len diverged after op {i}");
-        assert_eq!(heap.is_empty(), wheel.is_empty());
+        pair.check_len();
     }
-    // Drain whatever is left: the tail order must agree too.
-    loop {
-        let h = heap.pop();
-        let w = wheel.pop();
-        assert_eq!(h, w, "drain diverged");
-        if h.is_none() {
-            break;
-        }
-        fired += 1;
-    }
-    fired
+    fired + pair.drain()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The headline differential property: arbitrary op streams observe
-    /// no difference between the heap and the wheel.
-    #[test]
-    fn heap_and_wheel_are_observationally_identical(
-        raw in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..400)
-    ) {
-        run_diff(&decode(&raw));
-    }
-
-    /// Same-timestamp burst storms: every event lands on one instant, so
-    /// ordering rests entirely on EventId FIFO stability.
-    #[test]
-    fn same_instant_bursts_stay_fifo(
-        t in any::<u64>(),
-        n in 1usize..300,
-        cancels in prop::collection::vec(any::<u64>(), 0..64)
-    ) {
-        let at = Time::ZERO + Duration::from_ps(t);
-        let mut heap: EventQueue<usize> = EventQueue::new();
-        let mut wheel: TimingWheel<usize> = TimingWheel::new();
-        let mut ids = Vec::new();
-        for i in 0..n {
-            let h = heap.schedule(at, i);
-            prop_assert_eq!(h, wheel.schedule(at, i));
-            ids.push(h);
-        }
-        for sel in cancels {
-            let id = ids[(sel % ids.len() as u64) as usize];
-            prop_assert_eq!(heap.cancel(id), wheel.cancel(id));
-        }
-        loop {
-            let h = heap.pop();
-            prop_assert_eq!(h, wheel.pop());
-            if h.is_none() { break; }
-        }
-    }
-
-    /// Cancel-of-popped ids: fire some events, then cancel a mix of
-    /// fired and pending ids — both schedulers must report the same
-    /// booleans and keep identical residual state.
-    #[test]
-    fn cancel_of_popped_ids_agrees(
-        times in prop::collection::vec(any::<u64>(), 2..100),
-        pops in 1usize..50,
-        cancels in prop::collection::vec(any::<u64>(), 1..100)
-    ) {
-        let mut heap: EventQueue<usize> = EventQueue::new();
-        let mut wheel: TimingWheel<usize> = TimingWheel::new();
-        let mut ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            let at = Time::ZERO + Duration::from_ps(derive_time(t, i as u64));
-            let h = heap.schedule(at, i);
-            prop_assert_eq!(h, wheel.schedule(at, i));
-            ids.push(h);
-        }
-        for _ in 0..pops.min(times.len()) {
-            prop_assert_eq!(heap.pop(), wheel.pop());
-        }
-        for sel in cancels {
-            let id = ids[(sel % ids.len() as u64) as usize];
-            prop_assert_eq!(heap.cancel(id), wheel.cancel(id), "cancel({:?})", id);
-            prop_assert_eq!(heap.len(), wheel.len());
-        }
-        loop {
-            let h = heap.pop();
-            prop_assert_eq!(h, wheel.pop());
-            if h.is_none() { break; }
-        }
-    }
+/// SplitMix64: a fixed, self-contained op-stream generator.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// A fixed fig12-shaped smoke stream (no proptest shrinkage, always the
-/// same trace): interleaved schedule/pop with microsecond deltas, ~10 %
-/// cancels, and periodic peeks — the inner-loop shape the campaigns
-/// exercise, pinned deterministically.
+/// A seeded stream over the full op mix and every time regime: a few
+/// thousand ops, the same trace on every run.
+#[test]
+fn seeded_op_stream_matches_the_model() {
+    let mut state = 0xC0FF_EE00_5EEDu64;
+    let raw: Vec<(u8, u64, u64)> = (0..5_000)
+        .map(|_| {
+            let x = splitmix64(&mut state);
+            (x as u8, splitmix64(&mut state), x >> 8)
+        })
+        .collect();
+    let fired = run_diff(&decode(&raw));
+    assert!(
+        fired > 1_000,
+        "the seeded stream actually fired events ({fired})"
+    );
+}
+
+/// A fixed fig12-shaped stream: interleaved schedule/pop with
+/// microsecond deltas, ~10 % cancels, and periodic peeks — the inner-loop
+/// shape the campaigns exercise.
 #[test]
 fn fig12_shaped_stream_is_equivalent() {
     let mut raw = Vec::new();
@@ -216,14 +238,77 @@ fn fig12_shaped_stream_is_equivalent() {
         x ^= x >> 7;
         x ^= x << 17;
         let kind = match x % 10 {
-            0..=3 => 0u8,      // schedule
-            4..=6 => 3,        // pop
-            7 => 5,            // peek
-            8 => 6,            // cancel
-            _ => 7,            // reschedule
+            0..=3 => 0u8, // schedule
+            4..=6 => 3,   // pop
+            7 => 5,       // peek
+            8 => 6,       // cancel
+            _ => 7,       // reschedule
         };
         raw.push((kind, x, i));
     }
     let fired = run_diff(&decode(&raw));
-    assert!(fired > 500, "the smoke stream actually fired events ({fired})");
+    assert!(
+        fired > 500,
+        "the smoke stream actually fired events ({fired})"
+    );
+}
+
+#[cfg(feature = "proptest")]
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The headline differential property: arbitrary op streams
+        /// observe no difference between the queue and the model.
+        #[test]
+        fn queue_and_model_are_observationally_identical(
+            raw in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..400)
+        ) {
+            run_diff(&decode(&raw));
+        }
+
+        /// Same-timestamp burst storms: every event lands on one instant,
+        /// so ordering rests entirely on EventId FIFO stability.
+        #[test]
+        fn same_instant_bursts_stay_fifo(
+            t in any::<u64>(),
+            n in 1usize..300,
+            cancels in prop::collection::vec(any::<u64>(), 0..64)
+        ) {
+            let mut pair = Pair::default();
+            for i in 0..n {
+                pair.schedule(t, i);
+            }
+            for sel in cancels {
+                pair.cancel(sel);
+            }
+            pair.drain();
+        }
+
+        /// Cancel-of-popped ids: fire some events, then cancel a mix of
+        /// fired and pending ids — both must report the same booleans and
+        /// keep identical residual state.
+        #[test]
+        fn cancel_of_popped_ids_agrees(
+            times in prop::collection::vec(any::<u64>(), 2..100),
+            pops in 1usize..50,
+            cancels in prop::collection::vec(any::<u64>(), 1..100)
+        ) {
+            let mut pair = Pair::default();
+            for (i, &t) in times.iter().enumerate() {
+                pair.schedule(derive_time(t, i as u64), i);
+            }
+            for _ in 0..pops.min(times.len()) {
+                pair.pop();
+            }
+            for sel in cancels {
+                pair.cancel(sel);
+                pair.check_len();
+            }
+            pair.drain();
+        }
+    }
 }

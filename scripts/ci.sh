@@ -52,6 +52,11 @@ echo "== static analysis: hwdp lint =="
 echo "== tier-1: tests =="
 cargo test -q --workspace --offline
 
+echo "== criterion benches: compile =="
+# The GitHub Actions workflow compiles the criterion benches too; doing it
+# here catches a broken bench before push.
+cargo bench -p hwdp-bench --features criterion --no-run --offline
+
 echo "== benchmark: build and smoke check =="
 # The benchmark package sits outside the root workspace, so the tests
 # above do not build it; this catches a crates/ API change that breaks
@@ -92,14 +97,13 @@ echo "== harness: regression gate =="
   --current "$out/BENCH_seed.json" \
   --threshold 5
 
-echo "== scheduler: throughput smoke (Fig. 12 grid, heap backend) =="
-# The same 16-job grid with throughput instrumentation on and the
-# reference heap scheduler selected. Three assertions in one run: the
-# HWDP_SCHEDULER knob is honoured end-to-end, the simulated results are
-# byte-identical to the wheel-backend baseline (the compare gate below
-# tolerates the extra informational keys but still gates every
-# simulated metric), and every job exports a nonzero `events_per_sec`.
-HWDP_THROUGHPUT=1 HWDP_SCHEDULER=heap ./target/release/hwdp sweep \
+echo "== scheduler: throughput smoke (Fig. 12 grid) =="
+# The same 16-job grid with throughput instrumentation on. Two assertions
+# in one run: the simulated results are byte-identical to the baseline
+# (the compare gate below tolerates the extra informational keys but
+# still gates every simulated metric), and every job exports a nonzero
+# `events_per_sec`.
+HWDP_THROUGHPUT=1 ./target/release/hwdp sweep \
   --name throughput \
   --scenarios fio,ycsb-c --modes osdp,hwdp \
   --threads-list 1,2 --ratios 2,4 \
@@ -111,7 +115,7 @@ grep -Eq '"events_per_sec": [1-9]' "$out/BENCH_throughput.json"
   --baseline baselines/BENCH_seed.json \
   --current "$out/BENCH_throughput.json" \
   --threshold 5
-echo "scheduler: heap backend matches baseline, events_per_sec exported"
+echo "scheduler: throughput smoke matches baseline, events_per_sec exported"
 
 echo "== hwdp-audit: full-sanitize smoke campaign =="
 # The same 16 jobs with every cross-layer invariant checker enabled. The
