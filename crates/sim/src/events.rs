@@ -218,6 +218,12 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
+
+    /// Heap entries, pending and tombstoned.
+    #[cfg(test)]
+    pub(crate) fn stored(&self) -> usize {
+        self.heap.len()
+    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {

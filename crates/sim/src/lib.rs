@@ -39,6 +39,8 @@ pub mod dist;
 pub mod events;
 pub mod rng;
 pub mod sanitize;
+#[cfg(any(test, doctest))]
+mod sched;
 pub mod stats;
 pub mod time;
 
