@@ -1,6 +1,6 @@
 //! Tiny dependency-free argument parsing for the `hwdp` CLI.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hwdp_core::Mode;
 use hwdp_nvme::profile::DeviceProfile;
@@ -12,7 +12,7 @@ use hwdp_workloads::YcsbKind;
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: String,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
     flags: Vec<String>,
 }
 
@@ -39,7 +39,7 @@ impl Args {
         let mut it = raw.into_iter().peekable();
         let command =
             it.next().ok_or_else(|| ArgError("missing subcommand; try `hwdp help`".into()))?;
-        let mut options = HashMap::new();
+        let mut options = BTreeMap::new();
         let mut flags = Vec::new();
         while let Some(arg) = it.next() {
             let Some(key) = arg.strip_prefix("--") else {
@@ -53,6 +53,39 @@ impl Args {
             }
         }
         Ok(Args { command, options, flags })
+    }
+
+    /// Checks the parsed options against what the subcommand declares:
+    /// `options` lists its `--key value` options (in groups, so shared
+    /// sets compose) and `flags` its bare `--flag`s. A typo'd option would
+    /// otherwise run silently with its default.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an undeclared option or flag, a flag given a
+    /// value, or an option given none.
+    pub fn only(&self, options: &[&[&str]], flags: &[&str]) -> Result<(), ArgError> {
+        let is_option = |key: &str| options.iter().any(|group| group.contains(&key));
+        let cmd = &self.command;
+        for key in self.options.keys() {
+            if !is_option(key) {
+                return Err(ArgError(if flags.contains(&key.as_str()) {
+                    format!("--{key} takes no value")
+                } else {
+                    format!("unknown option --{key} for `{cmd}`")
+                }));
+            }
+        }
+        for key in &self.flags {
+            if !flags.contains(&key.as_str()) {
+                return Err(ArgError(if is_option(key) {
+                    format!("--{key} needs a value")
+                } else {
+                    format!("unknown option --{key} for `{cmd}`")
+                }));
+            }
+        }
+        Ok(())
     }
 
     /// A `--flag` with no value.
@@ -195,6 +228,18 @@ mod tests {
         let b = parse("compare --threshold 2.5").unwrap();
         assert_eq!(b.float("threshold", 5.0).unwrap(), 2.5);
         assert!(parse("compare --threshold abc").unwrap().float("threshold", 5.0).is_err());
+    }
+
+    #[test]
+    fn undeclared_options_are_rejected() {
+        let known: &[&[&str]] = &[&["threads", "mode"], &["ops"]];
+        assert_eq!(parse("fio --threads 2 --ops 5 --seq").unwrap().only(known, &["seq"]), Ok(()));
+        assert_eq!(parse("fio").unwrap().only(&[], &[]), Ok(()));
+        let err = |s: &str| parse(s).unwrap().only(known, &["seq"]).unwrap_err().0;
+        assert_eq!(err("fio --thread 2"), "unknown option --thread for `fio`");
+        assert_eq!(err("fio --sequential"), "unknown option --sequential for `fio`");
+        assert_eq!(err("fio --seq 3"), "--seq takes no value");
+        assert_eq!(err("fio --ops"), "--ops needs a value");
     }
 
     #[test]

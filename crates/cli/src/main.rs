@@ -183,19 +183,68 @@ fn main() -> ExitCode {
     }
 }
 
+/// Options of the single-run subcommands (`fio`, `ycsb`, `dbbench`, `anon`).
+const RUN_OPTIONS: &[&str] =
+    &["mode", "device", "threads", "ratio", "ops", "memory", "seed", "sanitize", "faults", "tiers"];
+/// Options of `sweep` (read by [`sweep_campaign`] and [`sweep`]).
+const SWEEP_OPTIONS: &[&str] = &[
+    "name", "seed", "scenarios", "modes", "devices", "threads-list", "ratios", "memory", "ops",
+    "sanitize", "time-cap-ms", "pin", "kpted-us", "pmshr", "free-queue", "kpoold-us",
+    "long-io-us", "readahead", "prefetch", "repeats", "faults", "tiers", "workers", "out",
+    "job-timeout-ms", "baseline",
+];
+const SWEEP_FLAGS: &[&str] = &["no-kpoold", "per-core-queues", "fixed-seed", "resume"];
+/// Options of the regression gate (read by [`gate`]).
+const GATE_OPTIONS: &[&str] = &["threshold"];
+const LINT_FLAGS: &[&str] = &["rules", "metric-keys", "call-graph", "write-baseline", "json", "deny"];
+
 fn run(raw: Vec<String>) -> Result<ExitCode, ArgError> {
     let args = Args::parse(raw)?;
     match args.command.as_str() {
-        "help" | "--help" | "-h" => println!("{HELP}"),
-        "config" => println!("{}", SystemConfig::paper_default(Mode::Hwdp).describe()),
-        "anatomy" => anatomy(&args)?,
-        "fio" => fio(&args)?,
-        "ycsb" | "dbbench" => kv(&args)?,
-        "anon" => anon(&args)?,
-        "sweep" => return sweep(&args),
-        "chaos" => return chaos_cmd(&args),
-        "compare" => return compare_cmd(&args),
-        "lint" => return lint_cmd(&args),
+        "help" | "--help" | "-h" => {
+            args.only(&[], &[])?;
+            println!("{HELP}");
+        }
+        "config" => {
+            args.only(&[], &[])?;
+            println!("{}", SystemConfig::paper_default(Mode::Hwdp).describe());
+        }
+        "anatomy" => {
+            args.only(&[&["device"]], &[])?;
+            anatomy(&args)?;
+        }
+        "fio" => {
+            args.only(&[RUN_OPTIONS, &["prefetch", "readahead"]], &["seq"])?;
+            fio(&args)?;
+        }
+        "ycsb" => {
+            args.only(&[RUN_OPTIONS, &["kind"]], &[])?;
+            kv(&args)?;
+        }
+        "dbbench" => {
+            args.only(&[RUN_OPTIONS], &[])?;
+            kv(&args)?;
+        }
+        "anon" => {
+            args.only(&[RUN_OPTIONS], &[])?;
+            anon(&args)?;
+        }
+        "sweep" => {
+            args.only(&[SWEEP_OPTIONS, GATE_OPTIONS], SWEEP_FLAGS)?;
+            return sweep(&args);
+        }
+        "chaos" => {
+            args.only(&[&["name", "seed", "jobs", "sanitize", "out"]], &["no-crashes"])?;
+            return chaos_cmd(&args);
+        }
+        "compare" => {
+            args.only(&[&["baseline", "current"], GATE_OPTIONS], &[])?;
+            return compare_cmd(&args);
+        }
+        "lint" => {
+            args.only(&[&["root"]], LINT_FLAGS)?;
+            return lint_cmd(&args);
+        }
         other => return Err(ArgError(format!("unknown command '{other}'"))),
     }
     Ok(ExitCode::SUCCESS)

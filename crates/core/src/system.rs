@@ -31,6 +31,7 @@ use hwdp_smu::host_controller::QueueDescriptor;
 use hwdp_smu::pmshr::{EntryIdx, Pmshr};
 use hwdp_smu::smu::{MissOutcome, MissRequest, Smu};
 use hwdp_smu::timing::SmuTiming;
+use hwdp_sim::dense::DenseMap;
 use hwdp_sim::events::{EventId, EventQueue};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
@@ -188,7 +189,7 @@ struct TierRuntime {
     period: Duration,
     /// Page key (home slow LBA) → owning `(file, page)`, for location
     /// updates at commit.
-    pages: BTreeMap<u64, (FileId, u64)>,
+    pages: DenseMap<(FileId, u64)>,
     /// Keys whose source copy was rewritten while their migration was in
     /// flight; the commit observes the mark and aborts (the copy is
     /// stale).
@@ -385,7 +386,7 @@ impl System {
                 engine: TierEngine::new(tc),
                 fast_dev,
                 period: tc.period,
-                pages: BTreeMap::new(),
+                pages: DenseMap::new(),
                 dirty_guard: BTreeSet::new(),
             });
         }
@@ -1596,7 +1597,7 @@ impl System {
             // writeback would race the copy (and a cached page's hotness
             // is invisible to the device layer anyway).
             engine.plan_tick_into(
-                |key| pages.get(&key).map_or(false, |(f, p)| cache.lookup(*f, *p).is_none()),
+                |key| pages.get(key).is_some_and(|(f, p)| cache.lookup(*f, *p).is_none()),
                 &mut plans,
             );
             fast_dev
@@ -1641,7 +1642,7 @@ impl System {
     /// dropped.
     fn tier_commit(&mut self, key: u64) {
         let Some(tr) = self.tier.as_mut() else { return };
-        let Some(&(file, page)) = tr.pages.get(&key) else { return };
+        let Some(&(file, page)) = tr.pages.get(key) else { return };
         let dirty = tr.dirty_guard.remove(&key);
         let loc_ok = match tr.engine.residence_of(key) {
             Some(TierResidence::PromoteInFlight(_)) => {
@@ -1751,7 +1752,7 @@ impl System {
         // completes, so no new ones start under the dead controller).
         if let Some(tr) = self.tier.as_mut() {
             let TierRuntime { engine, pages, dirty_guard, .. } = tr;
-            for &key in pages.keys() {
+            for key in pages.keys() {
                 if engine.in_flight(key) {
                     dirty_guard.remove(&key);
                     engine.abort(key);
@@ -1811,7 +1812,7 @@ impl System {
             report.check_args(
                 "core",
                 "reset-tier-quiesced",
-                tr.pages.keys().all(|&key| !tr.engine.in_flight(key)),
+                tr.pages.keys().all(|key| !tr.engine.in_flight(key)),
                 format_args!(
                     "device {dev}: tier migration still in flight after controller reset"
                 ),
@@ -2297,7 +2298,7 @@ impl System {
         // No-op without tiering or tracked pages: the negative test then
         // fails loudly on its missing-violation assertion.
         let Some(tr) = self.tier.as_ref() else { return };
-        let Some((&key, &(file, page))) = tr.pages.iter().next() else { return };
+        let Some((key, &(file, page))) = tr.pages.iter().next() else { return };
         let fast_dev = tr.fast_dev;
         self.os.fs.set_location(file, page, SocketId(0), fast_dev, 1, Lba(key));
     }
@@ -2372,7 +2373,7 @@ impl System {
     #[cfg(test)]
     pub(crate) fn corrupt_tier_inflight_for_test(&mut self) {
         let Some(tr) = self.tier.as_mut() else { return };
-        let Some(&key) = tr.pages.keys().next() else { return };
+        let Some(key) = tr.pages.keys().next() else { return };
         for _ in 0..64 {
             tr.engine.record_access(false, key);
         }
@@ -2463,7 +2464,7 @@ impl Sanitizer for System {
         if let Some(tr) = &self.tier {
             tr.engine.sanitize(level, report);
             if level.full_checks() {
-                for (&key, &(file, page)) in &tr.pages {
+                for (key, &(file, page)) in tr.pages.iter() {
                     let over = self.os.fs.location_override(file, page);
                     let res = tr.engine.residence_of(key);
                     let ok = match res {

@@ -128,16 +128,30 @@ impl PageTable {
     /// (fast-mmap eager population, §IV-B). Returns the leaf entry
     /// addresses.
     pub fn ensure_populated(&mut self, vpn: Vpn) -> WalkResult {
-        let (pgd_i, pud_i, pmd_i, pt_i) = vpn.indices();
-        let pud_t = self.child_of(0, pgd_i, Level::Pud);
-        let pmd_t = self.child_of(pud_t, pud_i, Level::Pmd);
-        let pt_t = self.child_of(pmd_t, pmd_i, Level::Pt);
+        let (_, pud_i, pmd_i, _) = vpn.indices();
+        let (pud_t, pmd_t, pt_t, pt_i) = self.populate(vpn);
         WalkResult {
             pte: self.tables[pt_t as usize].entries[pt_i],
             pud_addr: entry_addr(pud_t, pud_i),
             pmd_addr: entry_addr(pmd_t, pmd_i),
             pte_addr: entry_addr(pt_t, pt_i),
         }
+    }
+
+    /// Allocates any missing tables on the way to `vpn`'s leaf and returns
+    /// the same `(pud, pmd, pt, pt index)` tuple as [`PageTable::leaf_of`].
+    fn populate(&mut self, vpn: Vpn) -> (u32, u32, u32, usize) {
+        let (pgd_i, pud_i, pmd_i, pt_i) = vpn.indices();
+        let pud_t = self.child_of(0, pgd_i, Level::Pud);
+        let pmd_t = self.child_of(pud_t, pud_i, Level::Pmd);
+        let pt_t = self.child_of(pmd_t, pmd_i, Level::Pt);
+        (pud_t, pmd_t, pt_t, pt_i)
+    }
+
+    /// The leaf entry for `vpn`, populating intermediates as needed.
+    fn leaf_entry_mut(&mut self, vpn: Vpn) -> &mut Pte {
+        let (_, _, pt_t, pt_i) = self.populate(vpn);
+        &mut self.tables[pt_t as usize].entries[pt_i]
     }
 
     fn leaf_of(&self, vpn: Vpn) -> Option<(u32, u32, u32, usize)> {
@@ -178,19 +192,13 @@ impl PageTable {
 
     /// Writes the leaf PTE for `vpn`, populating intermediates as needed.
     pub fn set_pte(&mut self, vpn: Vpn, pte: Pte) {
-        let (_, _, _, pt_i) = vpn.indices();
-        self.ensure_populated(vpn);
-        let Some((_, _, pt_t, _)) = self.leaf_of(vpn) else { return };
-        self.tables[pt_t as usize].entries[pt_i] = pte;
+        *self.leaf_entry_mut(vpn) = pte;
     }
 
     /// Mutates the leaf PTE in place via `f`, returning the new value.
     /// Populates intermediates as needed.
     pub fn update_pte(&mut self, vpn: Vpn, f: impl FnOnce(Pte) -> Pte) -> Pte {
-        let (_, _, _, pt_i) = vpn.indices();
-        self.ensure_populated(vpn);
-        let Some((_, _, pt_t, _)) = self.leaf_of(vpn) else { return Pte::EMPTY };
-        let e = &mut self.tables[pt_t as usize].entries[pt_i];
+        let e = self.leaf_entry_mut(vpn);
         *e = f(*e);
         *e
     }

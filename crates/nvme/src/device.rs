@@ -17,8 +17,6 @@
 //! [`NvmeController::complete`] when it fires, then drains the CQ through
 //! the queue-pair API exactly like real host software.
 
-use std::collections::BTreeMap;
-
 use hwdp_mem::addr::{Lba, PageData};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::stats::{LatencyHist, Running};
@@ -135,7 +133,9 @@ pub struct NvmeController {
     namespaces: Vec<BlockStore>,
     queues: Vec<QueuePair>,
     channel_free: Vec<Time>,
-    inflight: BTreeMap<u64, Inflight>,
+    /// Commands inside the device, in token order: tokens are issued in
+    /// increasing order, so submission appends and completion binary-searches.
+    inflight: Vec<(u64, Inflight)>,
     next_token: u64,
     rng: Prng,
     stats: DeviceStats,
@@ -151,7 +151,7 @@ impl NvmeController {
             namespaces: Vec::new(),
             queues: Vec::new(),
             channel_free: vec![Time::ZERO; profile.channels],
-            inflight: BTreeMap::new(),
+            inflight: Vec::new(),
             next_token: 0,
             rng,
             stats: DeviceStats::default(),
@@ -349,14 +349,13 @@ impl NvmeController {
         // internal parallelism, extra outstanding commands queue rather
         // than further degrade per-command service.
         let channels = self.profile.channels;
-        let outstanding_writes = self
-            .inflight
-            .values()
-            .filter(|f| f.is_write && f.finish > now)
-            .count()
-            .min(channels);
-        let outstanding_total =
-            self.inflight.values().filter(|f| f.finish > now).count().min(2 * channels);
+        let (mut outstanding_writes, mut outstanding_total) = (0usize, 0usize);
+        for (_, f) in self.inflight.iter().filter(|(_, f)| f.finish > now) {
+            outstanding_total += 1;
+            outstanding_writes += usize::from(f.is_write);
+        }
+        let outstanding_writes = outstanding_writes.min(channels);
+        let outstanding_total = outstanding_total.min(2 * channels);
         // The fault decision is sampled once here, on the plan's own RNG
         // stream (the jitter draw below stays byte-identical either way).
         let inject = match self.faults.as_mut() {
@@ -414,10 +413,10 @@ impl NvmeController {
 
         let token = CompletionToken(self.next_token);
         self.next_token += 1;
-        self.inflight.insert(
+        self.inflight.push((
             token.0,
             Inflight { qid, cmd: fetched, is_write, submitted: now, finish, inject },
-        );
+        ));
         Ok((token, finish))
     }
 
@@ -428,7 +427,8 @@ impl NvmeController {
     /// Returns `None` for an unknown or already-completed token (a late
     /// completion racing watchdog recovery).
     pub fn complete(&mut self, token: CompletionToken, now: Time) -> Option<Completed> {
-        let inflight = self.inflight.remove(&token.0)?;
+        let at = self.inflight.binary_search_by_key(&token.0, |&(t, _)| t).ok()?;
+        let (_, inflight) = self.inflight.remove(at);
         let Inflight { qid, cmd, is_write: _, submitted, finish, inject } = inflight;
         debug_assert!(now >= finish, "completed before device finished");
         let latency = now - submitted;
@@ -524,16 +524,21 @@ impl hwdp_sim::sanitize::Sanitizer for NvmeController {
                 self.inflight.len()
             ),
         );
-        for (&token, inflight) in &self.inflight {
+        // Completion binary-searches the table, so tokens must also be
+        // strictly increasing in it.
+        let mut prev = None;
+        for &(token, ref inflight) in &self.inflight {
             report.check_args(
                 layer,
                 "inflight-token",
-                token < self.next_token,
+                token < self.next_token && prev < Some(token),
                 format_args!(
-                    "in-flight token {token} was never issued (next is {})",
+                    "in-flight token {token} was never issued (next is {}) or is out of \
+                     order (after {prev:?})",
                     self.next_token
                 ),
             );
+            prev = Some(token);
             report.check_args(
                 layer,
                 "inflight-times",
@@ -827,6 +832,66 @@ mod tests {
         c.finish_reset(Time::ZERO + Duration::from_micros(100));
         assert_eq!(c.doorbell_writes_total(), doorbells, "resets do not un-ring doorbells");
         assert_eq!(c.namespace(1).read_block(Lba(50)), data);
+    }
+
+    #[test]
+    fn inflight_table_survives_reordered_completions_crash_and_reset() {
+        use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
+        let audit_clean = |c: &NvmeController| {
+            let mut report = AuditReport::new();
+            c.sanitize(SanitizeLevel::Full, &mut report);
+            assert!(report.is_clean(), "{:?}", report.violations);
+        };
+        let mut c = controller();
+        let q = c.create_queue_pair(16);
+        let mut sent = Vec::new();
+        for i in 0..6u16 {
+            let cmd = NvmeCommand::read4k(i, 1, u64::from(i), PhysAddr(0));
+            let (tok, t) = c.submit(q, cmd, None, Time::ZERO).unwrap();
+            sent.push((tok, t));
+        }
+        audit_clean(&c);
+        let last = sent.iter().map(|&(_, t)| t).max().unwrap();
+        // Completions out of token order each find their own command.
+        for i in [3usize, 0, 5, 1] {
+            let done = c.complete(sent[i].0, last).expect("in flight");
+            assert_eq!(done.cmd.cid, i as u16);
+            audit_clean(&c);
+        }
+        assert!(c.complete(sent[3].0, last).is_none(), "double complete");
+        assert_eq!(c.inflight_count(), 2);
+        assert_eq!(c.crash(), 2);
+        audit_clean(&c);
+        c.begin_reset();
+        c.finish_reset(last);
+        audit_clean(&c);
+        // Pre-crash tokens stay dead after the reset.
+        assert!(c.complete(sent[2].0, last).is_none());
+        assert!(c.complete(sent[4].0, last).is_none());
+        let cmd = NvmeCommand::read4k(9, 1, 9, PhysAddr(0));
+        let (tok, t) = c.submit(q, cmd, None, last).unwrap();
+        assert!(tok.0 > sent[5].0.0, "tokens keep increasing across a reset");
+        audit_clean(&c);
+        assert_eq!(c.complete(tok, t).map(|d| d.cmd.cid), Some(9));
+        assert_eq!(c.inflight_count(), 0);
+        audit_clean(&c);
+    }
+
+    #[test]
+    fn negative_out_of_order_inflight_table_detected() {
+        use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
+        let mut c = controller();
+        let q = c.create_queue_pair(8);
+        for i in 0..2u16 {
+            let cmd = NvmeCommand::read4k(i, 1, u64::from(i), PhysAddr(0));
+            c.submit(q, cmd, None, Time::ZERO).unwrap();
+        }
+        // Injected corruption: completion binary-searches this table.
+        c.inflight.swap(0, 1);
+        let mut report = AuditReport::new();
+        c.sanitize(SanitizeLevel::Cheap, &mut report);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].invariant, "inflight-token");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! read-only datasets exist without materializing gigabytes.
 
 use hwdp_mem::addr::{Lba, PageData};
-use std::collections::BTreeMap;
+use hwdp_sim::DenseMap;
 
 /// Default contents of never-written blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +26,8 @@ pub enum DefaultContents {
 #[derive(Debug)]
 pub struct BlockStore {
     blocks: u64,
-    written: BTreeMap<u64, PageData>,
+    /// Explicitly written blocks, by LBA.
+    written: DenseMap<PageData>,
     default: DefaultContents,
 }
 
@@ -38,14 +39,14 @@ impl BlockStore {
     /// Panics if `blocks` is zero.
     pub fn new(blocks: u64) -> Self {
         assert!(blocks > 0, "namespace must have at least one block");
-        BlockStore { blocks, written: BTreeMap::new(), default: DefaultContents::Zero }
+        BlockStore { blocks, written: DenseMap::new(), default: DefaultContents::Zero }
     }
 
     /// Creates a store whose unwritten blocks hold a deterministic pattern
     /// derived from `seed` (synthetic pre-populated dataset).
     pub fn with_pattern(blocks: u64, seed: u64) -> Self {
         assert!(blocks > 0, "namespace must have at least one block");
-        BlockStore { blocks, written: BTreeMap::new(), default: DefaultContents::Pattern { seed } }
+        BlockStore { blocks, written: DenseMap::new(), default: DefaultContents::Pattern { seed } }
     }
 
     /// Capacity in blocks.
@@ -71,7 +72,7 @@ impl BlockStore {
     /// reports `LbaOutOfRange` before getting here).
     pub fn read_block(&self, lba: Lba) -> PageData {
         assert!(self.contains(lba), "read of {lba:?} beyond namespace end");
-        match self.written.get(&lba.0) {
+        match self.written.get(lba.0) {
             Some(d) => d.clone(),
             None => self.unwritten(lba),
         }
@@ -84,7 +85,7 @@ impl BlockStore {
     /// Panics if `lba` is out of range.
     pub fn block_checksum(&self, lba: Lba) -> u64 {
         assert!(self.contains(lba), "checksum of {lba:?} beyond namespace end");
-        match self.written.get(&lba.0) {
+        match self.written.get(lba.0) {
             Some(d) => d.checksum(),
             None => self.unwritten(lba).checksum(),
         }

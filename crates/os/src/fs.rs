@@ -9,6 +9,10 @@
 //! reports to the caller).
 
 use hwdp_mem::addr::{DeviceId, Lba, SocketId};
+use hwdp_sim::DenseMap;
+
+/// Where a page lives: `(socket, device, nsid, lba)`.
+pub type Location = (SocketId, DeviceId, u32, Lba);
 
 /// Identifies a file.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -32,6 +36,9 @@ struct FileMeta {
     /// `initialized[p]` flips when page `p` is first written back to its
     /// swap block.
     anon: Option<Vec<bool>>,
+    /// Per-page location overrides: a page migrated off its home device
+    /// (tiered storage) resolves here first; absent means home placement.
+    overrides: DenseMap<Location>,
 }
 
 /// The file system over a set of devices.
@@ -43,9 +50,6 @@ pub struct MiniFs {
     next_lba: std::collections::BTreeMap<(u8, u8), u64>,
     /// Device capacities in blocks, for allocation checks.
     capacity: std::collections::BTreeMap<(u8, u8), u64>,
-    /// Per-page location overrides: a page migrated off its home device
-    /// (tiered storage) resolves here first; absent means home placement.
-    overrides: std::collections::BTreeMap<(u32, u64), (SocketId, DeviceId, u32, Lba)>,
 }
 
 impl MiniFs {
@@ -89,6 +93,7 @@ impl MiniFs {
             blocks,
             lba_mapped: false,
             anon: None,
+            overrides: DenseMap::new(),
         });
         FileId(self.files.len() as u32 - 1)
     }
@@ -198,7 +203,7 @@ impl MiniFs {
         let mapped = f.lba_mapped;
         // A home-block remap supersedes any migration override; an
         // in-flight migration sees the location change and aborts.
-        self.overrides.remove(&(file.0, page));
+        f.overrides.remove(page);
         (old, new, mapped)
     }
 
@@ -210,11 +215,11 @@ impl MiniFs {
     /// The `(socket, device, nsid, lba)` where `page` of `file` currently
     /// lives: its migration override when one is set, otherwise its home
     /// placement.
-    pub fn location(&self, file: FileId, page: u64) -> (SocketId, DeviceId, u32, Lba) {
-        if let Some(loc) = self.overrides.get(&(file.0, page)) {
+    pub fn location(&self, file: FileId, page: u64) -> Location {
+        let f = &self.files[file.0 as usize];
+        if let Some(loc) = f.overrides.get(page) {
             return *loc;
         }
-        let f = &self.files[file.0 as usize];
         (f.socket, f.device, f.nsid, f.blocks[page as usize])
     }
 
@@ -230,17 +235,17 @@ impl MiniFs {
         nsid: u32,
         lba: Lba,
     ) {
-        self.overrides.insert((file.0, page), (socket, device, nsid, lba));
+        self.files[file.0 as usize].overrides.insert(page, (socket, device, nsid, lba));
     }
 
     /// Restores a page's location to its home placement (demotion).
     pub fn clear_location(&mut self, file: FileId, page: u64) {
-        self.overrides.remove(&(file.0, page));
+        self.files[file.0 as usize].overrides.remove(page);
     }
 
     /// The raw migration override for a page, if any (audit cross-checks).
-    pub fn location_override(&self, file: FileId, page: u64) -> Option<(SocketId, DeviceId, u32, Lba)> {
-        self.overrides.get(&(file.0, page)).copied()
+    pub fn location_override(&self, file: FileId, page: u64) -> Option<Location> {
+        self.files[file.0 as usize].overrides.get(page).copied()
     }
 }
 

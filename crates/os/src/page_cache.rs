@@ -7,10 +7,11 @@
 //! the paper's deferred-metadata design — and therefore cannot be chosen
 //! for eviction until then.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::fs::FileId;
 use hwdp_mem::addr::{Pfn, Vpn};
+use hwdp_sim::DenseMap;
 
 /// One cached page's metadata.
 #[derive(Clone, Copy, Debug)]
@@ -37,7 +38,8 @@ pub struct Victim {
 /// The page cache + clock LRU + reverse map.
 #[derive(Debug, Default)]
 pub struct PageCache {
-    map: BTreeMap<(u32, u64), CachedPage>,
+    /// Cached pages by file id, then by page index (both dense).
+    map: DenseMap<DenseMap<CachedPage>>,
     /// Clock order; entries may be stale (removed from `map`) and are
     /// skipped lazily.
     clock: VecDeque<(u32, u64)>,
@@ -51,22 +53,30 @@ impl PageCache {
 
     /// Number of OS-known cached pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.values().map(DenseMap::len).sum()
     }
 
     /// `true` when no pages are tracked.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.values().all(DenseMap::is_empty)
+    }
+
+    fn get(&self, file: u32, page: u64) -> Option<&CachedPage> {
+        self.map.get(u64::from(file))?.get(page)
+    }
+
+    fn take(&mut self, file: u32, page: u64) -> Option<CachedPage> {
+        self.map.get_mut(u64::from(file))?.remove(page)
     }
 
     /// Looks up the frame caching `(file, page)`.
     pub fn lookup(&self, file: FileId, page: u64) -> Option<Pfn> {
-        self.map.get(&(file.0, page)).map(|c| c.pfn)
+        self.get(file.0, page).map(|c| c.pfn)
     }
 
     /// The reverse mapping of `(file, page)`, if mapped.
     pub fn rmap(&self, file: FileId, page: u64) -> Option<Vpn> {
-        self.map.get(&(file.0, page)).and_then(|c| c.vpn)
+        self.get(file.0, page).and_then(|c| c.vpn)
     }
 
     /// Inserts a page (OSDP fault completion, or `kpted` syncing a
@@ -78,7 +88,10 @@ impl PageCache {
     /// Panics if the page is already tracked (double insert indicates an
     /// aliasing bug — the very thing the PMSHR exists to prevent, §V).
     pub fn insert(&mut self, file: FileId, page: u64, pfn: Pfn, vpn: Option<Vpn>) {
-        let prev = self.map.insert((file.0, page), CachedPage { pfn, vpn });
+        let prev = self
+            .map
+            .get_or_insert_with(u64::from(file.0), DenseMap::new)
+            .insert(page, CachedPage { pfn, vpn });
         assert!(prev.is_none(), "page ({file:?},{page}) already cached: alias!");
         self.clock.push_back((file.0, page));
     }
@@ -86,7 +99,7 @@ impl PageCache {
     /// Removes a page (munmap teardown or explicit invalidation). The
     /// clock entry is dropped lazily.
     pub fn remove(&mut self, file: FileId, page: u64) -> Option<Pfn> {
-        self.map.remove(&(file.0, page)).map(|c| c.pfn)
+        self.take(file.0, page).map(|c| c.pfn)
     }
 
     /// Read-only iteration over every cached page in deterministic
@@ -94,7 +107,11 @@ impl PageCache {
     /// the hwdp-audit cache ↔ frame-pool cross-check, which must be
     /// observation-only (no clock rotation, no LRU touches).
     pub fn iter(&self) -> impl Iterator<Item = (FileId, u64, Pfn, Option<Vpn>)> + '_ {
-        self.map.iter().map(|(&(f, p), c)| (FileId(f), p, c.pfn, c.vpn))
+        self.map.iter().flat_map(|(f, pages)| {
+            // File ids are `u32`s, so the key narrows back losslessly.
+            let file = FileId(f as u32);
+            pages.iter().map(move |(p, c)| (file, p, c.pfn, c.vpn))
+        })
     }
 
     /// Runs the second-chance clock to select up to `n` victims.
@@ -130,7 +147,7 @@ impl PageCache {
         while victims.len() < n && budget > 0 {
             let Some(key) = self.clock.pop_front() else { break };
             budget -= 1;
-            let Some(&cached) = self.map.get(&key) else {
+            let Some(&cached) = self.get(key.0, key.1) else {
                 continue; // stale entry
             };
             let (file, page) = (FileId(key.0), key.1);
@@ -138,7 +155,7 @@ impl PageCache {
                 self.clock.push_back(key);
                 continue;
             }
-            self.map.remove(&key);
+            self.take(key.0, key.1);
             victims.push(Victim { file, page, pfn: cached.pfn, vpn: cached.vpn });
         }
     }
@@ -236,12 +253,26 @@ mod tests {
         assert_eq!(
             all,
             vec![(f(1), 3, Pfn(13), None), (f(2), 9, Pfn(99), Some(Vpn(0x900)))],
-            "BTreeMap order: sorted by (file, page)"
+            "key order: sorted by (file, page)"
         );
         // Iteration must not rotate the clock: the oldest insert is still
         // the first victim.
         let victims = pc.select_victims(1, |_, _, _| false);
         assert_eq!(victims[0].page, 9);
+    }
+
+    #[test]
+    fn iter_yields_file_then_page_order_after_out_of_order_inserts() {
+        let mut pc = PageCache::new();
+        for (file, page) in [(3, 7), (0, 900), (3, 2), (1, 0), (0, 4), (3, 40)] {
+            pc.insert(f(file), page, Pfn(page), None);
+        }
+        pc.remove(f(1), 0);
+        let keys: Vec<(FileId, u64)> = pc.iter().map(|(file, page, _, _)| (file, page)).collect();
+        assert_eq!(keys, [(f(0), 4), (f(0), 900), (f(3), 2), (f(3), 7), (f(3), 40)]);
+        assert_eq!(pc.len(), 5);
+        // File 1's pages are all gone, yet the cache is not empty.
+        assert!(!pc.is_empty());
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! * [`events`] — the simulator's one event queue ([`events::EventQueue`]):
 //!   a binary heap keyed by `(time, EventId)`, so same-time events fire in
 //!   scheduling order, with O(1) cancellation.
+//! * [`dense`] — [`dense::DenseMap`], the ordered map for dense integer
+//!   keys (file ids, page indices, LBAs): a slot vector, no tree, no hashing.
 //! * [`rng`] — a small, seedable, portable PRNG ([`rng::Prng`], SplitMix64 +
 //!   xoshiro256**) so simulations never depend on platform entropy.
 //! * [`dist`] — workload distributions (uniform, Zipfian, scrambled Zipfian,
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dense;
 pub mod dist;
 pub mod events;
 pub mod rng;
@@ -44,6 +47,7 @@ mod sched;
 pub mod stats;
 pub mod time;
 
+pub use dense::DenseMap;
 pub use events::EventQueue;
 pub use rng::Prng;
 pub use sanitize::{AuditReport, SanitizeLevel, Sanitizer, Violation};

@@ -22,10 +22,9 @@
 //! capacity bound, and the system driver cross-checks engine residence
 //! against the file system's per-page location overrides.
 
-use std::collections::BTreeMap;
-
 use hwdp_nvme::profile::DeviceProfile;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
+use hwdp_sim::DenseMap;
 use hwdp_sim::time::Duration;
 
 /// Which placement policy drives migration.
@@ -260,10 +259,10 @@ pub struct TierEngine {
     cfg: TierConfig,
     policy: Box<dyn PlacementPolicy>,
     /// Tracked pages keyed by home slow LBA.
-    pages: BTreeMap<u64, PageState>,
+    pages: DenseMap<PageState>,
     /// Fast-LBA ownership: fast LBA → page key. Exactly the pages whose
     /// residence is `Fast`/`PromoteInFlight`/`DemoteInFlight` on that LBA.
-    fast_map: BTreeMap<u64, u64>,
+    fast_map: DenseMap<u64>,
     /// Fast-LBA bump allocator plus free list (LIFO, deterministic).
     next_fast: u64,
     free_fast: Vec<u64>,
@@ -290,8 +289,8 @@ impl TierEngine {
         TierEngine {
             policy: make_policy(cfg.policy),
             cfg,
-            pages: BTreeMap::new(),
-            fast_map: BTreeMap::new(),
+            pages: DenseMap::new(),
+            fast_map: DenseMap::new(),
             next_fast: 0,
             free_fast: Vec::new(),
             epoch: 0,
@@ -315,7 +314,7 @@ impl TierEngine {
 
     /// Starts tracking a page (idempotent); new pages are slow-resident.
     pub fn register(&mut self, key: u64) {
-        self.pages.entry(key).or_insert(PageState {
+        self.pages.get_or_insert_with(key, || PageState {
             residence: TierResidence::Slow,
             heat: 0,
             last_epoch: 0,
@@ -335,7 +334,7 @@ impl TierEngine {
 
     /// Current residence of a tracked page.
     pub fn residence_of(&self, key: u64) -> Option<TierResidence> {
-        self.pages.get(&key).map(|p| p.residence)
+        self.pages.get(key).map(|p| p.residence)
     }
 
     /// Whether `key` has a migration in flight.
@@ -348,7 +347,7 @@ impl TierEngine {
 
     /// The page owning a fast-tier LBA, if any.
     pub fn key_of_fast(&self, fast_lba: u64) -> Option<u64> {
-        self.fast_map.get(&fast_lba).copied()
+        self.fast_map.get(fast_lba).copied()
     }
 
     /// Records one demand read serviced by a device. `fast` selects the
@@ -356,7 +355,7 @@ impl TierEngine {
     /// untracked blocks are ignored.
     pub fn record_access(&mut self, fast: bool, lba: u64) {
         let key = if fast {
-            match self.fast_map.get(&lba) {
+            match self.fast_map.get(lba) {
                 Some(k) => *k,
                 None => return,
             }
@@ -364,7 +363,7 @@ impl TierEngine {
             lba
         };
         let epoch = self.epoch;
-        if let Some(p) = self.pages.get_mut(&key) {
+        if let Some(p) = self.pages.get_mut(key) {
             p.heat = p.heat.saturating_add(1);
             p.last_epoch = epoch;
             if fast {
@@ -414,11 +413,11 @@ impl TierEngine {
                 .filter(|(k, p)| {
                     matches!(p.residence, TierResidence::Slow)
                         && self.policy.promote(
-                            &PageView { key: **k, heat: p.heat, last_epoch: p.last_epoch },
+                            &PageView { key: *k, heat: p.heat, last_epoch: p.last_epoch },
                             epoch,
                         )
                 })
-                .map(|(k, p)| (p.heat, *k)),
+                .map(|(k, p)| (p.heat, k)),
         );
         cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
@@ -438,7 +437,7 @@ impl TierEngine {
             }
             let f = self.alloc_fast();
             self.fast_map.insert(f, key);
-            if let Some(p) = self.pages.get_mut(&key) {
+            if let Some(p) = self.pages.get_mut(key) {
                 p.residence = TierResidence::PromoteInFlight(f);
             }
             plans.push(MigrationPlan::Promote { key, fast_lba: f });
@@ -454,7 +453,7 @@ impl TierEngine {
             self.pages
                 .iter()
                 .filter(|(_, p)| matches!(p.residence, TierResidence::Fast(_)))
-                .map(|(k, p)| PageView { key: *k, heat: p.heat, last_epoch: p.last_epoch }),
+                .map(|(k, p)| PageView { key: k, heat: p.heat, last_epoch: p.last_epoch }),
         );
         let mut victims = std::mem::take(&mut self.scratch_victims);
         for v in &fast_resident {
@@ -484,7 +483,7 @@ impl TierEngine {
             if !eligible(key) {
                 continue;
             }
-            let Some(p) = self.pages.get_mut(&key) else { continue };
+            let Some(p) = self.pages.get_mut(key) else { continue };
             let TierResidence::Fast(f) = p.residence else { continue };
             p.residence = TierResidence::DemoteInFlight(f);
             plans.push(MigrationPlan::Demote { key, fast_lba: f });
@@ -509,7 +508,7 @@ impl TierEngine {
     /// this virtual-time instant. Returns the new residence, or `None`
     /// when no migration was in flight for `key`.
     pub fn commit(&mut self, key: u64) -> Option<TierResidence> {
-        let p = self.pages.get_mut(&key)?;
+        let p = self.pages.get_mut(key)?;
         match p.residence {
             TierResidence::PromoteInFlight(f) => {
                 p.residence = TierResidence::Fast(f);
@@ -518,7 +517,7 @@ impl TierEngine {
             }
             TierResidence::DemoteInFlight(f) => {
                 p.residence = TierResidence::Slow;
-                self.fast_map.remove(&f);
+                self.fast_map.remove(f);
                 self.free_fast.push(f);
                 self.demotions += 1;
                 Some(p.residence)
@@ -530,11 +529,11 @@ impl TierEngine {
     /// Aborts an in-flight migration, restoring the previous residence
     /// (a reserved promotion slot returns to the free pool).
     pub fn abort(&mut self, key: u64) {
-        let Some(p) = self.pages.get_mut(&key) else { return };
+        let Some(p) = self.pages.get_mut(key) else { return };
         match p.residence {
             TierResidence::PromoteInFlight(f) => {
                 p.residence = TierResidence::Slow;
-                self.fast_map.remove(&f);
+                self.fast_map.remove(f);
                 self.free_fast.push(f);
                 self.aborts += 1;
             }
@@ -598,7 +597,7 @@ impl TierEngine {
     pub(crate) fn corrupt_fast_owner_for_test(&mut self) {
         let f = self.next_fast;
         self.next_fast += 1;
-        let key = self.pages.keys().next().copied().unwrap_or(0);
+        let key = self.pages.keys().next().unwrap_or(0);
         self.fast_map.insert(f, key);
     }
 }
@@ -641,14 +640,14 @@ impl Sanitizer for TierEngine {
         // tier-fast-owner-unique: fast_map ↔ residence is a bijection —
         // every fast LBA is owned by exactly one page whose residence
         // names that LBA, and vice versa.
-        for (f, key) in &self.fast_map {
+        for (f, &key) in self.fast_map.iter() {
             let ok = matches!(
-                self.residence_of(*key),
+                self.residence_of(key),
                 Some(
                     TierResidence::Fast(r)
                         | TierResidence::PromoteInFlight(r)
                         | TierResidence::DemoteInFlight(r)
-                ) if r == *f
+                ) if r == f
             );
             report.check_args(
                 "tier",
@@ -657,7 +656,7 @@ impl Sanitizer for TierEngine {
                 format_args!("fast LBA {f} maps to page {key} whose residence does not own it"),
             );
         }
-        for (key, p) in &self.pages {
+        for (key, p) in self.pages.iter() {
             let (claimed, lba) = match p.residence {
                 TierResidence::Slow => (false, 0),
                 TierResidence::Fast(f)
@@ -668,7 +667,7 @@ impl Sanitizer for TierEngine {
                 report.check_args(
                     "tier",
                     "tier-fast-owner-unique",
-                    self.fast_map.get(&lba) == Some(key),
+                    self.fast_map.get(lba) == Some(&key),
                     format_args!("page {key} claims fast LBA {lba} without owning it"),
                 );
             }
