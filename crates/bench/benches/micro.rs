@@ -7,7 +7,7 @@ use hwdp_mem::addr::{BlockRef, DeviceId, Lba, Pfn, SocketId, Vpn};
 use hwdp_mem::page_table::PageTable;
 use hwdp_mem::pte::{Pte, PteFlags};
 use hwdp_mem::tlb::Tlb;
-use hwdp_sim::dist::ScrambledZipfian;
+use hwdp_sim::dist::{ScrambledZipfian, Zipfian, YCSB_ZIPFIAN_THETA};
 use hwdp_sim::events::EventQueue;
 use hwdp_sim::rng::Prng;
 use hwdp_sim::time::Duration;
@@ -170,10 +170,14 @@ fn bench_tlb(c: &mut Criterion) {
 }
 
 fn bench_zipfian(c: &mut Criterion) {
-    let mut z = ScrambledZipfian::new(1_000_000);
+    let mut z = ScrambledZipfian::new(Zipfian::new(1_000_000, YCSB_ZIPFIAN_THETA));
     let mut rng = Prng::seed_from(1);
     c.bench_function("scrambled_zipfian_sample", |b| {
         b.iter(|| std::hint::black_box(z.sample(&mut rng)))
+    });
+    // A YCSB job's set-up cost: one normalisation over its records.
+    c.bench_function("zipfian_new_1024", |b| {
+        b.iter(|| Zipfian::new(std::hint::black_box(1_024), YCSB_ZIPFIAN_THETA))
     });
 }
 

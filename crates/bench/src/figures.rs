@@ -131,10 +131,12 @@ pub fn fig04_pollution(scale: &Scale) -> Table {
             .build();
         let file = sys.create_kv_file("db", records, records);
         let region = sys.map_file_with(file, MmapFlags::populate());
+        let keys = Ycsb::popularity(records);
         for i in 0..4 {
             let db = MiniDb::new(region, records, records);
             let rng = hwdp_sim::rng::Prng::seed_from(scale.seed ^ (0x2B + i));
-            sys.spawn(Box::new(Ycsb::new(YcsbKind::C, db, scale.ops_per_thread, rng)), 1.6, None);
+            let client = Ycsb::with_keys(YcsbKind::C, db, keys.clone(), scale.ops_per_thread, rng);
+            sys.spawn(Box::new(client), 1.6, None);
         }
         sys.run(scale.time_cap)
     };

@@ -122,14 +122,19 @@ pub fn run_kv(mode: Mode, w: KvWorkload, threads: usize, ratio: f64, scale: &Sca
         .build();
     let file = sys.create_kv_file("db", records, capacity);
     let region = sys.map_file(file);
+    // One key distribution per run, cloned into each YCSB client.
+    let ycsb = match w {
+        KvWorkload::Ycsb(kind) => Some((kind, Ycsb::popularity(records))),
+        KvWorkload::DbBench => None,
+    };
     for i in 0..threads {
         let db = MiniDb::new(region, records, capacity);
         let rng = Prng::seed_from(scale.seed ^ (0x2B + i as u64));
-        let workload: Box<dyn Workload> = match w {
-            KvWorkload::DbBench => {
-                Box::new(DbBenchReadRandom::new(db, scale.ops_per_thread, rng))
+        let workload: Box<dyn Workload> = match &ycsb {
+            Some((kind, keys)) => {
+                Box::new(Ycsb::with_keys(*kind, db, keys.clone(), scale.ops_per_thread, rng))
             }
-            KvWorkload::Ycsb(kind) => Box::new(Ycsb::new(kind, db, scale.ops_per_thread, rng)),
+            None => Box::new(DbBenchReadRandom::new(db, scale.ops_per_thread, rng)),
         };
         sys.spawn(workload, 1.6, None);
     }

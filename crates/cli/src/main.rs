@@ -96,6 +96,9 @@ FIO OPTIONS:
   --prefetch N               SMU prefetch window (HWDP, section V)
   --readahead N              OS readahead window (disabled in the paper)
 
+YCSB OPTIONS:
+  --kind a|b|c|d|e|f         YCSB core workload     (default c)
+
 SWEEP OPTIONS (axes are comma-separated lists; cross product = campaign):
   --name S                   campaign name          (default sweep)
   --scenarios a,b            fio|dbbench|ycsb-a..f|anon|smt-<spec>|anatomy
@@ -198,54 +201,43 @@ const SWEEP_FLAGS: &[&str] = &["no-kpoold", "per-core-queues", "fixed-seed", "re
 const GATE_OPTIONS: &[&str] = &["threshold"];
 const LINT_FLAGS: &[&str] = &["rules", "metric-keys", "call-graph", "write-baseline", "json", "deny"];
 
+/// Option groups (each option takes a value) and flags of one command.
+type Declared = (&'static [&'static [&'static str]], &'static [&'static str]);
+
+/// What `command` reads, for [`Args::only`]; `None` for an unknown command.
+fn declared(command: &str) -> Option<Declared> {
+    Some(match command {
+        "help" | "--help" | "-h" | "config" => (&[], &[]),
+        "anatomy" => (&[&["device"]], &[]),
+        "fio" => (&[RUN_OPTIONS, &["prefetch", "readahead"]], &["seq"]),
+        "ycsb" => (&[RUN_OPTIONS, &["kind"]], &[]),
+        "dbbench" | "anon" => (&[RUN_OPTIONS], &[]),
+        "sweep" => (&[SWEEP_OPTIONS, GATE_OPTIONS], SWEEP_FLAGS),
+        "chaos" => (&[&["name", "seed", "jobs", "sanitize", "out"]], &["no-crashes"]),
+        "compare" => (&[&["baseline", "current"], GATE_OPTIONS], &[]),
+        "lint" => (&[&["root"]], LINT_FLAGS),
+        _ => return None,
+    })
+}
+
 fn run(raw: Vec<String>) -> Result<ExitCode, ArgError> {
     let args = Args::parse(raw)?;
-    match args.command.as_str() {
-        "help" | "--help" | "-h" => {
-            args.only(&[], &[])?;
-            println!("{HELP}");
-        }
-        "config" => {
-            args.only(&[], &[])?;
-            println!("{}", SystemConfig::paper_default(Mode::Hwdp).describe());
-        }
-        "anatomy" => {
-            args.only(&[&["device"]], &[])?;
-            anatomy(&args)?;
-        }
-        "fio" => {
-            args.only(&[RUN_OPTIONS, &["prefetch", "readahead"]], &["seq"])?;
-            fio(&args)?;
-        }
-        "ycsb" => {
-            args.only(&[RUN_OPTIONS, &["kind"]], &[])?;
-            kv(&args)?;
-        }
-        "dbbench" => {
-            args.only(&[RUN_OPTIONS], &[])?;
-            kv(&args)?;
-        }
-        "anon" => {
-            args.only(&[RUN_OPTIONS], &[])?;
-            anon(&args)?;
-        }
-        "sweep" => {
-            args.only(&[SWEEP_OPTIONS, GATE_OPTIONS], SWEEP_FLAGS)?;
-            return sweep(&args);
-        }
-        "chaos" => {
-            args.only(&[&["name", "seed", "jobs", "sanitize", "out"]], &["no-crashes"])?;
-            return chaos_cmd(&args);
-        }
-        "compare" => {
-            args.only(&[&["baseline", "current"], GATE_OPTIONS], &[])?;
-            return compare_cmd(&args);
-        }
-        "lint" => {
-            args.only(&[&["root"]], LINT_FLAGS)?;
-            return lint_cmd(&args);
-        }
-        other => return Err(ArgError(format!("unknown command '{other}'"))),
+    let command = args.command.as_str();
+    let unknown = || ArgError(format!("unknown command '{command}'"));
+    let (options, flags) = declared(command).ok_or_else(unknown)?;
+    args.only(options, flags)?;
+    match command {
+        "help" | "--help" | "-h" => println!("{HELP}"),
+        "config" => println!("{}", SystemConfig::paper_default(Mode::Hwdp).describe()),
+        "anatomy" => anatomy(&args)?,
+        "fio" => fio(&args)?,
+        "ycsb" | "dbbench" => kv(&args)?,
+        "anon" => anon(&args)?,
+        "sweep" => return sweep(&args),
+        "chaos" => return chaos_cmd(&args),
+        "compare" => return compare_cmd(&args),
+        "lint" => return lint_cmd(&args),
+        _ => return Err(unknown()),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -812,13 +804,17 @@ fn kv(args: &Args) -> Result<(), ArgError> {
     let file = sys.create_kv_file("db", records, capacity);
     let region = sys.map_file(file);
     let label;
+    // One key distribution per run, cloned into each YCSB client.
+    let ycsb = match args.command.as_str() {
+        "dbbench" => None,
+        _ => Some((args.ycsb_kind()?, Ycsb::popularity(records))),
+    };
     for i in 0..threads {
         let db = MiniDb::new(region, records, capacity);
         let rng = Prng::seed_from(2000 + i as u64);
-        let w: Box<dyn Workload> = if args.command == "dbbench" {
-            Box::new(DbBenchReadRandom::new(db, ops, rng))
-        } else {
-            Box::new(Ycsb::new(args.ycsb_kind()?, db, ops, rng))
+        let w: Box<dyn Workload> = match &ycsb {
+            Some((kind, keys)) => Box::new(Ycsb::with_keys(*kind, db, keys.clone(), ops, rng)),
+            None => Box::new(DbBenchReadRandom::new(db, ops, rng)),
         };
         sys.spawn(w, 1.6, None);
     }
@@ -876,4 +872,38 @@ fn anatomy(args: &Args) -> Result<(), ArgError> {
         println!();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Whether `HELP` names `--name` as a whole option, not as the prefix
+    /// of a longer one.
+    fn help_mentions(name: &str) -> bool {
+        let option = format!("--{name}");
+        HELP.match_indices(&option).any(|(at, _)| {
+            let rest = &HELP[at + option.len()..];
+            !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    }
+
+    #[test]
+    fn help_lists_every_option_each_command_reads() {
+        let listed = HELP.split("COMMANDS:\n").nth(1).expect("a COMMANDS section");
+        let commands: Vec<&str> = listed
+            .lines()
+            .take_while(|line| !line.is_empty())
+            .filter_map(|line| line.strip_prefix("  "))
+            .filter(|line| !line.starts_with(' '))
+            .filter_map(|line| line.split_whitespace().next())
+            .collect();
+        assert!(commands.contains(&"ycsb") && commands.contains(&"lint"), "{commands:?}");
+        for command in commands {
+            let (options, flags) = declared(command).expect("every listed command runs");
+            for name in options.iter().flat_map(|group| group.iter()).chain(flags) {
+                assert!(help_mentions(name), "`hwdp {command}` reads --{name}; help omits it");
+            }
+        }
+    }
 }

@@ -43,17 +43,46 @@ impl Default for PollutionParams {
     }
 }
 
+/// The results of a pure function of a `u64` for its last `N` distinct
+/// inputs, most recent first. A hit returns the bits the function gave.
+#[derive(Clone, Copy, Debug)]
+struct Memo<const N: usize> {
+    slots: [Option<(u64, f64)>; N],
+}
+
+impl<const N: usize> Memo<N> {
+    fn new() -> Self {
+        Memo { slots: [None; N] }
+    }
+
+    fn get_or(&mut self, input: u64, f: impl FnOnce(u64) -> f64) -> f64 {
+        if let Some(&(_, out)) = self.slots.iter().flatten().find(|(k, _)| *k == input) {
+            return out;
+        }
+        let out = f(input);
+        self.slots.rotate_right(1);
+        self.slots[0] = Some((input, out));
+        out
+    }
+}
+
 /// Per-thread pollution state.
 #[derive(Clone, Copy, Debug)]
 pub struct Pollution {
     params: PollutionParams,
     warmth: f64,
+    /// Warmth kept by a kernel entry, per path length. Two slots: entries
+    /// alternate between a few path-length constants.
+    cooling: Memo<2>,
+    /// Share of lost warmth regained, per user segment length, which
+    /// mostly repeats from one segment to the next.
+    rewarming: Memo<1>,
 }
 
 impl Pollution {
     /// A fresh, fully warm thread.
     pub fn new(params: PollutionParams) -> Self {
-        Pollution { params, warmth: 1.0 }
+        Pollution { params, warmth: 1.0, cooling: Memo::new(), rewarming: Memo::new() }
     }
 
     /// Current warmth in `[0, 1]`.
@@ -64,15 +93,16 @@ impl Pollution {
     /// Applies a kernel intervention of `kernel_instr` instructions in this
     /// thread's context (fault handler, IRQ, context switch...).
     pub fn kernel_entry(&mut self, kernel_instr: u64) {
-        let kilo = kernel_instr as f64 / 1000.0;
-        self.warmth *= (1.0 - self.params.cooling_per_kilo_kernel_instr).powf(kilo);
+        let per_kilo = 1.0 - self.params.cooling_per_kilo_kernel_instr;
+        self.warmth *= self.cooling.get_or(kernel_instr, |k| per_kilo.powf(k as f64 / 1000.0));
     }
 
     /// Retires `n` user instructions: returns the effective IPC factor for
     /// the segment (computed at entry warmth) and re-warms the state.
     pub fn retire_user(&mut self, n: u64) -> f64 {
         let factor = self.ipc_factor();
-        let delta = 1.0 - (-(n as f64) / self.params.recovery_instr).exp();
+        let recovery = self.params.recovery_instr;
+        let delta = self.rewarming.get_or(n, |n| 1.0 - (-(n as f64) / recovery).exp());
         self.warmth += (1.0 - self.warmth) * delta;
         factor
     }
@@ -148,6 +178,50 @@ mod tests {
         let gain = (hwdp_f / iters as f64) / (osdp_f / iters as f64) - 1.0;
         // Paper: user-level IPC improves by ~7 % (Fig. 14); accept 4–12 %.
         assert!((0.04..0.12).contains(&gain), "IPC gain {gain}");
+    }
+
+    /// The model's formulas with no memo.
+    struct Recomputing {
+        params: PollutionParams,
+        warmth: f64,
+    }
+
+    impl Recomputing {
+        fn kernel_entry(&mut self, kernel_instr: u64) {
+            let kilo = kernel_instr as f64 / 1000.0;
+            self.warmth *= (1.0 - self.params.cooling_per_kilo_kernel_instr).powf(kilo);
+        }
+
+        fn retire_user(&mut self, n: u64) -> f64 {
+            let factor = self.params.ipc_floor + (1.0 - self.params.ipc_floor) * self.warmth;
+            let delta = 1.0 - (-(n as f64) / self.params.recovery_instr).exp();
+            self.warmth += (1.0 - self.warmth) * delta;
+            factor
+        }
+    }
+
+    #[test]
+    fn memoized_model_matches_recomputing_formulas() {
+        let params = PollutionParams { recovery_instr: 90_000.0, ..PollutionParams::default() };
+        let mut memo = Pollution::new(params);
+        let mut reference = Recomputing { params, warmth: 1.0 };
+        let mut rng = hwdp_sim::rng::Prng::seed_from(0x9011);
+        for i in 0..20_000u64 {
+            // Repeated and alternating inputs, as the simulator gives, with
+            // a fresh one now and then to evict the memo slots.
+            let fresh = rng.below(8) == 0;
+            let kernel =
+                if fresh { rng.below(60_000) } else { [6_800, 6_700, 13_000][i as usize % 3] };
+            let user = if fresh { rng.below(400_000) } else { 30_000 };
+            if rng.below(3) == 0 {
+                memo.kernel_entry(kernel);
+                reference.kernel_entry(kernel);
+            } else {
+                let (a, b) = (memo.retire_user(user), reference.retire_user(user));
+                assert_eq!(a.to_bits(), b.to_bits(), "call {i}: ipc factor");
+            }
+            assert_eq!(memo.warmth().to_bits(), reference.warmth.to_bits(), "call {i}: warmth");
+        }
     }
 
     #[test]

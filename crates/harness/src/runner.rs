@@ -218,13 +218,19 @@ fn prepare(spec: &JobSpec) -> System {
             let capacity = records + records / 4; // headroom for inserts (D/E)
             let file = sys.create_kv_file("db", records, capacity);
             let region = sys.map_file(file);
+            // One key distribution per job, cloned into each YCSB client.
+            let ycsb = match spec.scenario {
+                Scenario::Ycsb(kind) => Some((kind, Ycsb::popularity(records))),
+                _ => None,
+            };
             for i in 0..spec.threads {
                 let db = MiniDb::new(region, records, capacity);
                 let rng = Prng::seed_from(spec.seed ^ (0x2B + i as u64));
-                let workload: Box<dyn Workload> = match spec.scenario {
-                    Scenario::DbBench => Box::new(DbBenchReadRandom::new(db, spec.ops, rng)),
-                    Scenario::Ycsb(kind) => Box::new(Ycsb::new(kind, db, spec.ops, rng)),
-                    _ => unreachable!(),
+                let workload: Box<dyn Workload> = match &ycsb {
+                    Some((kind, keys)) => {
+                        Box::new(Ycsb::with_keys(*kind, db, keys.clone(), spec.ops, rng))
+                    }
+                    None => Box::new(DbBenchReadRandom::new(db, spec.ops, rng)),
                 };
                 sys.spawn(workload, 1.6, pin_for(i));
             }

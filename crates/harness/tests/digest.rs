@@ -4,12 +4,14 @@
 //! only the chaos oracle calls `runner::simulate_with_digest`. These tests
 //! hold both halves of that split: skipping the digest never changes a
 //! simulated result, and the digest itself (page-pattern expansion,
-//! checksums, the FNV fold over file pages) stays bit-identical.
+//! checksums, the FNV fold over file pages) stays bit-identical. Every
+//! YCSB kind's exported results are pinned bit for bit as well.
 
 use hwdp_core::{Mode, RunResult};
 use hwdp_harness::runner::{simulate, simulate_with_digest};
 use hwdp_harness::{JobSpec, Scenario, TierSpec};
 use hwdp_nvme::fault::FaultConfig;
+use hwdp_sim::dist::fnv1a_u64;
 use hwdp_workloads::YcsbKind;
 
 /// Read-only fio, two threads, twice as much data as memory.
@@ -65,6 +67,14 @@ fn exported(result: &RunResult) -> Vec<(String, u64)> {
     out
 }
 
+/// FNV fold of [`exported`]: every name and every value bit.
+fn fingerprint(result: &RunResult) -> u64 {
+    exported(result).iter().fold(0, |h, (name, bits)| {
+        let h = name.bytes().fold(h, |h, b| fnv1a_u64(h ^ u64::from(b)));
+        fnv1a_u64(h ^ bits)
+    })
+}
+
 #[test]
 fn content_digest_matches_pinned_values() {
     let (a, a_digest) = simulate_with_digest(&ycsb_a());
@@ -91,4 +101,45 @@ fn skipping_the_digest_never_changes_a_result() {
         let (digested, _) = simulate_with_digest(&spec);
         assert_eq!(exported(&plain), exported(&digested), "{name}: the digest changed a result");
     }
+}
+
+/// Every YCSB kind under both modes, two threads each, pinned bit for bit.
+/// The legacy-loop parity tests share the key sampler with the runner, so
+/// they cannot see a drift in it; this pin can. YCSB-D runs enough
+/// operations that its ~5 % inserts grow the store past its initial
+/// records, so the latest distribution's `grow_to` path is covered.
+#[test]
+fn every_ycsb_kind_matches_pinned_results() {
+    let mut prints = Vec::new();
+    for kind in YcsbKind::ALL {
+        for mode in [Mode::Osdp, Mode::Hwdp] {
+            let mut spec = JobSpec::new(Scenario::Ycsb(kind), mode, 0x5C5B);
+            spec.memory_frames = 128;
+            spec.ratio = 2.0;
+            spec.threads = 2;
+            spec.ops = 400;
+            let result = simulate(&spec);
+            assert_eq!(metric(&result, "verify_failures"), 0.0, "{}", spec.label());
+            if kind == YcsbKind::D {
+                // D writes only by inserting, so a write-back is an insert.
+                assert!(metric(&result, "writebacks") > 0.0, "{}: D must insert", spec.label());
+            }
+            prints.push(format!("{} {:#018x}", spec.label(), fingerprint(&result)));
+        }
+    }
+    let expected = [
+        "ycsb-a/OSDP/zssd t=2 r=2 0xae1664bec2873d4f",
+        "ycsb-a/HWDP/zssd t=2 r=2 0x5eda3bd6aca2f473",
+        "ycsb-b/OSDP/zssd t=2 r=2 0x8764d9863aa7ab94",
+        "ycsb-b/HWDP/zssd t=2 r=2 0x9d346b0c9d8cf4fb",
+        "ycsb-c/OSDP/zssd t=2 r=2 0x5bef1a22d0d4cee0",
+        "ycsb-c/HWDP/zssd t=2 r=2 0x5eecc96fd33fb73d",
+        "ycsb-d/OSDP/zssd t=2 r=2 0x68ad127358cd807e",
+        "ycsb-d/HWDP/zssd t=2 r=2 0xbe2988cfeeb4844d",
+        "ycsb-e/OSDP/zssd t=2 r=2 0x9f4550c7c5c1b8a3",
+        "ycsb-e/HWDP/zssd t=2 r=2 0x51f8759737392ba2",
+        "ycsb-f/OSDP/zssd t=2 r=2 0x0bd2191ac91a543e",
+        "ycsb-f/HWDP/zssd t=2 r=2 0x0ddbe0ff6a10f0f1",
+    ];
+    assert_eq!(prints, expected, "a YCSB result drifted");
 }

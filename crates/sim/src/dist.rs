@@ -33,6 +33,8 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// `1 + 0.5^theta`: draws with `u * zetan` below it are rank 1.
+    rank1_bound: f64,
 }
 
 /// Incremental zeta: sum_{i=1..=n} 1/i^theta.
@@ -57,7 +59,8 @@ impl Zipfian {
         let zeta2 = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Zipfian { items, theta, alpha, zetan, eta, zeta2 }
+        let rank1_bound = 1.0 + 0.5f64.powf(theta);
+        Zipfian { items, theta, alpha, zetan, eta, zeta2, rank1_bound }
     }
 
     /// Number of items in the population.
@@ -72,7 +75,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let rank = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -99,7 +102,6 @@ impl Zipfian {
 #[derive(Clone, Debug)]
 pub struct ScrambledZipfian {
     inner: Zipfian,
-    items: u64,
 }
 
 /// 64-bit FNV-1a over the little-endian bytes of `x`.
@@ -115,20 +117,22 @@ pub fn fnv1a_u64(x: u64) -> u64 {
 }
 
 impl ScrambledZipfian {
-    /// Creates a scrambled Zipfian over `0..items` with YCSB's default skew.
-    pub fn new(items: u64) -> Self {
-        ScrambledZipfian { inner: Zipfian::new(items, YCSB_ZIPFIAN_THETA), items }
+    /// Scrambles the ranks of `inner` over its own population. Building
+    /// `inner` costs one `powf` per item, so callers with several clients
+    /// over one keyspace build it once and hand each a clone.
+    pub fn new(inner: Zipfian) -> Self {
+        ScrambledZipfian { inner }
     }
 
     /// Draws a key in `0..items`.
     pub fn sample(&mut self, rng: &mut Prng) -> u64 {
         let rank = self.inner.sample(rng);
-        fnv1a_u64(rank) % self.items
+        fnv1a_u64(rank) % self.inner.items()
     }
 
     /// Number of items in the population.
     pub fn items(&self) -> u64 {
-        self.items
+        self.inner.items()
     }
 }
 
@@ -140,9 +144,9 @@ pub struct Latest {
 }
 
 impl Latest {
-    /// Creates a latest-skewed distribution over `0..items`.
-    pub fn new(items: u64) -> Self {
-        Latest { inner: Zipfian::new(items, YCSB_ZIPFIAN_THETA) }
+    /// Skews `inner` towards the highest indices of its population.
+    pub fn new(inner: Zipfian) -> Self {
+        Latest { inner }
     }
 
     /// Draws a key, biased towards the highest (most recent) indices.
@@ -247,6 +251,41 @@ mod tests {
         assert!(any_large, "grown distribution should reach new items");
     }
 
+    /// `Zipfian::sample` with `1 + 0.5^theta` recomputed on every draw,
+    /// as it was before the bound was cached at construction.
+    fn recomputing_sample(z: &Zipfian, rng: &mut Prng) -> u64 {
+        let u = rng.f64();
+        let uz = u * z.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(z.theta) {
+            return 1;
+        }
+        let rank = (z.items as f64 * (z.eta * u - z.eta + 1.0).powf(z.alpha)) as u64;
+        rank.min(z.items - 1)
+    }
+
+    #[test]
+    fn cached_rank1_bound_matches_recomputing_reference() {
+        for (items, theta) in [(1, 0.99), (2, 0.5), (10, 0.99), (1024, 0.99), (5000, 0.3)] {
+            let mut z = Zipfian::new(items, theta);
+            let mut cached = Prng::seed_from(items);
+            let mut reference = Prng::seed_from(items);
+            let mut rank1 = 0;
+            for grown in 0..3 {
+                for _ in 0..20_000 {
+                    let v = z.sample(&mut cached);
+                    let expected = recomputing_sample(&z, &mut reference);
+                    assert_eq!(v, expected, "n={} theta={theta}", z.items);
+                    rank1 += u64::from(v == 1);
+                }
+                z.grow_to(z.items * 2 + grown);
+            }
+            assert!(rank1 > 0, "n={items}: the rank-1 branch must be taken");
+        }
+    }
+
     #[test]
     fn zipfian_grow_smaller_is_noop() {
         let mut z = Zipfian::new(100, 0.5);
@@ -262,7 +301,7 @@ mod tests {
 
     #[test]
     fn scrambled_zipfian_spreads_hot_keys() {
-        let mut z = ScrambledZipfian::new(1000);
+        let mut z = ScrambledZipfian::new(Zipfian::new(1000, YCSB_ZIPFIAN_THETA));
         let mut r = Prng::seed_from(6);
         // The two hottest scrambled keys should not be adjacent ranks 0,1.
         let mut counts = std::collections::HashMap::new();
@@ -278,7 +317,7 @@ mod tests {
 
     #[test]
     fn latest_prefers_recent() {
-        let mut l = Latest::new(1000);
+        let mut l = Latest::new(Zipfian::new(1000, YCSB_ZIPFIAN_THETA));
         let mut r = Prng::seed_from(7);
         let n = 20_000;
         let recent = (0..n).filter(|_| l.sample(&mut r) >= 990).count();
@@ -288,7 +327,7 @@ mod tests {
 
     #[test]
     fn latest_grow() {
-        let mut l = Latest::new(10);
+        let mut l = Latest::new(Zipfian::new(10, YCSB_ZIPFIAN_THETA));
         l.grow_to(20);
         let mut r = Prng::seed_from(8);
         for _ in 0..1000 {

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel.
 
-use hwdp_sim::dist::{Latest, ScrambledZipfian, Zipfian};
+use hwdp_sim::dist::{Latest, ScrambledZipfian, Zipfian, YCSB_ZIPFIAN_THETA};
 use hwdp_sim::events::EventQueue;
 use hwdp_sim::rng::Prng;
 use hwdp_sim::stats::LatencyHist;
@@ -41,8 +41,9 @@ proptest! {
     /// Scrambled Zipfian and Latest stay in range too.
     #[test]
     fn derived_distributions_in_range(seed: u64, items in 1u64..100_000) {
-        let mut s = ScrambledZipfian::new(items);
-        let mut l = Latest::new(items);
+        let z = Zipfian::new(items, YCSB_ZIPFIAN_THETA);
+        let mut s = ScrambledZipfian::new(z.clone());
+        let mut l = Latest::new(z);
         let mut r = Prng::seed_from(seed);
         for _ in 0..32 {
             prop_assert!(s.sample(&mut r) < items);

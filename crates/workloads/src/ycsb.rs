@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use hwdp_sim::dist::{Latest, ScrambledZipfian};
+use hwdp_sim::dist::{Latest, ScrambledZipfian, Zipfian, YCSB_ZIPFIAN_THETA};
 use hwdp_sim::rng::Prng;
 
 use crate::kvstore::MiniDb;
@@ -70,13 +70,21 @@ impl YcsbKind {
 /// scaled dataset).
 const MAX_SCAN_LEN: u64 = 16;
 
+/// The one distribution a client draws keys from.
+#[derive(Debug)]
+enum Keys {
+    /// Every kind but D.
+    Scrambled(ScrambledZipfian),
+    /// D: skewed towards the latest inserts.
+    Latest(Latest),
+}
+
 /// A YCSB client thread.
 #[derive(Debug)]
 pub struct Ycsb {
     kind: YcsbKind,
     db: MiniDb,
-    zipf: ScrambledZipfian,
-    latest: Latest,
+    keys: Keys,
     rng: Prng,
     ops_target: u64,
     ops_done: u64,
@@ -92,14 +100,42 @@ pub struct Ycsb {
 }
 
 impl Ycsb {
-    /// Creates a YCSB client running `ops_target` operations.
+    /// The key popularity of a dataset of `records` records: YCSB's
+    /// Zipfian. Building it costs one `powf` per record, so a job builds
+    /// it once and gives each client a clone through [`Ycsb::with_keys`].
+    pub fn popularity(records: u64) -> Zipfian {
+        Zipfian::new(records, YCSB_ZIPFIAN_THETA)
+    }
+
+    /// Creates a YCSB client running `ops_target` operations that builds
+    /// its own [`Ycsb::popularity`]. Clients sharing a dataset use
+    /// [`Ycsb::with_keys`] instead, so the job builds it once.
     pub fn new(kind: YcsbKind, db: MiniDb, ops_target: u64, rng: Prng) -> Self {
-        let records = db.records();
+        Self::with_keys(kind, db, Self::popularity(db.records()), ops_target, rng)
+    }
+
+    /// Creates a YCSB client running `ops_target` operations, drawing keys
+    /// from `keys`: the job's [`Ycsb::popularity`] over `db`'s records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` does not cover exactly `db.records()` items.
+    pub fn with_keys(
+        kind: YcsbKind,
+        db: MiniDb,
+        keys: Zipfian,
+        ops_target: u64,
+        rng: Prng,
+    ) -> Self {
+        assert_eq!(keys.items(), db.records(), "the key distribution must cover the dataset");
+        let keys = match kind {
+            YcsbKind::D => Keys::Latest(Latest::new(keys)),
+            _ => Keys::Scrambled(ScrambledZipfian::new(keys)),
+        };
         Ycsb {
             kind,
             db,
-            zipf: ScrambledZipfian::new(records),
-            latest: Latest::new(records),
+            keys,
             rng,
             ops_target,
             ops_done: 0,
@@ -122,9 +158,9 @@ impl Ycsb {
     }
 
     fn pick_key(&mut self) -> u64 {
-        match self.kind {
-            YcsbKind::D => self.latest.sample(&mut self.rng),
-            _ => self.zipf.sample(&mut self.rng),
+        match &mut self.keys {
+            Keys::Latest(latest) => latest.sample(&mut self.rng),
+            Keys::Scrambled(zipf) => zipf.sample(&mut self.rng),
         }
     }
 
@@ -154,7 +190,9 @@ impl Ycsb {
                     let key = self.pick_key();
                     self.queue.push_back((self.db.get(key), Some(key)));
                 } else if let Some((_, step)) = self.db.insert() {
-                    self.latest.grow_to(self.db.records());
+                    if let Keys::Latest(latest) = &mut self.keys {
+                        latest.grow_to(self.db.records());
+                    }
                     self.queue.push_back((step, None));
                 } else {
                     // File full: degrade to a read (keeps the run going).

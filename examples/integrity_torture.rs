@@ -30,10 +30,17 @@ fn main() {
             .build();
         let file = sys.create_kv_file("torture.db", records, records);
         let region = sys.map_file(file);
+        let keys = Ycsb::popularity(records);
         for i in 0..threads {
             let db = MiniDb::new(region, records, records);
             sys.spawn(
-                Box::new(Ycsb::new(YcsbKind::A, db, ops, Prng::seed_from(i as u64))),
+                Box::new(Ycsb::with_keys(
+                    YcsbKind::A,
+                    db,
+                    keys.clone(),
+                    ops,
+                    Prng::seed_from(i as u64),
+                )),
                 1.6,
                 None,
             );

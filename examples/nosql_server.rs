@@ -22,10 +22,11 @@ fn run(mode: Mode, kind: YcsbKind, threads: usize) -> hwdp::core::RunResult {
         .build();
     let file = sys.create_kv_file("rocks.db", records, capacity);
     let region = sys.map_file(file);
+    let keys = Ycsb::popularity(records);
     for i in 0..threads {
         let db = MiniDb::new(region, records, capacity);
         sys.spawn(
-            Box::new(Ycsb::new(kind, db, 1_000, Prng::seed_from(55 + i as u64))),
+            Box::new(Ycsb::with_keys(kind, db, keys.clone(), 1_000, Prng::seed_from(55 + i as u64))),
             1.6,
             None,
         );
