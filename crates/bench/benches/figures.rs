@@ -6,7 +6,7 @@
 //! tables.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hwdp_bench::scenarios::Scale;
+use hwdp_bench::campaigns::Scale;
 use hwdp_bench::{ablations, figures};
 
 fn scale() -> Scale {
@@ -84,8 +84,7 @@ fn fig15(c: &mut Criterion) {
 }
 
 fn fig16(c: &mut Criterion) {
-    let mut s = scale();
-    s.ops_per_thread = u64::MAX / 4;
+    let s = scale();
     println!("{}", figures::fig16_smt(&s));
     let mut g = c.benchmark_group("fig16");
     g.sample_size(10);

@@ -1,45 +1,28 @@
-//! Ablations of the design choices DESIGN.md calls out: `kpoold` (§IV-D),
-//! PMSHR capacity, free-page-queue depth, and the prefetch buffer.
+//! Ablations of the design choices DESIGN.md calls out — `kpoold`
+//! (§IV-D), PMSHR capacity, free-page-queue depth, the prefetch buffer
+//! and the `kpted` period — plus the §V extension tables.
 //!
-//! The four knob sweeps (`kpoold`, PMSHR, free-queue depth, `kpted`
-//! period) run as `hwdp-harness` campaigns; the remaining extension
-//! tables still drive the simulator directly through [`fio_with`], which
-//! stays the parity reference the campaign tests pin against.
+//! The knob sweeps run as `hwdp-harness` campaigns, and `ext-anon` and
+//! `ext-percore` run harness jobs through `runner::simulate`; all of them
+//! are built from `campaigns::scale_grid`. Three tables build their
+//! system directly, because a `JobSpec` cannot express them:
+//!
+//! * `abl-prefetch` sizes the SMU's free-page prefetch buffer;
+//! * `ext-longio` runs a custom 2 ms device on one core without SMT;
+//! * `ext-prefetch` runs sequential FIO, and its random arm seeds its RNG
+//!   with `seed ^ 3` rather than the runner's per-thread seed.
 
 use hwdp_core::{Mode, SystemBuilder};
-use hwdp_harness::{Campaign, JobSpec, Scenario};
+use hwdp_harness::{runner, Campaign, JobSpec, Scenario};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::time::Duration;
 use hwdp_workloads::FioRandRead;
 
-use crate::campaigns::{self, CampaignResults};
-use crate::scenarios::Scale;
+use crate::campaigns::{self, CampaignResults, Scale};
 use crate::tables::{pct, us, Table};
 
-fn fio_with(
-    scale: &Scale,
-    threads: usize,
-    tweak: impl Fn(hwdp_core::SystemBuilder) -> hwdp_core::SystemBuilder,
-) -> hwdp_core::RunResult {
-    let pages = scale.dataset_pages(8.0);
-    let mut sys = tweak(
-        SystemBuilder::new(Mode::Hwdp).memory_frames(scale.memory_frames).seed(scale.seed),
-    )
-    .build();
-    let file = sys.create_pattern_file("data", pages);
-    let region = sys.map_file(file);
-    for i in 0..threads {
-        // Same per-thread RNG derivation as the harness FioRand scenario,
-        // so campaign jobs reproduce these runs bit for bit.
-        let rng = Prng::seed_from(scale.seed ^ (0xF10 + i as u64));
-        sys.spawn(Box::new(FioRandRead::new(region, pages, scale.ops_per_thread, rng)), 1.8, None);
-    }
-    sys.run(scale.time_cap)
-}
-
-/// A single-job FIO campaign matching [`fio_with`]: HWDP, dataset 8:1,
-/// and the builder-default 20 ms `kpted` period (`fio_with` never
-/// overrides it, while harness jobs default to 1 ms).
+/// A single-job FIO campaign: HWDP, dataset 8:1, and the builder-default
+/// 20 ms `kpted` period (harness jobs default to 1 ms).
 fn fio_ablation_base(name: &str, scale: &Scale, threads: usize) -> Campaign {
     campaigns::scale_grid(name, scale)
         .scenarios([Scenario::FioRand])
@@ -50,14 +33,18 @@ fn fio_ablation_base(name: &str, scale: &Scale, threads: usize) -> Campaign {
         .expand()
 }
 
-/// Expands the base job into one job per knob edit.
-fn sweep_jobs(mut base: Campaign, edits: &[&dyn Fn(&mut JobSpec)]) -> Campaign {
+/// Expands the base campaign's job into one job per knob value.
+fn sweep_jobs<T: Copy>(
+    mut base: Campaign,
+    values: &[T],
+    edit: impl Fn(&mut JobSpec, T),
+) -> Campaign {
     let template = base.jobs[0];
-    base.jobs = edits
+    base.jobs = values
         .iter()
-        .map(|edit| {
+        .map(|&value| {
             let mut job = template;
-            edit(&mut job);
+            edit(&mut job, value);
             job
         })
         .collect();
@@ -66,21 +53,11 @@ fn sweep_jobs(mut base: Campaign, edits: &[&dyn Fn(&mut JobSpec)]) -> Campaign {
 
 /// §IV-D kpoold ablation (off vs on) as a harness campaign.
 pub fn kpoold_campaign(scale: &Scale) -> Campaign {
-    sweep_jobs(
-        fio_ablation_base("abl-kpoold", scale, 2),
-        &[
-            &|j| {
-                j.free_queue_depth = Some(64);
-                j.kpoold_enabled = false;
-                j.kpoold_period_us = Some(300);
-            },
-            &|j| {
-                j.free_queue_depth = Some(64);
-                j.kpoold_enabled = true;
-                j.kpoold_period_us = Some(300);
-            },
-        ],
-    )
+    sweep_jobs(fio_ablation_base("abl-kpoold", scale, 2), &[false, true], |j, enabled| {
+        j.free_queue_depth = Some(64);
+        j.kpoold_enabled = enabled;
+        j.kpoold_period_us = Some(300);
+    })
 }
 
 /// PMSHR entries swept by [`ablation_pmshr`].
@@ -88,17 +65,9 @@ pub const PMSHR_ENTRIES: [usize; 5] = [2, 4, 8, 16, 32];
 
 /// PMSHR capacity sweep as a harness campaign.
 pub fn pmshr_campaign(scale: &Scale) -> Campaign {
-    let mut c = fio_ablation_base("abl-pmshr", scale, 8);
-    let template = c.jobs[0];
-    c.jobs = PMSHR_ENTRIES
-        .iter()
-        .map(|&entries| {
-            let mut job = template;
-            job.pmshr_entries = Some(entries);
-            job
-        })
-        .collect();
-    c
+    sweep_jobs(fio_ablation_base("abl-pmshr", scale, 8), &PMSHR_ENTRIES, |j, entries| {
+        j.pmshr_entries = Some(entries);
+    })
 }
 
 /// Queue depths swept by [`ablation_free_queue`].
@@ -106,18 +75,10 @@ pub const FREE_QUEUE_DEPTHS: [usize; 4] = [16, 32, 64, 128];
 
 /// Free-page-queue depth sweep as a harness campaign.
 pub fn free_queue_campaign(scale: &Scale) -> Campaign {
-    let mut c = fio_ablation_base("abl-freeq", scale, 4);
-    let template = c.jobs[0];
-    c.jobs = FREE_QUEUE_DEPTHS
-        .iter()
-        .map(|&depth| {
-            let mut job = template;
-            job.free_queue_depth = Some(depth);
-            job.kpoold_period_us = Some(500);
-            job
-        })
-        .collect();
-    c
+    sweep_jobs(fio_ablation_base("abl-freeq", scale, 4), &FREE_QUEUE_DEPTHS, |j, depth| {
+        j.free_queue_depth = Some(depth);
+        j.kpoold_period_us = Some(500);
+    })
 }
 
 /// `kpted` periods (ms) swept by [`ablation_kpted`].
@@ -125,17 +86,9 @@ pub const KPTED_PERIODS_MS: [u64; 3] = [1, 5, 20];
 
 /// `kpted` period sweep as a harness campaign.
 pub fn kpted_campaign(scale: &Scale) -> Campaign {
-    let mut c = fio_ablation_base("abl-kpted", scale, 2);
-    let template = c.jobs[0];
-    c.jobs = KPTED_PERIODS_MS
-        .iter()
-        .map(|&ms| {
-            let mut job = template;
-            job.kpted_period_us = ms * 1_000;
-            job
-        })
-        .collect();
-    c
+    sweep_jobs(fio_ablation_base("abl-kpted", scale, 2), &KPTED_PERIODS_MS, |j, ms| {
+        j.kpted_period_us = ms * 1_000;
+    })
 }
 
 /// §IV-D: `kpoold` on/off — how many misses fall back to the OS because
@@ -230,8 +183,19 @@ pub fn ablation_prefetch(scale: &Scale) -> Table {
         "free-page prefetch buffer (FIO, 1 thread)",
         &["prefetch entries", "mean miss latency"],
     );
+    let pages = scale.dataset_pages(8.0);
     for entries in [1usize, 16] {
-        let r = fio_with(scale, 1, |b| b.tweak(move |c| c.prefetch_entries = entries));
+        // Built directly: a job has no prefetch-buffer knob.
+        let mut sys = SystemBuilder::new(Mode::Hwdp)
+            .memory_frames(scale.memory_frames)
+            .seed(scale.seed)
+            .tweak(move |c| c.prefetch_entries = entries)
+            .build();
+        let file = sys.create_pattern_file("data", pages);
+        let region = sys.map_file(file);
+        let rng = Prng::seed_from(scale.seed ^ 0xF10);
+        sys.spawn(Box::new(FioRandRead::new(region, pages, scale.ops_per_thread, rng)), 1.8, None);
+        let r = sys.run(scale.time_cap);
         t.row(vec![entries.to_string(), us(r.miss_latency.mean())]);
     }
     t.note("§III-C: eager prefetch hides the free-page memory read (Fig. 11(b) shows it as free)");
@@ -242,23 +206,22 @@ pub fn ablation_prefetch(scale: &Scale) -> Table {
 /// (no I/O) against swap-in (device read) and against file-backed misses,
 /// per mode.
 pub fn extension_anon(scale: &Scale) -> Table {
-    use hwdp_workloads::ScratchChurn;
     let mut t = Table::new(
         "ext-anon",
         "anonymous demand paging (§V): first-touch vs swap, all modes",
         &["mode", "zero-fills", "swap-ins", "writebacks", "mean miss", "verified"],
     );
-    for mode in [Mode::Osdp, Mode::Hwdp] {
-        let mut sys = SystemBuilder::new(mode)
-            .memory_frames(scale.memory_frames / 4)
-            .kpted_period(Duration::from_millis(1))
-            .seed(scale.seed)
-            .build();
-        let pages = scale.memory_frames as u64; // 4x the scaled memory
-        let region = sys.map_anon(pages);
-        let rng = Prng::seed_from(scale.seed ^ 0xA40);
-        sys.spawn(Box::new(ScratchChurn::new(region, pages, scale.ops_per_thread * 2, rng)), 1.6, None);
-        let r = sys.run(scale.time_cap);
+    // A quarter of the scaled memory, so the 4:1 dataset is the scale's
+    // memory size.
+    let campaign = campaigns::scale_grid("ext-anon", scale)
+        .scenarios([Scenario::Anon])
+        .modes([Mode::Osdp, Mode::Hwdp])
+        .ratios([4.0])
+        .memory_frames(scale.memory_frames / 4)
+        .ops(scale.ops_per_thread * 2)
+        .expand();
+    for job in &campaign.jobs {
+        let (mode, r) = (job.mode, runner::simulate(job));
         t.row(vec![
             mode.label().into(),
             if mode == Mode::Hwdp {
@@ -303,86 +266,6 @@ pub fn ablation_kpted_with(scale: &Scale, workers: usize) -> Table {
     t
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kpoold_ablation_shows_reduction() {
-        let t = ablation_kpoold(&Scale::quick());
-        assert_eq!(t.rows.len(), 2);
-        let without: u64 = t.rows[0][1].parse().unwrap();
-        let with: u64 = t.rows[1][1].parse().unwrap();
-        assert!(without > with, "kpoold must reduce refill faults: {without} -> {with}");
-    }
-
-    #[test]
-    fn pmshr_sweep_monotonic_stalls() {
-        let t = ablation_pmshr(&Scale::quick());
-        let stalls: Vec<u64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        assert!(stalls[0] >= stalls[stalls.len() - 1], "more entries, fewer stalls: {stalls:?}");
-        // With the paper's 32 entries there should be almost no stalls.
-        assert!(stalls[stalls.len() - 1] <= stalls[0]);
-    }
-
-    #[test]
-    fn pmshr_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 8, |b| b.pmshr_entries(4));
-        let campaign = pmshr_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.pmshr_entries == Some(4)).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("pmshr_stalls"), legacy.pmshr_stalls as f64);
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-        assert_eq!(get("throughput_ops_s"), legacy.throughput_ops_s());
-    }
-
-    #[test]
-    fn kpoold_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 2, |b| {
-            b.free_queue_depth(64)
-                .kpoold(false)
-                .tweak(|c| c.kpoold_period = Duration::from_micros(300))
-        });
-        let campaign = kpoold_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| !j.kpoold_enabled).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("sync_refill_faults"), legacy.sync_refill_faults as f64);
-        assert_eq!(get("major_faults"), legacy.os.major_faults as f64);
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-    }
-
-    #[test]
-    fn free_queue_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 4, |b| {
-            b.free_queue_depth(32).tweak(|c| c.kpoold_period = Duration::from_micros(500))
-        });
-        let campaign = free_queue_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.free_queue_depth == Some(32)).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("sync_refill_faults"), legacy.sync_refill_faults as f64);
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-    }
-
-    #[test]
-    fn kpted_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 2, |b| b.kpted_period(Duration::from_millis(5)));
-        let campaign = kpted_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.kpted_period_us == 5_000).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("kpted_scans"), legacy.os.kpted_scans as f64);
-        assert_eq!(get("kpted_synced"), legacy.os.kpted_synced as f64);
-        assert_eq!(get("kpted_instr"), legacy.kernel.kpted_instr as f64);
-    }
-}
-
 /// §V extension: per-core free-page queues vs the global queue (FIO,
 /// 8 threads). Throughput parity plus per-thread policy enforcement.
 pub fn extension_per_core_queues(scale: &Scale) -> Table {
@@ -391,11 +274,13 @@ pub fn extension_per_core_queues(scale: &Scale) -> Table {
         "per-core free-page queues (§V future work) vs global queue (FIO, 8 threads)",
         &["queues", "sync-refill faults", "mean read latency", "throughput (ops/s)"],
     );
-    for per_core in [false, true] {
-        let r = fio_with(scale, 8, |b| {
-            b.per_core_free_queues(per_core)
-                .tweak(|c| c.kpoold_period = Duration::from_micros(500))
-        });
+    let base = fio_ablation_base("ext-percore", scale, 8);
+    let campaign = sweep_jobs(base, &[false, true], |j, per_core| {
+        j.per_core_free_queues = per_core;
+        j.kpoold_period_us = Some(500);
+    });
+    for job in &campaign.jobs {
+        let (per_core, r) = (job.per_core_free_queues, runner::simulate(job));
         t.row(vec![
             if per_core { "per-core (16)" } else { "global (1)" }.into(),
             r.sync_refill_faults.to_string(),
@@ -413,8 +298,8 @@ pub fn extension_long_io(_scale: &Scale) -> Table {
     use hwdp_nvme::profile::DeviceProfile;
     let slow = DeviceProfile {
         name: "slow-outlier",
-        read_4k: hwdp_sim::time::Duration::from_millis(2),
-        write_4k: hwdp_sim::time::Duration::from_millis(2),
+        read_4k: Duration::from_millis(2),
+        write_4k: Duration::from_millis(2),
         channels: 8,
         jitter_sigma: 0.0,
         write_interference: 0.0,
@@ -426,7 +311,8 @@ pub fn extension_long_io(_scale: &Scale) -> Table {
         &["policy", "timeout switches", "elapsed", "throughput (ops/s)"],
     );
     for timeout in [false, true] {
-        let mut b = hwdp_core::SystemBuilder::new(Mode::Hwdp)
+        // Built directly: a job's device is a named profile, not this 2 ms outlier.
+        let mut b = SystemBuilder::new(Mode::Hwdp)
             .physical_cores(1)
             .tweak(|c| c.smt_ways = 1)
             .memory_frames(512)
@@ -467,6 +353,7 @@ pub fn extension_prefetching(scale: &Scale) -> Table {
     );
     let pages = scale.dataset_pages(8.0);
     let mut run = |mode: Mode, ra: usize, pf: usize, random: bool, label: &str| {
+        // Built directly: no job scenario reads sequentially, and `seed ^ 3` is not a job seed.
         let mut sys = SystemBuilder::new(mode)
             .memory_frames(scale.memory_frames)
             .readahead_pages(ra)
@@ -500,4 +387,27 @@ pub fn extension_prefetching(scale: &Scale) -> Table {
     t.note("§VI-A: 'readahead is disabled because it results in performance degradation");
     t.note("for the workloads we tested' — true for random, inverted for sequential.");
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kpoold_ablation_shows_reduction() {
+        let t = ablation_kpoold(&Scale::quick());
+        assert_eq!(t.rows.len(), 2);
+        let without: u64 = t.rows[0][1].parse().unwrap();
+        let with: u64 = t.rows[1][1].parse().unwrap();
+        assert!(without > with, "kpoold must reduce refill faults: {without} -> {with}");
+    }
+
+    #[test]
+    fn pmshr_sweep_monotonic_stalls() {
+        let t = ablation_pmshr(&Scale::quick());
+        let stalls: Vec<u64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
+        assert!(stalls[0] >= stalls[stalls.len() - 1], "more entries, fewer stalls: {stalls:?}");
+        // With the paper's 32 entries there should be almost no stalls.
+        assert!(stalls[stalls.len() - 1] <= stalls[0]);
+    }
 }

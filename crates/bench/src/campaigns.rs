@@ -1,21 +1,63 @@
-//! Harness campaigns behind the repro figures.
+//! Harness campaigns behind the repro figures, and the [`Scale`] every
+//! figure runs at.
 //!
-//! Fig. 12/13/17 used to drive the simulator through bespoke nested
-//! loops; they now expand to `hwdp-harness` [`Campaign`]s and execute on
-//! a worker pool. Campaigns use `fixed_seed` (every job gets the scale's
-//! master seed) and the harness runner mirrors [`crate::scenarios`]'s
-//! setup exactly, so the figure numbers are identical to the historical
-//! loop-based ones — worker count only changes wall time.
+//! The simulated tables build their runs as harness jobs from
+//! `scale_grid`, so the harness runner alone turns a figure's
+//! configuration into a system; the four runs a job cannot express say
+//! why where they build one. Figures with many runs execute as
+//! [`Campaign`]s on a worker pool with `fixed_seed` (every job gets the
+//! scale's master seed), so worker count only changes wall time.
 
 use hwdp_core::Mode;
 use hwdp_harness::{
     execute_campaign, progress::Silent, Artifact, Campaign, DeviceKind, Grid, PolicyKind,
     Scenario, SmtPartner, TierSpec,
 };
+use hwdp_sim::time::Duration;
 use hwdp_workloads::YcsbKind;
 
 use crate::figures::THREADS;
-use crate::scenarios::Scale;
+
+/// Experiment scale knobs.
+///
+/// All figures preserve the paper's dataset:memory *ratios* (§VI runs
+/// 64 GiB datasets against 32 GiB DRAM, i.e. 2:1) at simulation-friendly
+/// absolute sizes. `Scale::default()` is used by `repro`; the Criterion
+/// wrappers use `Scale::quick()`.
+#[derive(Clone, Copy, Debug)]
+pub struct Scale {
+    /// Simulated DRAM in 4 KiB frames.
+    pub memory_frames: usize,
+    /// Operations per workload thread.
+    pub ops_per_thread: u64,
+    /// Virtual-time cap per run.
+    pub time_cap: Duration,
+    /// Master seed.
+    pub seed: u64,
+}
+
+impl Default for Scale {
+    fn default() -> Self {
+        Scale {
+            memory_frames: 1024,
+            ops_per_thread: 1_500,
+            time_cap: Duration::from_secs(30),
+            seed: 0xD15C,
+        }
+    }
+}
+
+impl Scale {
+    /// A fast configuration for Criterion wrappers and smoke tests.
+    pub fn quick() -> Self {
+        Scale { memory_frames: 512, ops_per_thread: 300, ..Scale::default() }
+    }
+
+    /// Dataset size in pages for a given dataset:memory ratio.
+    pub fn dataset_pages(&self, ratio: f64) -> u64 {
+        ((self.memory_frames as f64) * ratio) as u64
+    }
+}
 
 /// Fig. 13's x-axis as harness scenarios (FIO, DBBench, YCSB A–F).
 pub const FIG13_SCENARIOS: [Scenario; 8] = [
@@ -36,9 +78,8 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
-/// A grid preconfigured from `scale`: its sizing, its time cap, and the
-/// historic fixed-seed behaviour (each figure run used `scale.seed`
-/// directly).
+/// A grid preconfigured from `scale`: its sizing, its time cap, and
+/// fixed-seed mode (every job runs on `scale.seed`).
 pub(crate) fn scale_grid(name: &str, scale: &Scale) -> Grid {
     Grid::new(name, scale.seed)
         .memory_frames(scale.memory_frames)
@@ -96,11 +137,10 @@ pub fn fig15_campaign(scale: &Scale) -> Campaign {
 /// kernel on context 1 of the same physical core, a 20 ms window, both
 /// modes.
 ///
-/// Mirrors `scenarios::run_smt_corun`: FIO ops are effectively unbounded
-/// (`1 << 62` rather than the bespoke `u64::MAX / 2`, which is not exactly
-/// representable as f64 and would drift through the JSON round-trip; the
-/// window ends the run long before either bound) and `kpted` keeps the
-/// builder-default 20 ms period the bespoke loop never overrode.
+/// FIO ops are effectively unbounded: `1 << 62`, because a value such as
+/// `u64::MAX / 2` is not exactly representable as f64 and would drift
+/// through the JSON round-trip; the window ends the run long before that
+/// bound. `kpted` keeps the builder-default 20 ms period.
 pub fn fig16_campaign(scale: &Scale) -> Campaign {
     scale_grid("fig16", scale)
         .scenarios(SmtPartner::ALL.map(Scenario::SmtCorun))
@@ -176,11 +216,6 @@ impl CampaignResults {
         CampaignResults { artifact }
     }
 
-    /// The underlying artifact (e.g. to persist alongside the tables).
-    pub fn artifact(&self) -> &Artifact {
-        &self.artifact
-    }
-
     /// The named metric of the unique job matching `predicate`.
     ///
     /// # Panics
@@ -242,105 +277,6 @@ mod tests {
             get("tier/fast_hit_ratio_late")
         );
         assert!(get("tier/fast_reads") > 0.0, "fast tier never serviced a miss");
-    }
-
-    #[test]
-    fn harness_runner_matches_legacy_scenario_loop() {
-        // The contract the figure migration rests on: a harness job with
-        // the scale's seed reproduces scenarios::run_fio exactly.
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = crate::scenarios::run_fio(Mode::Hwdp, 2, 4.0, &scale);
-        let campaign = scale_grid("parity", &scale)
-            .scenarios([Scenario::FioRand])
-            .modes([Mode::Hwdp])
-            .threads([2])
-            .ratios([4.0])
-            .expand();
-        let metrics = run_job(&campaign.jobs[0]);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("ops"), legacy.ops as f64);
-        assert_eq!(get("elapsed_ns"), legacy.elapsed.as_nanos_f64());
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-        assert_eq!(get("device_reads"), legacy.device_reads as f64);
-        assert_eq!(get("user_instructions"), legacy.perf.user_instructions as f64);
-    }
-
-    #[test]
-    fn kv_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = crate::scenarios::run_kv(
-            Mode::Osdp,
-            crate::scenarios::KvWorkload::Ycsb(YcsbKind::C),
-            1,
-            2.0,
-            &scale,
-        );
-        let campaign = scale_grid("parity-kv", &scale)
-            .scenarios([Scenario::Ycsb(YcsbKind::C)])
-            .modes([Mode::Osdp])
-            .expand();
-        let metrics = run_job(&campaign.jobs[0]);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("throughput_ops_s"), legacy.throughput_ops_s());
-        assert_eq!(get("elapsed_ns"), legacy.elapsed.as_nanos_f64());
-    }
-
-    #[test]
-    fn fig14_campaign_parity_with_legacy_kv_loop() {
-        // Fig. 14/15 rest on this: the campaign's YCSB-C/4-thread job is
-        // the exact run the bespoke `run_kv` loop produced.
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = crate::scenarios::run_kv(
-            Mode::Hwdp,
-            crate::scenarios::KvWorkload::Ycsb(YcsbKind::C),
-            4,
-            2.0,
-            &scale,
-        );
-        let campaign = fig14_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.mode == Mode::Hwdp).unwrap();
-        let metrics = run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("throughput_ops_s"), legacy.throughput_ops_s());
-        assert_eq!(get("user_ipc"), legacy.user_ipc());
-        assert_eq!(get("user_instructions"), legacy.perf.user_instructions as f64);
-        assert_eq!(get("l1d_misses"), legacy.perf.l1d_misses as f64);
-        assert_eq!(get("app_kernel_instr"), legacy.kernel.app_kernel_instr as f64);
-        assert_eq!(get("kpted_instr"), legacy.kernel.kpted_instr as f64);
-        assert_eq!(get("kpoold_instr"), legacy.kernel.kpoold_instr as f64);
-    }
-
-    #[test]
-    fn fig16_campaign_parity_with_legacy_smt_loop() {
-        // The per-thread keys behind Fig. 16 reproduce run_smt_corun's
-        // SmtCorun struct field for field.
-        let scale = Scale::quick();
-        let legacy = crate::scenarios::run_smt_corun(
-            Mode::Hwdp,
-            hwdp_workloads::SpecProfile::by_name("mcf").unwrap(),
-            &scale,
-            hwdp_sim::time::Duration::from_millis(20),
-        );
-        let campaign = fig16_campaign(&scale);
-        let job = campaign
-            .jobs
-            .iter()
-            .find(|j| {
-                j.mode == Mode::Hwdp && j.scenario == Scenario::SmtCorun(SmtPartner::Mcf)
-            })
-            .unwrap();
-        let metrics = run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("thread/0/ops"), legacy.fio_ops as f64);
-        assert_eq!(get("thread/0/user_instructions"), legacy.fio_user_instr as f64);
-        assert_eq!(
-            get("thread/0/user_instructions") + get("thread/0/kernel_instructions"),
-            legacy.fio_total_instr as f64
-        );
-        assert_eq!(get("thread/1/user_ipc"), legacy.spec_ipc);
-        assert_eq!(get("thread/1/user_instructions"), legacy.spec_instr as f64);
-        assert_eq!(get("thread/0/hw_context"), 0.0);
-        assert_eq!(get("thread/1/hw_context"), 1.0);
     }
 
     #[test]

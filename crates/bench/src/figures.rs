@@ -7,7 +7,7 @@
 //! reference run.
 
 use hwdp_core::anatomy::{hwdp_anatomy, osdp_anatomy, Anatomy};
-use hwdp_core::{Mode, SystemConfig};
+use hwdp_core::{Mode, RunResult, SystemConfig};
 use hwdp_mem::addr::{BlockRef, DeviceId, Lba, Pfn, SocketId};
 use hwdp_mem::pte::{Pte, PteFlags};
 use hwdp_nvme::profile::DeviceProfile;
@@ -17,16 +17,27 @@ use hwdp_smu::timing::SmuTiming;
 use hwdp_sim::time::Duration;
 use hwdp_workloads::YcsbKind;
 
-use hwdp_harness::{DeviceKind, Scenario, SmtPartner};
+use hwdp_harness::{runner, DeviceKind, Scenario, SmtPartner};
 
-use crate::campaigns::{self, CampaignResults};
-use crate::scenarios::{run_kv, KvWorkload, Scale};
+use crate::campaigns::{self, CampaignResults, Scale};
 use crate::tables::{f2, f3, pct, us, Table};
 
 /// Thread counts used by Figs. 12/13.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 // ---------------------------------------------------------------- Fig. 1
+
+/// The YCSB-C, 4-thread, OSDP run of Figs. 1 and 4 at dataset `ratio`,
+/// whole: Fig. 1 reads per-thread time breakdowns no metric exports.
+fn ycsb_c_osdp_4t(scale: &Scale, ratio: f64) -> RunResult {
+    let campaign = campaigns::scale_grid("ycsb-c-osdp", scale)
+        .scenarios([Scenario::Ycsb(YcsbKind::C)])
+        .modes([Mode::Osdp])
+        .threads([4])
+        .ratios([ratio])
+        .expand();
+    runner::simulate(&campaign.jobs[0])
+}
 
 /// Fig. 1: YCSB-C execution-time breakdown as the dataset outgrows memory.
 pub fn fig01_breakdown(scale: &Scale) -> Table {
@@ -37,7 +48,7 @@ pub fn fig01_breakdown(scale: &Scale) -> Table {
     );
     let mut base_per_op: Option<f64> = None;
     for ratio in [1.0, 2.0, 3.0, 4.0] {
-        let r = run_kv(Mode::Osdp, KvWorkload::Ycsb(YcsbKind::C), 4, ratio, scale);
+        let r = ycsb_c_osdp_4t(scale, ratio);
         let per_op = r.elapsed.as_nanos_f64() / r.ops.max(1) as f64;
         let base = *base_per_op.get_or_insert(per_op);
         let mut compute = Duration::ZERO;
@@ -120,6 +131,7 @@ fn anatomy_table(id: &'static str, title: &str, a: &Anatomy) -> Table {
 /// user IPC and user-level miss events.
 pub fn fig04_pollution(scale: &Scale) -> Table {
     // Ideal: the dataset fits in memory and is pre-populated.
+    // Built directly: a job cannot map with `populate` or drop the insert headroom.
     let ideal = {
         use hwdp_core::SystemBuilder;
         use hwdp_os::vma::MmapFlags;
@@ -141,7 +153,7 @@ pub fn fig04_pollution(scale: &Scale) -> Table {
         sys.run(scale.time_cap)
     };
     // OSDP: same per-thread op count but dataset at 2:1, cold.
-    let osdp = run_kv(Mode::Osdp, KvWorkload::Ycsb(YcsbKind::C), 4, 2.0, scale);
+    let osdp = ycsb_c_osdp_4t(scale, 2.0);
 
     let mut t = Table::new(
         "fig04",

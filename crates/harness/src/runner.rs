@@ -1,9 +1,9 @@
 //! Maps a [`JobSpec`] onto a concrete simulator run.
 //!
-//! Workload setup mirrors `hwdp-bench`'s scenario scaffolding exactly
-//! (thread-RNG derivation, IPC settings, KV capacity headroom), so a
-//! harness job with `fixed_seed` campaign seeding reproduces the historic
-//! figure numbers bit for bit.
+//! `prepare` is the one place a scenario's system is built: per-thread
+//! RNG seeds, per-workload IPC and the KV insert headroom live there.
+//! `hwdp sweep` runs through it, and so do all `hwdp-bench` repro tables
+//! but four that a job cannot express (each says why).
 
 use crate::seed::repeat_seed;
 use crate::spec::{JobSpec, Scenario};
@@ -247,9 +247,8 @@ fn prepare(spec: &JobSpec) -> System {
             }
         }
         Scenario::SmtCorun(partner) => {
-            // Mirrors hwdp-bench's run_smt_corun: FIO threads first (the
-            // bespoke loop's rng seed is `seed ^ 0x516`, i.e. thread 0
-            // here), then one SPEC kernel on the next hardware context.
+            // FIO threads first (thread 0's RNG seed is `seed ^ 0x516`),
+            // then one SPEC kernel on the next hardware context.
             let file = sys.create_pattern_file("fio-data", pages);
             let region = sys.map_file(file);
             for i in 0..spec.threads {

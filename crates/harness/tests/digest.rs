@@ -103,9 +103,8 @@ fn skipping_the_digest_never_changes_a_result() {
     }
 }
 
-/// Every YCSB kind under both modes, two threads each, pinned bit for bit.
-/// The legacy-loop parity tests share the key sampler with the runner, so
-/// they cannot see a drift in it; this pin can. YCSB-D runs enough
+/// Every YCSB kind under both modes, two threads each, pinned bit for bit,
+/// so a drift in the key sampler shows here. YCSB-D runs enough
 /// operations that its ~5 % inserts grow the store past its initial
 /// records, so the latest distribution's `grow_to` path is covered.
 #[test]

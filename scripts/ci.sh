@@ -6,8 +6,9 @@
 #   scripts/ci.sh --proptest # only the property-test suites
 #
 # Set HWDP_CI_OUT=<dir> to keep the campaign artifacts (BENCH_*.json,
-# AUDIT_*.json, CHAOS_*.json) instead of writing them to a throwaway
-# temp dir; the GitHub Actions workflow uses this to archive them.
+# AUDIT_*.json, CHAOS_*.json, REPRO_quick.md) instead of writing them to
+# a throwaway temp dir; the GitHub Actions workflow uses this to archive
+# them.
 #
 # The smoke campaign is deterministic (virtual-time simulation, per-job
 # seeds derived from the campaign seed), so the comparison against the
@@ -218,5 +219,12 @@ grep -q '"violations_total": 0' "$out/AUDIT_tier.json"
 grep -Eq '"tier/promotions": [1-9]' "$out/BENCH_tier.json"
 grep -Eq '"tier/demotions": [1-9]' "$out/BENCH_tier.json"
 echo "tiered storage: pages migrated under full sanitize (zero violations)"
+
+echo "== repro: every paper table at quick scale =="
+# crates/bench/tests/tables.rs pins a hash of each table's text; the
+# archived tables let a reviewer diff them when that pin fails.
+./target/release/repro --quick --workers 1 --markdown > "$out/REPRO_quick.md"
+grep -q '^### ext-prefetch ' "$out/REPRO_quick.md"
+echo "repro: quick-scale tables written"
 
 echo "== ci: ok =="
