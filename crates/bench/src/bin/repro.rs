@@ -15,7 +15,7 @@
 use std::process::ExitCode;
 
 use hwdp_bench::campaigns::{self, Scale};
-use hwdp_bench::{figures, TABLES};
+use hwdp_bench::TABLES;
 
 const USAGE: &str = "usage: repro [--quick] [--markdown] [--workers N] [TABLE...]";
 
@@ -72,7 +72,6 @@ fn main() -> ExitCode {
 
     if !opts.markdown {
         println!("hwdp repro — \"A Case for Hardware-Based Demand Paging\" (ISCA 2020)");
-        println!("{}", figures::table2_config());
     }
 
     for (id, generate) in TABLES {

@@ -501,12 +501,17 @@ pub fn fig16_smt_with(scale: &Scale, workers: usize) -> Table {
 
 /// Fig. 17: software-only vs HWDP single-fault latency across devices.
 pub fn fig17_sw_vs_hw() -> Table {
+    fig17_sw_vs_hw_with(campaigns::default_workers())
+}
+
+/// [`fig17_sw_vs_hw`] with an explicit harness worker count.
+pub fn fig17_sw_vs_hw_with(workers: usize) -> Table {
     let mut t = Table::new(
         "fig17",
         "single-fault latency: SW-only vs HWDP across devices",
         &["device", "device time", "SW-only", "HWDP", "HWDP vs SW"],
     );
-    let results = CampaignResults::collect(&campaigns::fig17_campaign(), campaigns::default_workers());
+    let results = CampaignResults::collect(&campaigns::fig17_campaign(), workers);
     for kind in [DeviceKind::ZSsd, DeviceKind::OptaneSsd, DeviceKind::OptanePmm] {
         let dev = kind.profile();
         let total = |mode: Mode| {
@@ -622,5 +627,11 @@ mod tests {
             let ratio: f64 = row[1].parse().unwrap();
             assert!(ratio > 1.3, "FIO speedup {ratio} with {}", row[0]);
         }
+    }
+
+    #[test]
+    fn fig17_is_identical_for_any_worker_count() {
+        let serial = fig17_sw_vs_hw_with(1).to_string();
+        assert_eq!(fig17_sw_vs_hw_with(3).to_string(), serial);
     }
 }

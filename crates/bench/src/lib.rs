@@ -44,7 +44,7 @@ pub const TABLES: [(&str, Generator); 24] = [
     ("fig14", figures::fig14_user_ipc_with),
     ("fig15", figures::fig15_kernel_cost_with),
     ("fig16", figures::fig16_smt_with),
-    ("fig17", |_, _| figures::fig17_sw_vs_hw()),
+    ("fig17", |_, w| figures::fig17_sw_vs_hw_with(w)),
     ("area", |_, _| figures::area_overhead()),
     ("abl-kpoold", ablations::ablation_kpoold_with),
     ("abl-pmshr", ablations::ablation_pmshr_with),

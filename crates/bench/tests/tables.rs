@@ -87,3 +87,15 @@ fn a_table_filter_prints_only_matching_tables() {
     assert_eq!(headings.len(), 2, "{stdout}");
     assert!(headings[0].starts_with("### fig11a ") && headings[1].starts_with("### fig11b "));
 }
+
+#[test]
+fn table2_prints_once() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "table2"])
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let titles = stdout.matches("== table2 — experimental configuration ==").count();
+    assert_eq!(titles, 1, "{stdout}");
+}

@@ -716,8 +716,6 @@ impl System {
         }
         self.hw[hw.0].running = Some(tid);
         self.hw[hw.0].state = HwThreadState::Active;
-        self.hw[hw.0].tlb.flush();
-        self.hw[hw.0].walker.flush();
         self.threads[tid.0].last_hw = Some(hw);
         self.threads[tid.0].state = ThreadState::Running(hw);
     }
@@ -740,9 +738,17 @@ impl System {
 
     /// Releases a hardware context and pulls in the next compatible
     /// runnable thread.
+    ///
+    /// The context's TLB and walk caches are flushed here, when it goes
+    /// idle, rather than when the next thread is installed: nothing looks
+    /// up an idle context, so the two are indistinguishable, and an idle
+    /// context's empty TLB makes every later shootdown of it free.
     fn release_hw(&mut self, hw: HwId, now: Time) {
-        self.hw[hw.0].running = None;
-        self.hw[hw.0].state = HwThreadState::Idle;
+        let ctx = &mut self.hw[hw.0];
+        ctx.running = None;
+        ctx.state = HwThreadState::Idle;
+        ctx.tlb.flush();
+        ctx.walker.flush();
         if let Some(pos) = self
             .runqueue
             .iter()
@@ -2646,7 +2652,11 @@ mod tests {
     use hwdp_workloads::FioRandRead;
 
     fn small_system(level: SanitizeLevel) -> System {
-        let mut sys = SystemBuilder::new(Mode::Hwdp)
+        small_system_in(Mode::Hwdp, level)
+    }
+
+    fn small_system_in(mode: Mode, level: SanitizeLevel) -> System {
+        let mut sys = SystemBuilder::new(mode)
             .memory_frames(256)
             .seed(11)
             .sanitize(level)
@@ -2660,15 +2670,34 @@ mod tests {
 
     #[test]
     fn full_sanitize_audits_clean_across_a_real_run() {
-        let mut sys = small_system(SanitizeLevel::Full);
-        let result = sys.run(Duration::from_millis(400));
-        assert!(result.ops > 0, "workload made progress");
-        assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
-        assert!(result.audit.checks > 0, "kpoold-tick and end-of-run audits ran");
-        assert!(
-            result.export_metrics().iter().all(|(n, _)| *n != "sanitize_violations"),
-            "clean runs export no violation metric (seed parity)"
-        );
+        for mode in [Mode::Osdp, Mode::Hwdp] {
+            let mut sys = small_system_in(mode, SanitizeLevel::Full);
+            let result = sys.run(Duration::from_millis(400));
+            assert_eq!(result.ops, 200, "{mode:?}: the workload finished");
+            assert!(result.audit.is_clean(), "{mode:?}: {:?}", result.audit.violations);
+            assert!(result.audit.checks > 0, "kpoold-tick and end-of-run audits ran");
+            assert!(
+                result.export_metrics().iter().all(|(n, _)| *n != "sanitize_violations"),
+                "clean runs export no violation metric (seed parity)"
+            );
+            assert!(
+                sys.hw.iter().all(|h| h.running.is_none() && h.tlb.entries().count() == 0),
+                "{mode:?}: every context is idle and empty once the run ends"
+            );
+        }
+    }
+
+    #[test]
+    fn a_context_blocked_on_a_major_fault_holds_no_translations() {
+        let mut sys = small_system_in(Mode::Osdp, SanitizeLevel::Off);
+        sys.run(Duration::from_micros(300));
+        let t = &sys.threads[0];
+        assert!(matches!(t.state, ThreadState::Blocked), "stopped inside a major fault");
+        let hw = &sys.hw[t.last_hw.expect("the thread ran").0];
+        assert!(hw.running.is_none(), "blocking released the context");
+        let tlb = hw.tlb.stats();
+        assert!(tlb.invalidations > 0, "the context held translations before it went idle: {tlb:?}");
+        assert_eq!(hw.tlb.entries().count(), 0, "an idle context keeps no translations");
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! entirely; a miss pays the walk cost and, on a non-present PTE, enters
 //! the demand-paging machinery.
 
+use std::ops::Range;
+
 use crate::addr::{Pfn, Vpn};
 
 #[derive(Clone, Copy, Debug)]
@@ -50,8 +52,13 @@ impl TlbStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    sets: Vec<Vec<Way>>,
-    ways: usize,
+    /// Every way, set-major: set `s` is `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Way>,
+    assoc: usize,
+    /// `ways.len() / assoc - 1`, the set-index mask.
+    set_mask: usize,
+    /// Valid ways, so a shootdown or flush of an empty TLB is free.
+    live: usize,
     tick: u64,
     stats: TlbStats,
 }
@@ -69,26 +76,27 @@ impl Tlb {
         let nsets = entries / ways;
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
         Tlb {
-            sets: vec![
-                vec![Way { vpn: Vpn(0), pfn: Pfn(0), stamp: 0, valid: false }; ways];
-                nsets
-            ],
-            ways,
+            ways: vec![Way { vpn: Vpn(0), pfn: Pfn(0), stamp: 0, valid: false }; entries],
+            assoc: ways,
+            set_mask: nsets - 1,
+            live: 0,
             tick: 0,
             stats: TlbStats::default(),
         }
     }
 
-    fn set_index(&self, vpn: Vpn) -> usize {
-        (vpn.0 as usize) & (self.sets.len() - 1)
+    /// The indices in `ways` of `vpn`'s set.
+    fn set_of(&self, vpn: Vpn) -> Range<usize> {
+        let start = ((vpn.0 as usize) & self.set_mask) * self.assoc;
+        start..start + self.assoc
     }
 
     /// Looks up a translation, updating LRU state and statistics.
     pub fn lookup(&mut self, vpn: Vpn) -> Option<Pfn> {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_index(vpn);
-        for way in &mut self.sets[set] {
+        let set = self.set_of(vpn);
+        for way in &mut self.ways[set] {
             if way.valid && way.vpn == vpn {
                 way.stamp = tick;
                 self.stats.hits += 1;
@@ -104,27 +112,32 @@ impl Tlb {
     pub fn fill(&mut self, vpn: Vpn, pfn: Pfn) {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_index(vpn);
+        let set = self.set_of(vpn);
+        let set = &mut self.ways[set];
         // Update in place if already present (refill after permission change).
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.valid && w.vpn == vpn) {
+        if let Some(way) = set.iter_mut().find(|w| w.valid && w.vpn == vpn) {
             way.pfn = pfn;
             way.stamp = tick;
             return;
         }
-        if let Some(victim) =
-            self.sets[set].iter_mut().min_by_key(|w| if w.valid { w.stamp } else { 0 })
-        {
+        if let Some(victim) = set.iter_mut().min_by_key(|w| if w.valid { w.stamp } else { 0 }) {
+            let refills_empty = !victim.valid;
             *victim = Way { vpn, pfn, stamp: tick, valid: true };
+            self.live += usize::from(refills_empty);
         }
     }
 
     /// Invalidates one page (single-page shootdown). Returns `true` if an
     /// entry was removed.
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
-        let set = self.set_index(vpn);
-        for way in &mut self.sets[set] {
+        if self.live == 0 {
+            return false;
+        }
+        let set = self.set_of(vpn);
+        for way in &mut self.ways[set] {
             if way.valid && way.vpn == vpn {
                 way.valid = false;
+                self.live -= 1;
                 self.stats.invalidations += 1;
                 return true;
             }
@@ -135,14 +148,14 @@ impl Tlb {
     /// Invalidates everything (full flush, e.g. on context switch without
     /// PCID).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                if way.valid {
-                    way.valid = false;
-                    self.stats.invalidations += 1;
-                }
-            }
+        if self.live == 0 {
+            return;
         }
+        for way in &mut self.ways {
+            way.valid = false;
+        }
+        self.stats.invalidations += self.live as u64;
+        self.live = 0;
     }
 
     /// Statistics so far.
@@ -152,7 +165,7 @@ impl Tlb {
 
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.ways.len()
     }
 
     /// Read-only iteration over the live `(vpn, pfn)` translations, in
@@ -160,11 +173,7 @@ impl Tlb {
     /// LRU state and no statistics — it exists for the hwdp-audit
     /// `tlb-pte-match` cross-check, which must be observation-only.
     pub fn entries(&self) -> impl Iterator<Item = (Vpn, Pfn)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter())
-            .filter(|w| w.valid)
-            .map(|w| (w.vpn, w.pfn))
+        self.ways.iter().filter(|w| w.valid).map(|w| (w.vpn, w.pfn))
     }
 }
 

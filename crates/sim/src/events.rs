@@ -8,12 +8,16 @@
 //! `tests/scheduler_diff.rs` checks this queue against an independent
 //! linear-scan model.
 //!
-//! The queue is a binary heap keyed by `(time, id)`. Whether an id is still
-//! pending lives in a retirement ring of one bit per id, so cancel is O(1):
-//! it clears the bit and leaves the heap entry behind as a tombstone that
-//! `pop`/`peek_time` skip. The simulator's queues are a handful of events
-//! deep (a mean of 2–7 pending on the benchmark workloads), so the heap's
-//! `O(log n)` is a few comparisons.
+//! The queue is a binary heap keyed by `(time, id)` behind a one-entry
+//! front slot. The slot holds an entry that precedes everything in the
+//! heap, so the common case of a step rescheduled before every other
+//! pending event, then popped next, never sifts the heap. Whether an id is
+//! still pending lives in a retirement ring of one bit per id, so cancel
+//! is O(1): it clears the bit and leaves the entry, in the slot or the
+//! heap, behind as a tombstone that `pop`/`peek_time` skip. The
+//! simulator's queues are a handful of events deep (a mean of 2–7 pending
+//! on the benchmark workloads), so the heap's `O(log n)` is a few
+//! comparisons.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -66,7 +70,7 @@ fn is_pending(ring: &VecDeque<u64>, base: u64, id: u64) -> bool {
 }
 
 /// A time-ordered queue of events with stable same-time ordering and O(1)
-/// cancellation (lazy deletion with bounded tombstone debt: the heap
+/// cancellation (lazy deletion with bounded tombstone debt: the queue
 /// compacts whenever cancelled entries outnumber half the live ones, so
 /// cancel-heavy plans cannot grow it without bound).
 ///
@@ -82,9 +86,12 @@ fn is_pending(ring: &VecDeque<u64>, base: u64, id: u64) -> bool {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
+    /// An entry earlier in `(time, id)` than every heap entry, pending or
+    /// a tombstone. Taken by `pop` without touching the heap.
+    front: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     /// One bit per id in `[base, next_id)`, set while the event is pending
-    /// (neither fired nor cancelled). Heap entries whose bit is clear are
+    /// (neither fired nor cancelled). Stored entries whose bit is clear are
     /// tombstones. Fully retired words are trimmed from the front, so the
     /// ring spans the ids from the oldest pending event on, not the whole
     /// history.
@@ -107,6 +114,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`Time::ZERO`].
     pub fn new() -> Self {
         EventQueue {
+            front: None,
             heap: BinaryHeap::new(),
             ring: VecDeque::new(),
             base: 0,
@@ -138,7 +146,18 @@ impl<E> EventQueue<E> {
             *w |= 1 << (off % WORD);
         }
         self.live += 1;
-        self.heap.push(Entry { at, id, payload });
+        // The new id is the largest issued, so the entry precedes another
+        // only when its time is strictly earlier.
+        let first = match &self.front {
+            Some(front) => at < front.at,
+            None => self.heap.peek().map_or(true, |top| at < top.at),
+        };
+        let entry = Entry { at, id, payload };
+        if !first {
+            self.heap.push(entry);
+        } else if let Some(displaced) = self.front.replace(entry) {
+            self.heap.push(displaced);
+        }
         EventId(id)
     }
 
@@ -173,21 +192,29 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// Drops tombstoned heap entries once cancelled entries outnumber half
-    /// the live ones, bounding the queue's footprint under cancel-heavy
-    /// plans (fault-injection watchdogs cancel almost every event).
+    /// Drops tombstoned entries, slot and heap, once cancelled entries
+    /// outnumber half the live ones, bounding the queue's footprint under
+    /// cancel-heavy plans (fault-injection watchdogs cancel almost every
+    /// event).
     fn maybe_compact(&mut self) {
-        let cancelled = self.heap.len() - self.live;
+        let cancelled = self.stored() - self.live;
         if cancelled > self.live / 2 {
             let (ring, base) = (&self.ring, self.base);
             self.heap.retain(|e| is_pending(ring, base, e.id));
+            if self
+                .front
+                .as_ref()
+                .is_some_and(|e| !is_pending(ring, base, e.id))
+            {
+                self.front = None;
+            }
         }
     }
 
     /// Pops the earliest pending event, advancing [`Self::now`] to its
     /// timestamp (clamped so time never goes backwards).
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(entry) = self.heap.pop() {
+        while let Some(entry) = self.front.take().or_else(|| self.heap.pop()) {
             if self.retire(entry.id) {
                 self.now = self.now.max(entry.at);
                 return Some((self.now, entry.payload));
@@ -200,6 +227,12 @@ impl<E> EventQueue<E> {
     /// before [`Self::now`]; [`Self::pop`] clamps it).
     pub fn peek_time(&mut self) -> Option<Time> {
         // Purge cancelled heads so peek agrees with the next pop.
+        if let Some(entry) = &self.front {
+            if is_pending(&self.ring, self.base, entry.id) {
+                return Some(entry.at);
+            }
+            self.front = None;
+        }
         while let Some(entry) = self.heap.peek() {
             if is_pending(&self.ring, self.base, entry.id) {
                 return Some(entry.at);
@@ -219,10 +252,9 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Heap entries, pending and tombstoned.
-    #[cfg(test)]
+    /// Stored entries, slot and heap, pending and tombstoned.
     pub(crate) fn stored(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.front.is_some())
     }
 }
 
@@ -370,9 +402,9 @@ mod tests {
         }
         assert_eq!(q.len(), keep.len());
         assert!(
-            q.heap.len() <= q.len() + q.len() / 2 + 1,
-            "tombstone debt unbounded: heap holds {} entries for {} live events",
-            q.heap.len(),
+            q.stored() <= q.len() + q.len() / 2 + 1,
+            "tombstone debt unbounded: queue holds {} entries for {} live events",
+            q.stored(),
             q.len()
         );
         // The survivors still pop in exact (time, id) order.
@@ -384,6 +416,30 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, keep.len());
+    }
+
+    #[test]
+    fn cancelled_front_slot_entries_are_compacted() {
+        // Every early event takes the front slot and is cancelled there.
+        // A tombstone in the slot counts toward the compaction threshold
+        // and is dropped by it, so after each cancel the stored entries
+        // stay within `live + live/2`, with no slack.
+        let mut q = EventQueue::new();
+        q.schedule(at(1_000_000), 'z');
+        for i in 0..100 {
+            let a = q.schedule(at(i), 'a');
+            assert_eq!(q.stored(), 2);
+            assert_eq!(q.peek_time(), Some(at(i)));
+            assert!(q.cancel(a));
+            assert!(
+                q.stored() <= q.len() + q.len() / 2,
+                "{} stored for {} live",
+                q.stored(),
+                q.len()
+            );
+        }
+        assert_eq!(q.pop(), Some((at(1_000_000), 'z')));
+        assert_eq!(q.stored(), 0);
     }
 
     #[test]
@@ -404,9 +460,9 @@ mod tests {
             assert!(q.cancel(watchdog));
             assert_eq!(q.len(), 2);
             assert!(
-                q.heap.len() <= q.len() + q.len() / 2 + 1,
-                "tombstone debt unbounded at step {i}: heap holds {} entries for {} live",
-                q.heap.len(),
+                q.stored() <= q.len() + q.len() / 2 + 1,
+                "tombstone debt unbounded at step {i}: queue holds {} entries for {} live",
+                q.stored(),
                 q.len()
             );
             assert_eq!(q.peek_time(), Some(at(t)));

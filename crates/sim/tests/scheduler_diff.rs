@@ -8,6 +8,9 @@
 //! double-cancel), and cancel+reschedule — and every observable result
 //! must agree exactly: the order of returned [`EventId`]s, cancel
 //! booleans, pop order and clamped times, peeked times, and live counts.
+//! A second mix aims at the queue's front slot: schedules just before or
+//! exactly at the earliest pending time, and cancels of the earliest
+//! pending event followed by a peek and a pop.
 //!
 //! The seeded streams run in the default test suite; the property-based
 //! streams need the `proptest` feature (`scripts/ci.sh --proptest`).
@@ -80,6 +83,15 @@ enum Op {
     /// Cancel an id then immediately schedule a replacement (the
     /// reschedule idiom the fault watchdogs use).
     Reschedule(u64, u64),
+    /// Schedule this many picoseconds before the earliest pending event
+    /// (at the clock if nothing is pending): the event that takes the
+    /// front slot.
+    Lead(u64),
+    /// Schedule at exactly the earliest pending time: it must fire after
+    /// the event already there, whichever the queue keeps it in.
+    Tie,
+    /// Cancel the earliest pending event, then peek and pop.
+    CancelHead,
 }
 
 /// Derives a timestamp mixing the interesting regimes: dense small times
@@ -106,6 +118,26 @@ fn decode(raw: &[(u8, u64, u64)]) -> Vec<Op> {
             5 => Op::Peek,
             6 => Op::Cancel(a),
             _ => Op::Reschedule(a, derive_time(a, b)),
+        })
+        .collect()
+}
+
+/// Decodes a stream weighted toward the front slot: most schedules land
+/// before or at the earliest pending event, and the earliest pending event
+/// is often cancelled. Every drain follows a lead, so it starts with the
+/// front slot occupied.
+fn decode_front(raw: &[(u8, u64, u64)]) -> Vec<Op> {
+    raw.iter()
+        .flat_map(|&(k, a, b)| match k % 12 {
+            0 | 1 => vec![Op::Lead(a % 1_000)],
+            2 | 3 => vec![Op::Tie],
+            4 => vec![Op::CancelHead],
+            5 => vec![Op::Schedule(derive_time(a, b))],
+            6..=8 => vec![Op::Pop],
+            9 if a % 8 == 0 => vec![Op::Lead(b % 1_000), Op::Drain],
+            9 => vec![Op::Peek],
+            10 => vec![Op::Cancel(a)],
+            _ => vec![Op::Reschedule(a, derive_time(a, b))],
         })
         .collect()
 }
@@ -151,6 +183,14 @@ impl Pair {
         q.is_some()
     }
 
+    /// The earliest pending event's time and its index in `issued`, taken
+    /// from the model (model ids are schedule ordinals).
+    fn head(&self) -> Option<(u64, usize)> {
+        let k = self.model.earliest()?;
+        let (t, id, _) = self.model.pending[k];
+        Some((t, id as usize))
+    }
+
     fn peek(&mut self) {
         assert_eq!(
             self.queue.peek_time(),
@@ -192,6 +232,23 @@ fn run_diff(ops: &[Op]) -> usize {
                 pair.cancel(sel);
                 pair.schedule(t, i);
             }
+            Op::Lead(gap) => {
+                let t = pair
+                    .head()
+                    .map_or(pair.model.now, |(t, _)| t.saturating_sub(gap + 1));
+                pair.schedule(t, i);
+            }
+            Op::Tie => {
+                let t = pair.head().map_or(pair.model.now, |(t, _)| t);
+                pair.schedule(t, i);
+            }
+            Op::CancelHead => {
+                if let Some((_, n)) = pair.head() {
+                    pair.cancel(n as u64);
+                }
+                pair.peek();
+                fired += usize::from(pair.pop());
+            }
         }
         pair.check_len();
     }
@@ -222,6 +279,32 @@ fn seeded_op_stream_matches_the_model() {
     assert!(
         fired > 1_000,
         "the seeded stream actually fired events ({fired})"
+    );
+}
+
+/// A seeded stream aimed at the front slot: events scheduled ahead of the
+/// heap and tied with the slot's time, the slot's event cancelled and then
+/// peeked past and popped past, and drains that start with the slot
+/// occupied.
+#[test]
+fn front_slot_stream_matches_the_model() {
+    let mut state = 0x51_07F0_0D5Eu64;
+    let raw: Vec<(u8, u64, u64)> = (0..6_000)
+        .map(|_| {
+            let x = splitmix64(&mut state);
+            (x as u8, splitmix64(&mut state), x >> 8)
+        })
+        .collect();
+    let ops = decode_front(&raw);
+    let fired = run_diff(&ops);
+    assert!(
+        fired > 1_500,
+        "the front-slot stream fired events ({fired})"
+    );
+    let drains = ops.iter().filter(|op| matches!(op, Op::Drain)).count();
+    assert!(
+        drains > 20,
+        "the stream drains the queue repeatedly ({drains})"
     );
 }
 
@@ -268,6 +351,14 @@ mod props {
             raw in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..400)
         ) {
             run_diff(&decode(&raw));
+        }
+
+        /// The same property over the front-slot mix.
+        #[test]
+        fn front_slot_streams_are_equivalent(
+            raw in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..400)
+        ) {
+            run_diff(&decode_front(&raw));
         }
 
         /// Same-timestamp burst storms: every event lands on one instant,
