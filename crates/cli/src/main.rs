@@ -129,6 +129,8 @@ SWEEP OPTIONS (axes are comma-separated lists; cross product = campaign):
                              seeds; metrics become mean + /stddev + /ci95
                              keys, and compare gates on CI overlap
   --fixed-seed               every job uses the campaign seed itself
+  --throughput               also export events_processed and the
+                             wall-clock events_per_sec (informational)
   --resume                   reuse completed jobs from an existing artifact
   --baseline FILE            also gate the fresh artifact against FILE
   --job-timeout-ms MS        per-job wall-clock watchdog: a job exceeding
@@ -196,7 +198,7 @@ const SWEEP_OPTIONS: &[&str] = &[
     "long-io-us", "readahead", "prefetch", "repeats", "faults", "tiers", "workers", "out",
     "job-timeout-ms", "baseline",
 ];
-const SWEEP_FLAGS: &[&str] = &["no-kpoold", "per-core-queues", "fixed-seed", "resume"];
+const SWEEP_FLAGS: &[&str] = &["no-kpoold", "per-core-queues", "fixed-seed", "resume", "throughput"];
 /// Options of the regression gate (read by [`gate`]).
 const GATE_OPTIONS: &[&str] = &["threshold"];
 const LINT_FLAGS: &[&str] = &["rules", "metric-keys", "call-graph", "write-baseline", "json", "deny"];
@@ -394,6 +396,9 @@ fn sweep_campaign(args: &Args) -> Result<harness::Campaign, ArgError> {
     }
     if args.flag("fixed-seed") {
         grid = grid.fixed_seed();
+    }
+    if args.flag("throughput") {
+        grid = grid.tweak(|j| j.throughput = true);
     }
     if grid.is_empty() {
         return Err(ArgError("sweep has no jobs (an axis list is empty)".into()));

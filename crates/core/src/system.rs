@@ -752,7 +752,7 @@ impl System {
         if let Some(pos) = self
             .runqueue
             .iter()
-            .position(|&t| self.threads[t.0].pin.is_none_or(|p| p == hw))
+            .position(|&t| self.threads[t.0].pin.map_or(true, |p| p == hw))
         {
             let Some(tid) = self.runqueue.remove(pos) else { return };
             self.install(tid, hw, now);

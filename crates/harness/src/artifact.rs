@@ -257,9 +257,10 @@ fn parse_job(j: &Json, fallback_index: usize) -> Result<JobRecord, String> {
             None => None,
         },
         seed,
-        // Not serialized (observation-only knob); parsed specs default to
-        // no sanitizing.
+        // Not serialized (observation-only knobs); parsed specs default to
+        // no sanitizing and no throughput export.
         sanitize: hwdp_sim::SanitizeLevel::Off,
+        throughput: false,
     };
 
     let mut metrics: Vec<(String, f64)> = match j.get("metrics") {

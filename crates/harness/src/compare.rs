@@ -54,7 +54,7 @@ pub fn direction(name: &str) -> Direction {
         return Direction::Informational;
     }
     match name {
-        // Scheduler throughput (the opt-in `HWDP_THROUGHPUT` export)
+        // Scheduler throughput (the opt-in `--throughput` export)
         // divides a deterministic event count by measured wall time:
         // direction-aware for reporting, but never a CI gate.
         "events_per_sec" => Direction::AdvisoryHigherBetter,

@@ -41,17 +41,12 @@ pub fn run_job(spec: &JobSpec) -> Vec<(String, f64)> {
     aggregate_repeats(&runs)
 }
 
-/// Whether the opt-in scheduler-throughput export is enabled
-/// (`HWDP_THROUGHPUT=1`). Off by default: the export includes a
-/// wall-clock rate, so it must never leak into baseline artifacts.
-fn throughput_enabled() -> bool {
-    std::env::var_os("HWDP_THROUGHPUT").is_some_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Opt-in scheduler-throughput metrics: the event count is deterministic
-/// (fixed by the event queue's `(time, EventId)` order), while
-/// `events_per_sec` divides it by measured wall time and therefore varies
-/// run to run — `hwdp compare` treats it as advisory, never gating.
+/// Opt-in scheduler-throughput metrics ([`JobSpec::throughput`]; off by
+/// default, since the rate is wall-clock and must never leak into
+/// baseline artifacts). The event count is deterministic (fixed by the
+/// event queue's `(time, EventId)` order), while `events_per_sec` divides
+/// it by measured wall time and therefore varies run to run — `hwdp
+/// compare` treats it as advisory, never gating.
 fn export_metrics(events_processed: u64, wall_secs: f64) -> Vec<(&'static str, f64)> {
     let rate = if wall_secs > 0.0 { events_processed as f64 / wall_secs } else { 0.0 };
     vec![
@@ -65,7 +60,7 @@ fn run_once(spec: &JobSpec) -> Vec<(String, f64)> {
     match spec.scenario {
         Scenario::Anatomy => anatomy_metrics(spec),
         _ => {
-            let started = throughput_enabled().then(std::time::Instant::now);
+            let started = spec.throughput.then(std::time::Instant::now);
             let result = simulate(spec);
             let mut metrics: Vec<(String, f64)> = result
                 .export_metrics()
@@ -339,6 +334,20 @@ mod tests {
         let audited = run_job(&sanitized);
         assert_eq!(plain, audited);
         assert!(audited.iter().all(|(k, _)| !k.starts_with("sanitize")));
+    }
+
+    #[test]
+    fn throughput_export_adds_only_its_two_keys() {
+        let spec = quick(Scenario::FioRand, Mode::Hwdp);
+        let mut timed = spec;
+        timed.throughput = true;
+        let plain = run_job(&spec);
+        let mut exported = run_job(&timed);
+        let extra: Vec<(String, f64)> = exported.split_off(plain.len());
+        assert_eq!(plain, exported, "simulated metrics are unchanged");
+        let keys: Vec<&str> = extra.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["events_processed", "events_per_sec"]);
+        assert!(extra.iter().all(|&(_, v)| v > 0.0), "{extra:?}");
     }
 
     #[test]

@@ -316,6 +316,8 @@ impl TierSpec {
 /// (metrics are byte-identical at any level), so a stored result remains
 /// valid for the same job re-run at a different sanitize level — resume
 /// matching and baseline comparison must not invalidate it.
+/// Equality ignores [`JobSpec::throughput`] for the same reason: it adds
+/// two informational keys and changes no simulated metric.
 #[derive(Clone, Copy, Debug)]
 pub struct JobSpec {
     /// Workload scenario.
@@ -378,6 +380,10 @@ pub struct JobSpec {
     /// hwdp-audit sanitizer level (observation-only; excluded from
     /// equality and the JSON artifact).
     pub sanitize: SanitizeLevel,
+    /// Scheduler-throughput export: the job's metrics gain
+    /// `events_processed` and the wall-clock `events_per_sec`
+    /// (observation-only; excluded from equality and the JSON artifact).
+    pub throughput: bool,
 }
 
 impl PartialEq for JobSpec {
@@ -435,6 +441,7 @@ impl JobSpec {
             tiers: None,
             seed,
             sanitize: SanitizeLevel::Off,
+            throughput: false,
         }
     }
 
@@ -826,7 +833,8 @@ mod tests {
         let a = JobSpec::new(Scenario::FioRand, Mode::Hwdp, 3);
         let mut b = a;
         b.sanitize = SanitizeLevel::Full;
-        assert_eq!(a, b, "sanitize is observation-only: results stay reusable");
+        b.throughput = true;
+        assert_eq!(a, b, "sanitize and throughput are observation-only: results stay reusable");
         assert_eq!(a.to_json().pretty(), b.to_json().pretty(), "artifacts stay byte-identical");
         let mut c = a;
         c.ops += 1;

@@ -218,7 +218,7 @@ pub(crate) fn split_params(sig: &[&Token], start: usize, end: usize) -> (Vec<Par
                 depth -= 1;
             } else if depth == 0
                 && t.is_punct(':')
-                && group.get(k + 1).is_none_or(|n| !n.is_punct(':'))
+                && group.get(k + 1).map_or(true, |n| !n.is_punct(':'))
                 && (k == 0 || !group[k - 1].is_punct(':'))
             {
                 if k > 0 && group[k - 1].kind == TokKind::Ident {
@@ -541,7 +541,7 @@ pub fn struct_fields(sig: &[&Token], tree: &ItemTree, struct_name: &str) -> Vec<
                 depth -= 1;
             } else if depth == 0
                 && t.is_punct(':')
-                && sig.get(k + 1).is_none_or(|n| !n.is_punct(':'))
+                && sig.get(k + 1).map_or(true, |n| !n.is_punct(':'))
                 && !(k > 0 && sig[k - 1].is_punct(':'))
                 && k > 0
                 && sig[k - 1].kind == TokKind::Ident

@@ -419,7 +419,7 @@ mod tests {
         assert!(!in_scope("crates/bench/benches/figs.rs"));
         assert!(!in_scope("examples/quickstart.rs"));
         assert!(!in_scope("tests/facade.rs"));
-        assert!(!in_scope("third_party/rand/src/lib.rs"));
+        assert!(!in_scope("third_party/criterion/src/lib.rs"));
         assert!(!in_scope("crates/core/src/notes.md"));
     }
 

@@ -418,50 +418,66 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+/// Seeded-loop properties: a fixed-seed [`hwdp_sim::Prng`] draws every
+/// case's inputs, and each assertion names the case and its inputs.
+#[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use hwdp_sim::Prng;
 
-    proptest! {
-        /// Any valid block triple round-trips through an LBA-augmented PTE.
-        #[test]
-        fn block_roundtrip(s in 0u8..8, d in 0u8..8, l in 0u64..(1u64 << 41),
-                           write: bool, user: bool, nx: bool, pkey in 0u8..16) {
+    /// Cases per property.
+    const CASES: usize = 256;
+
+    /// Any valid block triple round-trips through an LBA-augmented PTE.
+    #[test]
+    fn block_roundtrip() {
+        let mut g = Prng::seed_from(0x97E_0001);
+        for case in 0..CASES {
+            let (s, d, l) = (g.below(8) as u8, g.below(8) as u8, g.below(1 << 41));
+            let (write, user, nx, pkey) = (g.chance(0.5), g.chance(0.5), g.chance(0.5), g.below(16) as u8);
             let b = BlockRef::new(SocketId(s), DeviceId(d), Lba(l));
             let f = PteFlags { write, user, nx, pkey };
             let pte = Pte::lba_augmented(b, f);
-            prop_assert_eq!(pte.block(), Some(b));
-            prop_assert_eq!(pte.flags(), f);
-            prop_assert_eq!(pte.class(), PteClass::LbaAugmented);
+            assert_eq!(pte.block(), Some(b), "case {case}: {b:?} {f:?}");
+            assert_eq!(pte.flags(), f, "case {case}: {b:?} {f:?}");
+            assert_eq!(pte.class(), PteClass::LbaAugmented, "case {case}: {b:?} {f:?}");
         }
+    }
 
-        /// Any PFN round-trips through a present PTE.
-        #[test]
-        fn pfn_roundtrip(pfn in 0u64..(1u64 << 47), write: bool) {
+    /// Any PFN round-trips through a present PTE.
+    #[test]
+    fn pfn_roundtrip() {
+        let mut g = Prng::seed_from(0x97E_0002);
+        for case in 0..CASES {
+            let (pfn, write) = (g.below(1 << 47), g.chance(0.5));
             let f = PteFlags { write, user: true, nx: false, pkey: 0 };
             let pte = Pte::present(Pfn(pfn), f);
-            prop_assert_eq!(pte.pfn(), Some(Pfn(pfn)));
-            prop_assert_eq!(pte.flags().write, write);
+            assert_eq!(pte.pfn(), Some(Pfn(pfn)), "case {case}: pfn {pfn}, write {write}");
+            assert_eq!(pte.flags().write, write, "case {case}: pfn {pfn}, write {write}");
         }
+    }
 
-        /// The full hardware-miss lifecycle preserves flags and lands in the
-        /// right Table I states at every step.
-        #[test]
-        fn hw_miss_lifecycle(s in 0u8..8, d in 0u8..8, l in 0u64..(1u64 << 41),
-                             pfn in 0u64..(1u64 << 47)) {
+    /// The full hardware-miss lifecycle preserves flags and lands in the
+    /// right Table I states at every step.
+    #[test]
+    fn hw_miss_lifecycle() {
+        let mut g = Prng::seed_from(0x97E_0003);
+        for case in 0..CASES {
+            let (s, d, l) = (g.below(8) as u8, g.below(8) as u8, g.below(1 << 41));
+            let pfn = g.below(1 << 47);
             let b = BlockRef::new(SocketId(s), DeviceId(d), Lba(l));
+            let ctx = format!("case {case}: {b:?}, pfn {pfn}");
             let f = PteFlags::user_data();
             let aug = Pte::lba_augmented(b, f);
             let resident = aug.complete_hw_miss(Pfn(pfn));
-            prop_assert_eq!(resident.class(), PteClass::ResidentNeedsSync);
-            prop_assert_eq!(resident.pfn(), Some(Pfn(pfn)));
+            assert_eq!(resident.class(), PteClass::ResidentNeedsSync, "{ctx}");
+            assert_eq!(resident.pfn(), Some(Pfn(pfn)), "{ctx}");
             let synced = resident.clear_lba_bit();
-            prop_assert_eq!(synced.class(), PteClass::Resident);
+            assert_eq!(synced.class(), PteClass::Resident, "{ctx}");
             let evicted = synced.evict_to(b);
-            prop_assert_eq!(evicted.class(), PteClass::LbaAugmented);
-            prop_assert_eq!(evicted.block(), Some(b));
-            prop_assert_eq!(evicted.flags(), f);
+            assert_eq!(evicted.class(), PteClass::LbaAugmented, "{ctx}");
+            assert_eq!(evicted.block(), Some(b), "{ctx}");
+            assert_eq!(evicted.flags(), f, "{ctx}");
         }
     }
 }

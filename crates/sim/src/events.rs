@@ -184,6 +184,23 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending — ids that already fired (or were already
     /// cancelled, or were never issued) report `false`.
+    ///
+    /// A far-future pending event, such as a controller crash scheduled
+    /// past the run's end, changes nothing:
+    ///
+    /// ```
+    /// use hwdp_sim::events::EventQueue;
+    /// use hwdp_sim::time::{Duration, Time};
+    ///
+    /// let mut q = EventQueue::new();
+    /// let crash = q.schedule(Time::ZERO + Duration::from_secs(3_600), '!');
+    /// let a = q.schedule(Time::ZERO + Duration::from_nanos(10), 'a');
+    /// q.schedule(Time::ZERO + Duration::from_nanos(10), 'b');
+    /// q.cancel(a);
+    /// assert_eq!(q.pop().map(|(_, e)| e), Some('b'));
+    /// assert!(q.cancel(crash));
+    /// assert!(q.pop().is_none());
+    /// ```
     pub fn cancel(&mut self, id: EventId) -> bool {
         if !self.retire(id.0) {
             return false;

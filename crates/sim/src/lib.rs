@@ -42,7 +42,7 @@ pub mod dist;
 pub mod events;
 pub mod rng;
 pub mod sanitize;
-#[cfg(any(test, doctest))]
+#[cfg(test)]
 mod sched;
 pub mod stats;
 pub mod time;

@@ -2,12 +2,7 @@
 //!
 //! All simulation randomness flows through [`Prng`], a xoshiro256** core
 //! seeded via SplitMix64. The implementation is self-contained (no platform
-//! entropy) so every run is reproducible from its seed alone. With the
-//! non-default `rand` feature, `Prng` also implements `rand::RngCore` so it
-//! composes with the `rand` ecosystem where convenient.
-
-#[cfg(feature = "rand")]
-use rand::RngCore;
+//! entropy) so every run is reproducible from its seed alone.
 
 /// SplitMix64 step, used to expand a single `u64` seed into xoshiro state.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -124,29 +119,6 @@ impl Prng {
     }
 }
 
-#[cfg(feature = "rand")]
-impl RngCore for Prng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        Prng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,14 +230,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should move elements");
-    }
-
-    #[cfg(feature = "rand")]
-    #[test]
-    fn rngcore_fill_bytes() {
-        let mut r = Prng::seed_from(4);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -10,34 +10,14 @@
 //! ids issued and cancelled behind it, and the clock still at
 //! [`Time::ZERO`].
 //!
-//! The tests and the [`TimingWheel`] example keep the names they had when
-//! the contract was pinned on the timing wheel, the scheduler
-//! [`EventQueue`] replaced.
+//! The tests keep the names they had when the contract was pinned on
+//! the timing wheel that [`EventQueue`] replaced; the contract's
+//! cancel-then-pop example lives on [`EventQueue::cancel`].
 
 #[cfg(test)]
 use crate::events::{EventId, EventQueue};
 #[cfg(test)]
 use crate::time::{Duration, Time};
-
-/// The contract's cancel-then-pop example, under the name of the timing
-/// wheel it was written for; it runs on [`crate::events::EventQueue`]
-/// behind a far-future pending event.
-///
-/// ```
-/// use hwdp_sim::events::EventQueue;
-/// use hwdp_sim::time::{Duration, Time};
-///
-/// let mut w = EventQueue::new();
-/// let crash = w.schedule(Time::ZERO + Duration::from_secs(3_600), '!');
-/// let a = w.schedule(Time::ZERO + Duration::from_nanos(10), 'a');
-/// w.schedule(Time::ZERO + Duration::from_nanos(10), 'b');
-/// w.cancel(a);
-/// assert_eq!(w.pop().map(|(_, e)| e), Some('b'));
-/// assert!(w.cancel(crash));
-/// assert!(w.pop().is_none());
-/// ```
-#[cfg(doctest)]
-pub struct TimingWheel;
 
 /// Schedule/cancel pairs run behind the pinning event by [`worn`].
 #[cfg(test)]

@@ -12,11 +12,13 @@
 //! exactly at the earliest pending time, and cancels of the earliest
 //! pending event followed by a peek and a pop.
 //!
-//! The seeded streams run in the default test suite; the property-based
-//! streams need the `proptest` feature (`scripts/ci.sh --proptest`).
+//! Three fixed streams of 4,000–6,000 ops pin exact traces; the property
+//! tests draw 256 streams each from a fixed-seed [`Prng`], and a failing
+//! case is named with its index and drawn input.
 
 use hwdp_sim::events::{EventId, EventQueue};
 use hwdp_sim::time::{Duration, Time};
+use hwdp_sim::Prng;
 
 /// The reference queue: every pending event in one unsorted list. Pop and
 /// peek scan for the minimum `(time, id)`; cancel removes by id. Ids are
@@ -65,8 +67,8 @@ fn ps(t: u64) -> Time {
     Time::ZERO + Duration::from_ps(t)
 }
 
-/// One step of the interpreted operation stream. Raw `(kind, a, b)`
-/// triples decode into ops so proptest shrinking stays effective.
+/// One step of the interpreted operation stream, decoded from a raw
+/// `(kind, a, b)` triple.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     /// Schedule at a derived time; the payload is the op index.
@@ -336,58 +338,84 @@ fn fig12_shaped_stream_is_equivalent() {
     );
 }
 
-#[cfg(feature = "proptest")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
+/// Cases per property.
+const CASES: usize = 256;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+/// Runs one property case, naming the case and its input when it fails
+/// (the assertions inside name only the diverging op).
+fn check_case<T: std::fmt::Debug>(case: usize, input: &T, check: impl FnOnce()) {
+    if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)) {
+        eprintln!("failing case {case}: {input:?}");
+        std::panic::resume_unwind(panic);
+    }
+}
 
-        /// The headline differential property: arbitrary op streams
-        /// observe no difference between the queue and the model.
-        #[test]
-        fn queue_and_model_are_observationally_identical(
-            raw in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..400)
-        ) {
+/// A raw stream of 1 to 399 arbitrary `(kind, a, b)` triples.
+fn draw_raw(g: &mut Prng) -> Vec<(u8, u64, u64)> {
+    let n = g.range(1, 399);
+    (0..n).map(|_| (g.next_u64() as u8, g.next_u64(), g.next_u64())).collect()
+}
+
+/// The headline differential property: arbitrary op streams observe no
+/// difference between the queue and the model.
+#[test]
+fn queue_and_model_are_observationally_identical() {
+    let mut g = Prng::seed_from(0x5D_0001);
+    for case in 0..CASES {
+        let raw = draw_raw(&mut g);
+        check_case(case, &raw, || {
             run_diff(&decode(&raw));
-        }
+        });
+    }
+}
 
-        /// The same property over the front-slot mix.
-        #[test]
-        fn front_slot_streams_are_equivalent(
-            raw in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..400)
-        ) {
+/// The same property over the front-slot mix.
+#[test]
+fn front_slot_streams_are_equivalent() {
+    let mut g = Prng::seed_from(0x5D_0002);
+    for case in 0..CASES {
+        let raw = draw_raw(&mut g);
+        check_case(case, &raw, || {
             run_diff(&decode_front(&raw));
-        }
+        });
+    }
+}
 
-        /// Same-timestamp burst storms: every event lands on one instant,
-        /// so ordering rests entirely on EventId FIFO stability.
-        #[test]
-        fn same_instant_bursts_stay_fifo(
-            t in any::<u64>(),
-            n in 1usize..300,
-            cancels in prop::collection::vec(any::<u64>(), 0..64)
-        ) {
+/// Same-timestamp burst storms: every event lands on one instant, so
+/// ordering rests entirely on EventId FIFO stability.
+#[test]
+fn same_instant_bursts_stay_fifo() {
+    let mut g = Prng::seed_from(0x5D_0003);
+    for case in 0..CASES {
+        let (t, n) = (g.next_u64(), g.range(1, 299) as usize);
+        let m = g.below(64);
+        let cancels: Vec<u64> = (0..m).map(|_| g.next_u64()).collect();
+        check_case(case, &(t, n, &cancels), || {
             let mut pair = Pair::default();
             for i in 0..n {
                 pair.schedule(t, i);
             }
-            for sel in cancels {
+            for &sel in &cancels {
                 pair.cancel(sel);
             }
             pair.drain();
-        }
+        });
+    }
+}
 
-        /// Cancel-of-popped ids: fire some events, then cancel a mix of
-        /// fired and pending ids — both must report the same booleans and
-        /// keep identical residual state.
-        #[test]
-        fn cancel_of_popped_ids_agrees(
-            times in prop::collection::vec(any::<u64>(), 2..100),
-            pops in 1usize..50,
-            cancels in prop::collection::vec(any::<u64>(), 1..100)
-        ) {
+/// Cancel-of-popped ids: fire some events, then cancel a mix of fired
+/// and pending ids — both must report the same booleans and keep
+/// identical residual state.
+#[test]
+fn cancel_of_popped_ids_agrees() {
+    let mut g = Prng::seed_from(0x5D_0004);
+    for case in 0..CASES {
+        let n = g.range(2, 99);
+        let times: Vec<u64> = (0..n).map(|_| g.next_u64()).collect();
+        let pops = g.range(1, 49) as usize;
+        let m = g.range(1, 99);
+        let cancels: Vec<u64> = (0..m).map(|_| g.next_u64()).collect();
+        check_case(case, &(&times, pops, &cancels), || {
             let mut pair = Pair::default();
             for (i, &t) in times.iter().enumerate() {
                 pair.schedule(derive_time(t, i as u64), i);
@@ -395,11 +423,11 @@ mod props {
             for _ in 0..pops.min(times.len()) {
                 pair.pop();
             }
-            for sel in cancels {
+            for &sel in &cancels {
                 pair.cancel(sel);
                 pair.check_len();
             }
             pair.drain();
-        }
+        });
     }
 }

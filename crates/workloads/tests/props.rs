@@ -1,5 +1,11 @@
-//! Property-based tests of the workload generators: every step produced by
+//! Property tests of the workload generators: every step produced by
 //! every workload is well-formed, in range, and deterministic per seed.
+//!
+//! Each property is a seeded loop: a [`Prng`] with the test's own fixed
+//! seed draws every case's inputs, and each assertion names the case
+//! index and those inputs, so a failure reproduces exactly.
+
+use std::collections::BTreeMap;
 
 use hwdp_mem::PageData;
 use hwdp_sim::rng::Prng;
@@ -9,6 +15,9 @@ use hwdp_workloads::{
     Ycsb, YcsbKind,
 };
 
+/// Cases per property: each one drives a whole workload.
+const CASES: usize = 32;
+
 /// A snapshot of a `len`-byte read at the start of a page that begins
 /// with `prefix`.
 fn read_of(prefix: &[u8], len: u32) -> ReadSnapshot {
@@ -16,11 +25,10 @@ fn read_of(prefix: &[u8], len: u32) -> ReadSnapshot {
     page.write(0, prefix);
     ReadSnapshot::of(&page, 0, len as usize)
 }
-use proptest::prelude::*;
 
 /// Drains a workload, answering every read with a correct record header,
 /// and validates each step.
-fn drive(w: &mut dyn Workload, region_pages: u64, max_steps: usize) -> (u64, u64) {
+fn drive(w: &mut dyn Workload, region_pages: u64, max_steps: usize, ctx: &str) -> (u64, u64) {
     let mut last: Option<ReadSnapshot> = None;
     let mut reads = 0;
     let mut writes = 0;
@@ -30,77 +38,92 @@ fn drive(w: &mut dyn Workload, region_pages: u64, max_steps: usize) -> (u64, u64
         step.validate();
         match step {
             Step::Read { offset, len, .. } => {
-                assert!(offset / 4096 < region_pages, "read beyond region");
+                assert!(offset / 4096 < region_pages, "read beyond region; {ctx}");
                 reads += 1;
                 last = Some(read_of(&record_header(offset / 4096, 0), len));
             }
             Step::Write { offset, .. } => {
-                assert!(offset / 4096 < region_pages, "write beyond region");
+                assert!(offset / 4096 < region_pages, "write beyond region; {ctx}");
                 writes += 1;
             }
-            Step::Compute { instructions } => assert!(instructions > 0),
+            Step::Compute { instructions } => assert!(instructions > 0, "{ctx}"),
             Step::Finish => break,
         }
     }
     (reads, writes)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// FIO: all accesses in range, deterministic, right op count.
-    #[test]
-    fn fio_wellformed(seed: u64, pages in 1u64..4096, ops in 1u64..200) {
+/// FIO: all accesses in range, deterministic, right op count.
+#[test]
+fn fio_wellformed() {
+    let mut g = Prng::seed_from(0x3C_0001);
+    for case in 0..CASES {
+        let (seed, pages, ops) = (g.next_u64(), g.range(1, 4095), g.range(1, 199));
+        let ctx = format!("case {case}: seed {seed:#x}, pages {pages}, ops {ops}");
         let mut a = FioRandRead::new(RegionId(0), pages, ops, Prng::seed_from(seed));
-        let (reads, writes) = drive(&mut a, pages, 10_000);
-        prop_assert_eq!(reads, ops);
-        prop_assert_eq!(writes, 0);
-        prop_assert_eq!(a.ops_done(), ops);
+        let (reads, writes) = drive(&mut a, pages, 10_000, &ctx);
+        assert_eq!(reads, ops, "{ctx}");
+        assert_eq!(writes, 0, "{ctx}");
+        assert_eq!(a.ops_done(), ops, "{ctx}");
         // Determinism: two instances with the same seed emit identical
         // streams.
         let mut b1 = FioRandRead::new(RegionId(0), pages, ops, Prng::seed_from(seed));
         let mut b2 = FioRandRead::new(RegionId(0), pages, ops, Prng::seed_from(seed));
         for _ in 0..(2 * ops + 1) {
-            prop_assert_eq!(b1.next(None), b2.next(None));
+            assert_eq!(b1.next(None), b2.next(None), "{ctx}");
         }
     }
+}
 
-    /// Every YCSB kind produces only well-formed, in-range steps and
-    /// finishes with verification clean when fed correct data.
-    #[test]
-    fn ycsb_wellformed(seed: u64, kind_idx in 0usize..6, ops in 1u64..150) {
-        let kind = YcsbKind::ALL[kind_idx];
+/// Every YCSB kind produces only well-formed, in-range steps and
+/// finishes with verification clean when fed correct data.
+#[test]
+fn ycsb_wellformed() {
+    let mut g = Prng::seed_from(0x3C_0002);
+    for case in 0..CASES {
+        let (seed, kind, ops) = (g.next_u64(), YcsbKind::ALL[g.below(6) as usize], g.range(1, 149));
+        let ctx = format!("case {case}: seed {seed:#x}, kind {kind:?}, ops {ops}");
         let records = 256u64;
         let capacity = 512u64;
         let db = MiniDb::new(RegionId(0), records, capacity);
         let mut w = Ycsb::new(kind, db, ops, Prng::seed_from(seed));
-        let (reads, writes) = drive(&mut w, capacity, 100_000);
-        prop_assert_eq!(w.ops_done(), ops);
-        prop_assert_eq!(w.verify_failures(), 0);
+        let (reads, writes) = drive(&mut w, capacity, 100_000, &ctx);
+        assert_eq!(w.ops_done(), ops, "{ctx}");
+        assert_eq!(w.verify_failures(), 0, "{ctx}");
         match kind {
-            YcsbKind::C => prop_assert_eq!(writes, 0),
-            YcsbKind::A | YcsbKind::F => prop_assert!(writes > 0 || ops < 6),
+            YcsbKind::C => assert_eq!(writes, 0, "{ctx}"),
+            YcsbKind::A | YcsbKind::F => assert!(writes > 0 || ops < 6, "{ctx}"),
             _ => {}
         }
-        prop_assert!(reads + writes >= ops, "every op touches the store");
+        assert!(reads + writes >= ops, "every op touches the store; {ctx}");
     }
+}
 
-    /// DBBench verifies clean against correct headers for any seed.
-    #[test]
-    fn dbbench_wellformed(seed: u64, ops in 1u64..150) {
+/// DBBench verifies clean against correct headers for any seed.
+#[test]
+fn dbbench_wellformed() {
+    let mut g = Prng::seed_from(0x3C_0003);
+    for case in 0..CASES {
+        let (seed, ops) = (g.next_u64(), g.range(1, 149));
+        let ctx = format!("case {case}: seed {seed:#x}, ops {ops}");
         let db = MiniDb::new(RegionId(0), 128, 128);
         let mut w = DbBenchReadRandom::new(db, ops, Prng::seed_from(seed));
-        let (reads, _) = drive(&mut w, 128, 10_000);
-        prop_assert_eq!(reads, ops);
-        prop_assert_eq!(w.verify_failures(), 0);
+        let (reads, _) = drive(&mut w, 128, 10_000, &ctx);
+        assert_eq!(reads, ops, "{ctx}");
+        assert_eq!(w.verify_failures(), 0, "{ctx}");
     }
+}
 
-    /// ScratchChurn against a perfect memory model never reports failures
-    /// and its writes always follow a read of the same page.
-    #[test]
-    fn scratch_wellformed(seed: u64, pages in 1u64..256, ops in 1u64..150) {
+/// ScratchChurn against a perfect memory model never reports failures
+/// and its writes always follow a read of the same page.
+#[test]
+fn scratch_wellformed() {
+    let mut g = Prng::seed_from(0x3C_0004);
+    for case in 0..CASES {
+        let (seed, pages, ops) = (g.next_u64(), g.range(1, 255), g.range(1, 149));
+        let ctx = format!("case {case}: seed {seed:#x}, pages {pages}, ops {ops}");
         let mut w = ScratchChurn::new(RegionId(0), pages, ops, Prng::seed_from(seed));
-        let mut mem: std::collections::HashMap<u64, u64> = Default::default();
+        let mut mem: BTreeMap<u64, u64> = BTreeMap::new();
         let mut last: Option<ReadSnapshot> = None;
         loop {
             let step = w.next(last.as_ref());
@@ -118,8 +141,7 @@ proptest! {
                 Step::Finish => break,
             }
         }
-        prop_assert_eq!(w.ops_done(), ops);
-        prop_assert_eq!(w.verify_failures(), 0);
+        assert_eq!(w.ops_done(), ops, "{ctx}");
+        assert_eq!(w.verify_failures(), 0, "{ctx}");
     }
 }
-

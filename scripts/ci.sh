@@ -3,7 +3,6 @@
 #
 #   scripts/ci.sh            # build, test, sweep, compare against baseline
 #   scripts/ci.sh --refresh  # additionally rewrite baselines/BENCH_seed.json
-#   scripts/ci.sh --proptest # only the property-test suites
 #
 # Set HWDP_CI_OUT=<dir> to keep the campaign artifacts (BENCH_*.json,
 # AUDIT_*.json, CHAOS_*.json, REPRO_quick.md) instead of writing them to
@@ -19,26 +18,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Crates carrying a `proptest` feature. The GitHub Actions
-# `optional-features` job and local runs share this one list via
-# `scripts/ci.sh --proptest`, which runs them as a single cargo
-# invocation (one build graph, one test pass) instead of a per-crate
-# loop.
-PROPTEST_CRATES=(sim mem nvme os smu workloads core harness)
-
-if [[ "${1:-}" == "--proptest" ]]; then
-  echo "== proptest: ${PROPTEST_CRATES[*]} =="
-  pkgs=()
-  feats=()
-  for c in "${PROPTEST_CRATES[@]}"; do
-    pkgs+=(-p "hwdp-$c")
-    feats+=("hwdp-$c/proptest")
-  done
-  cargo test -q "${pkgs[@]}" --features "$(IFS=,; echo "${feats[*]}")" --offline
-  echo "== proptest: ok =="
-  exit 0
-fi
-
 echo "== tier-1: build =="
 cargo build --release --workspace --offline
 
@@ -50,12 +29,17 @@ echo "== static analysis: hwdp lint =="
 # `hwdp-lint: allow(...)` comment.
 ./target/release/hwdp lint --deny
 
+echo "== MSRV: no API newer than rust-version =="
+# The workspace declares rust-version 1.75; clippy's incompatible_msrv
+# lint flags any std API stabilized after it (all other lints off).
+cargo clippy --workspace --all-targets --offline -- -A clippy::all -D clippy::incompatible_msrv
+
 echo "== tier-1: tests =="
 cargo test -q --workspace --offline
 
 echo "== criterion benches: compile =="
-# The GitHub Actions workflow compiles the criterion benches too; doing it
-# here catches a broken bench before push.
+# Criterion is the workspace's one optional feature; compiling its bench
+# targets here catches a broken bench before push.
 cargo bench -p hwdp-bench --features criterion --no-run --offline
 
 echo "== benchmark: build and smoke check =="
@@ -104,11 +88,12 @@ echo "== scheduler: throughput smoke (Fig. 12 grid) =="
 # (the compare gate below tolerates the extra informational keys but
 # still gates every simulated metric), and every job exports a nonzero
 # `events_per_sec`.
-HWDP_THROUGHPUT=1 ./target/release/hwdp sweep \
+./target/release/hwdp sweep \
   --name throughput \
   --scenarios fio,ycsb-c --modes osdp,hwdp \
   --threads-list 1,2 --ratios 2,4 \
   --memory 256 --ops 150 --seed 42 \
+  --throughput \
   --workers 4 --out "$out"
 grep -Eq '"events_processed": [1-9]' "$out/BENCH_throughput.json"
 grep -Eq '"events_per_sec": [1-9]' "$out/BENCH_throughput.json"
