@@ -630,14 +630,22 @@ impl System {
         (old, new)
     }
 
+    /// Invalidates `vpn` in the TLB of every context running a thread. An
+    /// idle context holds no translations (`release_hw` flushes it, and
+    /// every fill goes to a running context), so it is skipped; the
+    /// `idle-context-tlb-empty` check audits that.
+    fn shoot_down(&mut self, vpn: Vpn) {
+        for hw in self.hw.iter_mut().filter(|hw| hw.running.is_some()) {
+            hw.tlb.invalidate(vpn);
+        }
+    }
+
     /// Applies writebacks synchronously to the block store and shoots down
     /// any stale TLB entries (teardown paths, outside the event loop).
     fn apply_writebacks_immediately(&mut self, evictions: &[Eviction]) {
         for ev in evictions {
             if let Some(vpn) = ev.vpn {
-                for hw in &mut self.hw {
-                    hw.tlb.invalidate(vpn);
-                }
+                self.shoot_down(vpn);
             }
             if ev.dirty {
                 self.tier_note_writeback(&ev.block);
@@ -1934,9 +1942,7 @@ impl System {
         let mut submitted = 0u64;
         for ev in evictions.drain(..) {
             if let Some(vpn) = ev.vpn {
-                for hw in &mut self.hw {
-                    hw.tlb.invalidate(vpn);
-                }
+                self.shoot_down(vpn);
             }
             if ev.dirty {
                 // The device applies write data at submission (snapshot
@@ -2309,6 +2315,16 @@ impl System {
         self.os.fs.set_location(file, page, SocketId(0), fast_dev, 1, Lba(key));
     }
 
+    /// Test-only corruption hook for `idle-context-tlb-empty`: fills a
+    /// translation into an idle context's TLB, the state a fill on the
+    /// wrong context would leave.
+    #[cfg(test)]
+    pub(crate) fn corrupt_idle_tlb_for_test(&mut self) {
+        if let Some(hw) = self.hw.iter_mut().find(|hw| hw.running.is_none()) {
+            hw.tlb.fill(Vpn(0), Pfn(0));
+        }
+    }
+
     /// Test-only entry point: runs the post-reset audit for device `dev`
     /// so the negative tests can assert each reset invariant actually
     /// detects its corruption.
@@ -2406,6 +2422,16 @@ impl Sanitizer for System {
             tlbs: self.hw.iter().enumerate().map(|(i, h)| (i, &h.tlb)).collect(),
         }
         .sanitize(level, report);
+        // Shootdowns skip idle contexts, which is exact only while an
+        // idle context's TLB is empty.
+        for (i, hw) in self.hw.iter().enumerate() {
+            report.check_args(
+                "core",
+                "idle-context-tlb-empty",
+                hw.running.is_some() || hw.tlb.is_empty(),
+                format_args!("idle context {i} holds TLB translations no shootdown reaches"),
+            );
+        }
         self.os.sanitize(level, report);
         self.smu.sanitize(level, report);
         for dev in &self.devices {
@@ -2725,6 +2751,25 @@ mod tests {
             .expect("orphaned in-flight fault detected");
         assert_eq!(v.layer, "core");
         assert!(v.message.contains("not an allocated frame"));
+    }
+
+    #[test]
+    fn negative_idle_context_tlb_entry_detected() {
+        // Injected corruption: an idle context holds a translation, which
+        // the running-contexts-only shootdown would leave stale.
+        let mut sys = small_system(SanitizeLevel::Cheap);
+        sys.run_audit();
+        assert!(sys.audit_report().is_clean());
+        sys.corrupt_idle_tlb_for_test();
+        sys.run_audit();
+        let v = sys
+            .audit_report()
+            .violations
+            .iter()
+            .find(|v| v.invariant == "idle-context-tlb-empty")
+            .expect("stale idle-context translation detected");
+        assert_eq!(v.layer, "core");
+        assert!(v.message.contains("no shootdown reaches"));
     }
 
     #[test]

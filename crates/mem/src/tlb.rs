@@ -168,6 +168,12 @@ impl Tlb {
         self.ways.len()
     }
 
+    /// Returns `true` if the TLB holds no translation. Reads the live
+    /// count, so it is free and touches no LRU state or statistics.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
     /// Read-only iteration over the live `(vpn, pfn)` translations, in
     /// deterministic set/way order. Unlike [`Tlb::lookup`] this touches no
     /// LRU state and no statistics — it exists for the hwdp-audit
@@ -216,7 +222,9 @@ mod tests {
     fn invalidate_single_page() {
         let mut tlb = Tlb::new(8, 2);
         tlb.fill(Vpn(5), Pfn(50));
+        assert!(!tlb.is_empty());
         assert!(tlb.invalidate(Vpn(5)));
+        assert!(tlb.is_empty());
         assert!(!tlb.invalidate(Vpn(5)), "second invalidate finds nothing");
         assert_eq!(tlb.lookup(Vpn(5)), None);
         assert_eq!(tlb.stats().invalidations, 1);
@@ -229,6 +237,7 @@ mod tests {
             tlb.fill(Vpn(i), Pfn(i));
         }
         tlb.flush();
+        assert!(tlb.is_empty());
         for i in 0..8 {
             assert_eq!(tlb.lookup(Vpn(i)), None);
         }

@@ -6,8 +6,8 @@
 //! * [`time`] — picosecond-resolution virtual time ([`time::Time`],
 //!   [`time::Duration`]), CPU frequencies and cycle/nanosecond conversion.
 //! * [`events`] — the simulator's one event queue ([`events::EventQueue`]):
-//!   a binary heap keyed by `(time, EventId)`, so same-time events fire in
-//!   scheduling order, with O(1) cancellation.
+//!   one vector kept sorted by `(time, EventId)`, so same-time events fire
+//!   in scheduling order, and a cancelled event leaves it at once.
 //! * [`dense`] — [`dense::DenseMap`], the ordered map for dense integer
 //!   keys (file ids, page indices, LBAs): a slot vector, no tree, no hashing.
 //! * [`rng`] — a small, seedable, portable PRNG ([`rng::Prng`], SplitMix64 +

@@ -26,12 +26,14 @@ fn rng_below_in_range() {
     }
 }
 
-/// range(lo, hi) is inclusive-bounded.
+/// range(lo, hi) is inclusive-bounded. Half the cases draw a width
+/// below 8, so 32 draws reach `hi` and an off-by-one past it shows.
 #[test]
 fn rng_range_inclusive() {
     let mut g = Prng::seed_from(0x51_0002);
     for case in 0..CASES {
-        let (seed, lo, width) = (g.next_u64(), g.below(1_000_000), g.below(1_000_000));
+        let (seed, lo) = (g.next_u64(), g.below(1_000_000));
+        let width = g.below(if case % 2 == 0 { 8 } else { 1_000_000 });
         let mut r = Prng::seed_from(seed);
         let hi = lo + width;
         for _ in 0..32 {

@@ -8,11 +8,14 @@
 //! double-cancel), and cancel+reschedule — and every observable result
 //! must agree exactly: the order of returned [`EventId`]s, cancel
 //! booleans, pop order and clamped times, peeked times, and live counts.
-//! A second mix aims at the queue's front slot: schedules just before or
+//! A second mix aims at the head of the queue: schedules just before or
 //! exactly at the earliest pending time, and cancels of the earliest
-//! pending event followed by a peek and a pop.
+//! pending event followed by a peek and a pop. A third runs on a deep
+//! queue, over 2,000 events pending, where schedules land at the front,
+//! the back and in between, and cancels take the earliest, the latest and
+//! a middle event.
 //!
-//! Three fixed streams of 4,000–6,000 ops pin exact traces; the property
+//! Four fixed streams of 4,000–6,500 ops pin exact traces; the property
 //! tests draw 256 streams each from a fixed-seed [`Prng`], and a failing
 //! case is named with its index and drawn input.
 
@@ -52,6 +55,10 @@ impl Model {
         (0..self.pending.len()).min_by_key(|&k| (self.pending[k].0, self.pending[k].1))
     }
 
+    fn latest(&self) -> Option<usize> {
+        (0..self.pending.len()).max_by_key(|&k| (self.pending[k].0, self.pending[k].1))
+    }
+
     fn peek_time(&self) -> Option<u64> {
         self.earliest().map(|k| self.pending[k].0)
     }
@@ -86,14 +93,24 @@ enum Op {
     /// reschedule idiom the fault watchdogs use).
     Reschedule(u64, u64),
     /// Schedule this many picoseconds before the earliest pending event
-    /// (at the clock if nothing is pending): the event that takes the
-    /// front slot.
+    /// (at the clock if nothing is pending): the new next event.
     Lead(u64),
     /// Schedule at exactly the earliest pending time: it must fire after
-    /// the event already there, whichever the queue keeps it in.
+    /// the event already there.
     Tie,
     /// Cancel the earliest pending event, then peek and pop.
     CancelHead,
+    /// Schedule this many picoseconds after the latest pending event (at
+    /// the clock if nothing is pending): the new last event.
+    Trail(u64),
+    /// Schedule at a time between the earliest and the latest pending
+    /// event, this many parts in 2^16 of the way.
+    Between(u64),
+    /// Cancel the latest pending event.
+    CancelTail,
+    /// Cancel the `a % pending`-th pending event, in the model's storage
+    /// order, which is no time order.
+    CancelPending(u64),
 }
 
 /// Derives a timestamp mixing the interesting regimes: dense small times
@@ -124,10 +141,10 @@ fn decode(raw: &[(u8, u64, u64)]) -> Vec<Op> {
         .collect()
 }
 
-/// Decodes a stream weighted toward the front slot: most schedules land
-/// before or at the earliest pending event, and the earliest pending event
-/// is often cancelled. Every drain follows a lead, so it starts with the
-/// front slot occupied.
+/// Decodes a stream weighted toward the head of the queue: most schedules
+/// land before or at the earliest pending event, and the earliest pending
+/// event is often cancelled. Every drain follows a lead, so it starts
+/// right after a new next event.
 fn decode_front(raw: &[(u8, u64, u64)]) -> Vec<Op> {
     raw.iter()
         .flat_map(|&(k, a, b)| match k % 12 {
@@ -140,6 +157,25 @@ fn decode_front(raw: &[(u8, u64, u64)]) -> Vec<Op> {
             9 => vec![Op::Peek],
             10 => vec![Op::Cancel(a)],
             _ => vec![Op::Reschedule(a, derive_time(a, b))],
+        })
+        .collect()
+}
+
+/// Decodes the mixed part of a deep stream: schedules at the front, the
+/// back and in between, cancels at both ends and in between, and a few
+/// pops and peeks. Adds and removals are equally likely, so a queue filled
+/// deep first stays deep.
+fn decode_deep(raw: &[(u8, u64, u64)]) -> Vec<Op> {
+    raw.iter()
+        .map(|&(k, a, b)| match k % 12 {
+            0 | 1 => Op::Lead(a % 1_000),
+            2 | 3 => Op::Trail(a % 1_000_000),
+            4 | 5 => Op::Between(b % (1 << 16)),
+            6 => Op::CancelHead,
+            7 => Op::CancelTail,
+            8 | 9 => Op::CancelPending(a),
+            10 => Op::Pop,
+            _ => Op::Peek,
         })
         .collect()
 }
@@ -188,9 +224,17 @@ impl Pair {
     /// The earliest pending event's time and its index in `issued`, taken
     /// from the model (model ids are schedule ordinals).
     fn head(&self) -> Option<(u64, usize)> {
-        let k = self.model.earliest()?;
+        self.model.earliest().map(|k| self.pending_at(k))
+    }
+
+    /// The latest pending event's time and its index in `issued`.
+    fn tail(&self) -> Option<(u64, usize)> {
+        self.model.latest().map(|k| self.pending_at(k))
+    }
+
+    fn pending_at(&self, k: usize) -> (u64, usize) {
         let (t, id, _) = self.model.pending[k];
-        Some((t, id as usize))
+        (t, id as usize)
     }
 
     fn peek(&mut self) {
@@ -217,43 +261,78 @@ impl Pair {
     }
 }
 
+/// Applies op `i` of a stream to both queues, asserting observable
+/// equivalence. Returns the number of pops that produced an event.
+fn apply(pair: &mut Pair, i: usize, op: Op) -> usize {
+    let mut fired = 0;
+    match op {
+        Op::Schedule(t) => pair.schedule(t, i),
+        Op::Pop => fired += usize::from(pair.pop()),
+        Op::Peek => pair.peek(),
+        Op::Drain => fired += pair.drain(),
+        Op::Cancel(sel) => pair.cancel(sel),
+        Op::Reschedule(sel, t) => {
+            pair.cancel(sel);
+            pair.schedule(t, i);
+        }
+        Op::Lead(gap) => {
+            let t = pair
+                .head()
+                .map_or(pair.model.now, |(t, _)| t.saturating_sub(gap + 1));
+            pair.schedule(t, i);
+        }
+        Op::Tie => {
+            let t = pair.head().map_or(pair.model.now, |(t, _)| t);
+            pair.schedule(t, i);
+        }
+        Op::CancelHead => {
+            if let Some((_, n)) = pair.head() {
+                pair.cancel(n as u64);
+            }
+            pair.peek();
+            fired += usize::from(pair.pop());
+        }
+        Op::Trail(gap) => {
+            let t = pair
+                .tail()
+                .map_or(pair.model.now, |(t, _)| t.saturating_add(gap + 1));
+            pair.schedule(t, i);
+        }
+        Op::Between(frac) => {
+            let t = match (pair.head(), pair.tail()) {
+                (Some((lo, _)), Some((hi, _))) => {
+                    lo + (((hi - lo) as u128 * frac as u128) >> 16) as u64
+                }
+                _ => pair.model.now,
+            };
+            pair.schedule(t, i);
+        }
+        Op::CancelTail => {
+            if let Some((_, n)) = pair.tail() {
+                pair.cancel(n as u64);
+            }
+        }
+        Op::CancelPending(sel) => {
+            if !pair.model.pending.is_empty() {
+                let k = (sel % pair.model.pending.len() as u64) as usize;
+                pair.cancel(pair.pending_at(k).1 as u64);
+            }
+        }
+    }
+    pair.check_len();
+    fired
+}
+
 /// Runs one stream against the queue and the model, asserting
 /// observable equivalence at every step. Returns the total number of pops
 /// that produced an event (so callers can sanity-check coverage).
 fn run_diff(ops: &[Op]) -> usize {
     let mut pair = Pair::default();
-    let mut fired = 0usize;
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Schedule(t) => pair.schedule(t, i),
-            Op::Pop => fired += usize::from(pair.pop()),
-            Op::Peek => pair.peek(),
-            Op::Drain => fired += pair.drain(),
-            Op::Cancel(sel) => pair.cancel(sel),
-            Op::Reschedule(sel, t) => {
-                pair.cancel(sel);
-                pair.schedule(t, i);
-            }
-            Op::Lead(gap) => {
-                let t = pair
-                    .head()
-                    .map_or(pair.model.now, |(t, _)| t.saturating_sub(gap + 1));
-                pair.schedule(t, i);
-            }
-            Op::Tie => {
-                let t = pair.head().map_or(pair.model.now, |(t, _)| t);
-                pair.schedule(t, i);
-            }
-            Op::CancelHead => {
-                if let Some((_, n)) = pair.head() {
-                    pair.cancel(n as u64);
-                }
-                pair.peek();
-                fired += usize::from(pair.pop());
-            }
-        }
-        pair.check_len();
-    }
+    let fired: usize = ops
+        .iter()
+        .enumerate()
+        .map(|(i, &op)| apply(&mut pair, i, op))
+        .sum();
     fired + pair.drain()
 }
 
@@ -284,10 +363,10 @@ fn seeded_op_stream_matches_the_model() {
     );
 }
 
-/// A seeded stream aimed at the front slot: events scheduled ahead of the
-/// heap and tied with the slot's time, the slot's event cancelled and then
-/// peeked past and popped past, and drains that start with the slot
-/// occupied.
+/// A seeded stream aimed at the head of the queue: events scheduled ahead
+/// of every pending event and tied with the earliest, the earliest
+/// cancelled and then peeked past and popped past, and drains that start
+/// right after a new next event.
 #[test]
 fn front_slot_stream_matches_the_model() {
     let mut state = 0x51_07F0_0D5Eu64;
@@ -308,6 +387,48 @@ fn front_slot_stream_matches_the_model() {
         drains > 20,
         "the stream drains the queue repeatedly ({drains})"
     );
+}
+
+/// A seeded stream on a deep queue: 2,500 events spread over a
+/// millisecond, then 4,000 ops that schedule and cancel at the front, the
+/// back and in between while over 2,000 events stay pending.
+#[test]
+fn deep_queue_stream_matches_the_model() {
+    let mut state = 0xDEE9_0E0E_u64;
+    let mut pair = Pair::default();
+    for i in 0..2_500 {
+        pair.schedule(splitmix64(&mut state) % 1_000_000_000, i);
+    }
+    let raw: Vec<(u8, u64, u64)> = (0..4_000)
+        .map(|_| {
+            let x = splitmix64(&mut state);
+            (x as u8, splitmix64(&mut state), x >> 8)
+        })
+        .collect();
+    let ops = decode_deep(&raw);
+    let mut shallowest = usize::MAX;
+    for (i, &op) in ops.iter().enumerate() {
+        apply(&mut pair, 2_500 + i, op);
+        shallowest = shallowest.min(pair.queue.len());
+    }
+    assert!(
+        shallowest >= 2_000,
+        "the queue stayed deep ({shallowest} pending at its shallowest)"
+    );
+    let kinds = |f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count();
+    assert!(
+        kinds(|op| matches!(op, Op::Lead(_))) > 500,
+        "front schedules"
+    );
+    assert!(
+        kinds(|op| matches!(op, Op::Trail(_))) > 500,
+        "back schedules"
+    );
+    assert!(
+        kinds(|op| matches!(op, Op::Between(_))) > 500,
+        "middle schedules"
+    );
+    assert!(pair.drain() >= 2_000, "the tail drains in order");
 }
 
 /// A fixed fig12-shaped stream: interleaved schedule/pop with
@@ -369,7 +490,7 @@ fn queue_and_model_are_observationally_identical() {
     }
 }
 
-/// The same property over the front-slot mix.
+/// The same property over the head-of-queue mix.
 #[test]
 fn front_slot_streams_are_equivalent() {
     let mut g = Prng::seed_from(0x5D_0002);

@@ -24,7 +24,8 @@ fn blk(l: u64) -> BlockRef {
 
 /// PMSHR: for any request stream, requests to the same page coalesce
 /// (one entry), distinct pages get distinct entries, occupancy equals
-/// live entries, and invalidation returns all registered waiters.
+/// live entries, invalidation returns all registered waiters, and a
+/// freed slot neither frees twice nor stays taken.
 #[test]
 fn pmshr_conservation() {
     let mut g = Prng::seed_from(0x5A_0001);
@@ -57,8 +58,19 @@ fn pmshr_conservation() {
         for (page, idx) in entry_of {
             let entry = pmshr.invalidate(idx).expect("live entry invalidates");
             assert_eq!(&entry.waiters, &model[&page], "page {page}: waiters preserved in order; {ctx}");
+            assert!(pmshr.invalidate(idx).is_none(), "page {page}: a slot frees once; {ctx}");
         }
         assert_eq!(pmshr.occupancy(), 0, "{ctx}");
+        // Every slot is free again, so all 16 pages allocate afresh.
+        for page in 0..16u64 {
+            let walk = pt.walk(Vpn(page)).unwrap();
+            let presented = pmshr.present(walk, blk(page), page).unwrap();
+            assert!(
+                matches!(presented, Presented::Allocated(_)),
+                "page {page} reuses a freed slot; {ctx}"
+            );
+        }
+        assert_eq!(pmshr.occupancy(), 16, "{ctx}");
     }
 }
 
