@@ -345,9 +345,7 @@ mod tests {
 
     #[test]
     fn thread_report_export_metrics() {
-        let mut perf = PerfCounters::default();
-        perf.user_instructions = 1_000;
-        perf.user_cycles = 800;
+        let perf = PerfCounters { user_instructions: 1_000, user_cycles: 800, ..PerfCounters::default() };
         let t = ThreadReport {
             name: "fio".into(),
             ops: 7,

@@ -157,6 +157,50 @@ struct OsdpPending {
     waiters: Vec<ThreadId>,
 }
 
+/// In-flight OS faults keyed by `(file, page)`. Only a handful are in
+/// flight at once, so a vector sorted by key and searched by binary
+/// search beats a tree; iteration is in ascending key order, as a
+/// `BTreeMap`'s would be.
+#[derive(Default)]
+struct OsdpInflight(Vec<((u32, u64), OsdpPending)>);
+
+impl OsdpInflight {
+    fn find(&self, key: (u32, u64)) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn contains_key(&self, key: (u32, u64)) -> bool {
+        self.find(key).is_ok()
+    }
+
+    fn get_mut(&mut self, key: (u32, u64)) -> Option<&mut OsdpPending> {
+        let i = self.find(key).ok()?;
+        Some(&mut self.0[i].1)
+    }
+
+    /// Stores `pending` at `key`, replacing any fault already there.
+    fn insert(&mut self, key: (u32, u64), pending: OsdpPending) {
+        match self.find(key) {
+            Ok(i) => self.0[i].1 = pending,
+            Err(i) => self.0.insert(i, (key, pending)),
+        }
+    }
+
+    fn remove(&mut self, key: (u32, u64)) -> Option<OsdpPending> {
+        let i = self.find(key).ok()?;
+        Some(self.0.remove(i).1)
+    }
+
+    /// `(key, fault)` pairs in ascending key order.
+    fn iter(&self) -> impl Iterator<Item = (&(u32, u64), &OsdpPending)> + '_ {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+}
+
 /// Watchdog bookkeeping for one in-flight command. Only populated while
 /// fault injection is active: fault-free runs schedule no timeout events
 /// and keep no per-command state, preserving byte-identical artifacts.
@@ -221,9 +265,11 @@ pub struct System {
     threads: Vec<Thread>,
     hw: Vec<HwThread>,
     runqueue: VecDeque<ThreadId>,
-    region_map: BTreeMap<RegionId, VmaId>,
+    /// Mapped regions' VMAs, keyed by region id (dense from
+    /// `next_region`).
+    region_map: DenseMap<VmaId>,
     next_region: u32,
-    osdp_inflight: BTreeMap<(u32, u64), OsdpPending>,
+    osdp_inflight: OsdpInflight,
     pending_misses: VecDeque<(ThreadId, Vpn)>,
     rng: Prng,
     wb_cid: u16,
@@ -350,9 +396,9 @@ impl System {
             threads: Vec::new(),
             hw,
             runqueue: VecDeque::new(),
-            region_map: BTreeMap::new(),
+            region_map: DenseMap::new(),
             next_region: 0,
-            osdp_inflight: BTreeMap::new(),
+            osdp_inflight: OsdpInflight::default(),
             pending_misses: VecDeque::new(),
             rng,
             wb_cid: 0,
@@ -541,7 +587,7 @@ impl System {
         }
         let region = RegionId(self.next_region);
         self.next_region += 1;
-        self.region_map.insert(region, id);
+        self.region_map.insert(u64::from(region.0), id);
         region
     }
 
@@ -565,7 +611,7 @@ impl System {
         self.tier_register_file(vma.file, device, pages);
         let region = RegionId(self.next_region);
         self.next_region += 1;
-        self.region_map.insert(region, id);
+        self.region_map.insert(u64::from(region.0), id);
         region
     }
 
@@ -589,7 +635,7 @@ impl System {
             self.osdp_inflight.is_empty(),
             "outstanding OS faults during munmap"
         );
-        let vma_id = self.region_map.remove(&region).expect("unknown region");
+        let vma_id = self.region_map.remove(u64::from(region.0)).expect("unknown region");
         let evictions = self.os.munmap(vma_id);
         let n = evictions.len();
         self.apply_writebacks_immediately(&evictions);
@@ -600,7 +646,7 @@ impl System {
     /// flushes every dirty page to storage (the mapping stays intact).
     /// Returns the number of pages written back.
     pub fn msync_region(&mut self, region: RegionId) -> usize {
-        let vma_id = *self.region_map.get(&region).expect("unknown region");
+        let vma_id = *self.region_map.get(u64::from(region.0)).expect("unknown region");
         let evictions = self.os.msync(vma_id);
         let n = evictions.len();
         self.apply_writebacks_immediately(&evictions);
@@ -611,7 +657,7 @@ impl System {
     /// normal OS-handled PTEs because fast-mmapped pages cannot be shared
     /// across address spaces. Returns how many PTEs were reverted.
     pub fn fork_region(&mut self, region: RegionId) -> u64 {
-        let vma_id = *self.region_map.get(&region).expect("unknown region");
+        let vma_id = *self.region_map.get(u64::from(region.0)).expect("unknown region");
         self.os.fork_revert_lba(vma_id)
     }
 
@@ -837,7 +883,7 @@ impl System {
     /// The VPN backing `offset` within a mapped region, or `None` when the
     /// region has been unmapped (a late completion racing `munmap`).
     fn region_vpn(&self, region: RegionId, offset: u64) -> Option<Vpn> {
-        let vma_id = *self.region_map.get(&region)?;
+        let vma_id = *self.region_map.get(u64::from(region.0))?;
         let vma = self.os.aspace.get(vma_id)?;
         let page = offset / 4096;
         assert!(page < vma.pages, "access beyond the mapped region");
@@ -864,10 +910,13 @@ impl System {
             Some(pfn) => pfn,
             None => {
                 t += self.hw[hw.0].walker.walk(vpn);
-                let pte = self.os.page_table.pte(vpn);
+                let entry = self.os.page_table.leaf_mut(vpn);
+                let pte = entry.as_deref().copied().unwrap_or(Pte::EMPTY);
                 match (pte.class(), pte.pfn()) {
                     (PteClass::Resident | PteClass::ResidentNeedsSync, Some(pfn)) => {
-                        self.os.page_table.update_pte(vpn, Pte::with_accessed);
+                        if let Some(e) = entry {
+                            *e = e.with_accessed();
+                        }
                         self.hw[hw.0].tlb.fill(vpn, pfn);
                         pfn
                     }
@@ -964,8 +1013,10 @@ impl System {
         // fallback), it claims the PTE by clearing it first — otherwise
         // another core could still route the same page to the SMU and
         // create an alias while the OS read is in flight.
-        if self.os.page_table.pte(vpn).class() == PteClass::LbaAugmented {
-            self.os.page_table.set_pte(vpn, Pte::EMPTY);
+        if let Some(e) = self.os.page_table.leaf_mut(vpn) {
+            if e.class() == PteClass::LbaAugmented {
+                *e = Pte::EMPTY;
+            }
         }
 
         // Entry + handler run in this thread's context either way.
@@ -974,7 +1025,7 @@ impl System {
 
         // Join an in-flight fault for the same page (the page-lock wait in
         // a real kernel) instead of aliasing it.
-        if let Some(pending) = self.osdp_inflight.get_mut(&key) {
+        if let Some(pending) = self.osdp_inflight.get_mut(key) {
             pending.waiters.push(tid);
             self.charge_kernel(tid, entry_instr, entry_lat);
             self.block_thread(tid, hw, now);
@@ -1053,7 +1104,7 @@ impl System {
             let Some((_, vma)) = self.os.aspace.resolve(next) else { break };
             let file_page = vma.file_page(next);
             let key = (vma.file.0, file_page);
-            if self.osdp_inflight.contains_key(&key)
+            if self.osdp_inflight.contains_key(key)
                 || self.os.cache.lookup(vma.file, file_page).is_some()
                 || self.os.page_table.pte(next).is_present()
             {
@@ -1122,7 +1173,7 @@ impl System {
 
     fn finish_osdp_read(&mut self, key: (u32, u64), data: PageData, now: Time) {
         let costs = self.os.osdp_costs;
-        let Some(pending) = self.osdp_inflight.remove(&key) else {
+        let Some(pending) = self.osdp_inflight.remove(key) else {
             // Fault recovery already resolved (or surfaced) this fault; a
             // late completion has nothing left to deliver.
             return;
@@ -1418,6 +1469,10 @@ impl System {
     /// (injected queue-full window, or a genuinely exhausted ring that
     /// previously aborted the simulation). Returns the completion time for
     /// accepted submissions, `None` for deferred ones.
+    // Each argument is one field of the command's record (device, queue,
+    // command, payload, purpose, attempt, time); bundling them into a
+    // struct would only move the list to every call site.
+    #[allow(clippy::too_many_arguments)]
     fn submit_or_defer(
         &mut self,
         dev: usize,
@@ -1876,12 +1931,11 @@ impl System {
         self.smu_fallbacks_fault += 1;
         for waiter in e.waiters {
             let tid = ThreadId(waiter as usize);
-            if let Some(step) = &self.threads[tid.0].current {
-                if let Step::Read { region, offset, .. } | Step::Write { region, offset, .. } = step
-                {
-                    if let Some(vpn) = self.region_vpn(*region, *offset) {
-                        self.force_osdp.insert(vpn.0);
-                    }
+            if let Some(Step::Read { region, offset, .. } | Step::Write { region, offset, .. }) =
+                &self.threads[tid.0].current
+            {
+                if let Some(vpn) = self.region_vpn(*region, *offset) {
+                    self.force_osdp.insert(vpn.0);
                 }
             }
             match self.threads[tid.0].state {
@@ -1899,7 +1953,7 @@ impl System {
     /// An OS-path read failed or timed out: one more deterministic retry,
     /// then the error surfaces to the waiting threads.
     fn recover_osdp(&mut self, key: (u32, u64), now: Time) {
-        let Some(pending) = self.osdp_inflight.get_mut(&key) else { return };
+        let Some(pending) = self.osdp_inflight.get_mut(key) else { return };
         if pending.attempts < 1 {
             pending.attempts += 1;
             let (block, pfn) = (pending.block, pending.pfn);
@@ -1918,7 +1972,7 @@ impl System {
     /// process dying. Failed readahead is dropped without an error:
     /// speculation is best-effort.
     fn surface_osdp_error(&mut self, key: (u32, u64), now: Time) {
-        let Some(pending) = self.osdp_inflight.remove(&key) else { return };
+        let Some(pending) = self.osdp_inflight.remove(key) else { return };
         self.os.osdp_fault_abort(pending.vpn, pending.pfn);
         let mut waiters = pending.waiters;
         if waiters.is_empty() {
@@ -2437,7 +2491,7 @@ impl Sanitizer for System {
         for dev in &self.devices {
             dev.sanitize(level, report);
         }
-        for (&(file, page), pending) in &self.osdp_inflight {
+        for (&(file, page), pending) in self.osdp_inflight.iter() {
             report.check_args(
                 "core",
                 "osdp-inflight-frame",
@@ -2479,7 +2533,7 @@ impl Sanitizer for System {
                     report.check_args(
                         "core",
                         "fault-watchdog-osdp",
-                        self.osdp_inflight.contains_key(&key),
+                        self.osdp_inflight.contains_key(key),
                         format_args!(
                             "watchdog for device {dev} token {token:?} references resolved OS fault {key:?}"
                         ),
@@ -2524,7 +2578,7 @@ impl Sanitizer for System {
         // may still hold a waiter (a leaked waiter would have kept its
         // thread blocked forever).
         if self.active_threads == 0 {
-            for (&(file, page), pending) in &self.osdp_inflight {
+            for (&(file, page), pending) in self.osdp_inflight.iter() {
                 report.check_args(
                     "core",
                     "fault-waiters-drained",
@@ -2794,8 +2848,8 @@ mod tests {
         assert_eq!(sys.device_index[&(0, 1)], 1);
         // The SMU got its own descriptor register set for the new device,
         // with doorbell addresses disjoint from device 0's.
-        let d0 = sys.smu().host.descriptor(DeviceId(0)).expect("device 0 installed").clone();
-        let d1 = sys.smu().host.descriptor(DeviceId(1)).expect("device 1 installed").clone();
+        let d0 = *sys.smu().host.descriptor(DeviceId(0)).expect("device 0 installed");
+        let d1 = *sys.smu().host.descriptor(DeviceId(1)).expect("device 1 installed");
         assert_ne!(d0.sq_doorbell, d1.sq_doorbell);
         assert_ne!(d0.cq_doorbell, d1.cq_doorbell);
     }

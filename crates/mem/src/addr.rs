@@ -180,9 +180,10 @@ impl BlockRef {
 /// checksums and equality depend on the contents only, never on the
 /// representation. This keeps multi-GiB-ratio simulations cheap while
 /// still letting integration tests verify every byte.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub enum PageData {
     /// All zeroes (fresh anonymous page / unwritten block).
+    #[default]
     Zero,
     /// Deterministic pseudo-random contents generated from a seed.
     Pattern(u64),
@@ -190,12 +191,6 @@ pub enum PageData {
     Patched(Patch),
     /// Explicit bytes.
     Bytes(Box<[u8; PAGE_SIZE]>),
-}
-
-impl Default for PageData {
-    fn default() -> Self {
-        PageData::Zero
-    }
 }
 
 impl fmt::Debug for PageData {

@@ -10,6 +10,8 @@
 //!   word stored (no stray reserved bits) — full.
 //! * `tlb-pte-match` — every live TLB translation matches the current leaf
 //!   PTE (shootdowns were not missed) — full.
+//! * `pt-memo-coherent` — the page table's leaf memo names the tables a
+//!   fresh walk reaches (tables are never freed or relinked) — full.
 
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
 
@@ -40,6 +42,7 @@ impl Sanitizer for MemAudit<'_> {
         if !level.full_checks() {
             return;
         }
+        self.page_table.audit_memo(report);
         self.page_table.for_each_pte(|vpn, pte| {
             report.check("mem", "pte-roundtrip", pte.reencode() == pte, || {
                 format!("PTE at {vpn:?} holds {:#x}: not expressible in the Fig. 6 layout", pte.0)
@@ -137,6 +140,18 @@ mod tests {
         frames.free(pfn);
         let report = run(&frames, &pt, &tlb, SanitizeLevel::Full);
         assert!(report.violations.iter().any(|v| v.invariant == "pte-frame-allocated"));
+    }
+
+    #[test]
+    fn negative_stale_leaf_memo_detected() {
+        // Injected corruption: the leaf memo names another table than the
+        // one its VPN's walk reaches, as if a table had been freed or a
+        // child link rewritten under it.
+        let (frames, pt, tlb) = clean_setup();
+        assert!(run(&frames, &pt, &tlb, SanitizeLevel::Full).is_clean());
+        pt.corrupt_memo_for_test();
+        let report = run(&frames, &pt, &tlb, SanitizeLevel::Full);
+        assert!(report.violations.iter().any(|v| v.invariant == "pt-memo-coherent"), "{:?}", report.violations);
     }
 
     #[test]

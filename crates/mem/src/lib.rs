@@ -15,7 +15,8 @@
 //! * [`page_table`] — a 4-level x86-64-style page table whose upper-level
 //!   entries carry the paper's repurposed LBA bit ("subtree has
 //!   hardware-handled PTEs awaiting OS metadata sync"), with the pruned
-//!   scan `kpted` relies on (§IV-C).
+//!   scan `kpted` relies on (§IV-C); a leaf memo and populated-child
+//!   bitmaps make each host-side lookup and scan step O(1).
 //! * [`tlb`] — a set-associative TLB with LRU replacement and shootdown.
 //! * [`walker`] — the hardware page-table walker's timing model with
 //!   paging-structure caches.
@@ -24,7 +25,7 @@
 //!   end-to-end.
 //! * [`audit`] — this layer's hwdp-audit sanitizer ([`audit::MemAudit`]):
 //!   frame-pool leak/double-free accounting, PTE bit-layout round-trips,
-//!   and TLB ↔ live-PTE consistency.
+//!   TLB ↔ live-PTE consistency, and the page table's leaf memo.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

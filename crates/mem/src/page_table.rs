@@ -14,6 +14,25 @@
 //!   bit *before* descending (the paper's ordering, which guarantees no
 //!   completion is lost if the SMU races with the scan), and reports how
 //!   many entries were examined so the efficiency claim can be measured.
+//!
+//! Two host-side shortcuts make each access O(1) without changing any
+//! simulated value:
+//!
+//! * **Leaf memo.** The table remembers the last leaf it reached, tagged
+//!   by `vpn >> 9` and holding the `(pud, pmd, pt)` table indices, so a
+//!   run of accesses to one 2 MiB region descends the tree once. The memo
+//!   cannot go stale because **tables are never freed and a child link
+//!   never changes once set**: a tag that matched once names the same
+//!   tables forever. The hwdp-audit invariant `pt-memo-coherent` checks
+//!   the memo against a fresh walk.
+//! * **Populated-child bitmaps.** Every non-leaf table keeps one bit per
+//!   slot, set when the slot gains a child. The scan and
+//!   [`PageTable::for_each_pte`] visit only the set bits, in ascending
+//!   order, so their cost follows the populated tables, not the 512 slots
+//!   of each upper level. Visit order and [`ScanStats`] are those of a
+//!   full loop over every slot.
+
+use std::cell::Cell;
 
 use crate::addr::{PhysAddr, Vpn};
 use crate::pte::{Pte, PteClass};
@@ -45,6 +64,9 @@ struct Table {
     level: Level,
     entries: Vec<Pte>,
     children: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64` is set iff `children[i]` is populated
+    /// (always zero in a leaf).
+    populated: [u64; ENTRIES / 64],
 }
 
 impl Table {
@@ -53,9 +75,35 @@ impl Table {
             level,
             entries: vec![Pte::EMPTY; ENTRIES],
             children: if level == Level::Pt { Vec::new() } else { vec![NO_CHILD; ENTRIES] },
+            populated: [0; ENTRIES / 64],
         }
     }
 }
+
+/// Indices of the set bits of `words`, ascending.
+fn set_bits(words: [u64; ENTRIES / 64]) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(w * 64 + b)
+        })
+    })
+}
+
+/// The last leaf reached: its tag `vpn >> 9` and the `(pud, pmd, pt)`
+/// tables on the way to it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LeafMemo {
+    tag: u64,
+    tables: (u32, u32, u32),
+}
+
+/// No VPN shifts right by 9 to `u64::MAX`, so this memo never hits.
+const NO_MEMO: LeafMemo = LeafMemo { tag: u64::MAX, tables: (NO_CHILD, NO_CHILD, NO_CHILD) };
 
 /// Result of a page-table walk to a fully populated leaf.
 #[derive(Clone, Copy, Debug)]
@@ -86,6 +134,9 @@ pub struct ScanStats {
 #[derive(Debug)]
 pub struct PageTable {
     tables: Vec<Table>,
+    /// The last leaf reached (see the module doc for why it cannot go
+    /// stale). A `Cell` so that read-only walks can fill it.
+    memo: Cell<LeafMemo>,
 }
 
 impl Default for PageTable {
@@ -97,7 +148,7 @@ impl Default for PageTable {
 impl PageTable {
     /// Creates an empty table (a PGD with no children).
     pub fn new() -> Self {
-        PageTable { tables: vec![Table::new(Level::Pgd)] }
+        PageTable { tables: vec![Table::new(Level::Pgd)], memo: Cell::new(NO_MEMO) }
     }
 
     /// Number of tables allocated (1 PGD + intermediates + leaves), i.e.
@@ -120,7 +171,9 @@ impl PageTable {
             return existing;
         }
         let new = self.alloc_table(level);
-        self.tables[table as usize].children[idx] = new;
+        let parent = &mut self.tables[table as usize];
+        parent.children[idx] = new;
+        parent.populated[idx / 64] |= 1 << (idx % 64);
         new
     }
 
@@ -128,34 +181,30 @@ impl PageTable {
     /// (fast-mmap eager population, §IV-B). Returns the leaf entry
     /// addresses.
     pub fn ensure_populated(&mut self, vpn: Vpn) -> WalkResult {
-        let (_, pud_i, pmd_i, _) = vpn.indices();
-        let (pud_t, pmd_t, pt_t, pt_i) = self.populate(vpn);
-        WalkResult {
-            pte: self.tables[pt_t as usize].entries[pt_i],
-            pud_addr: entry_addr(pud_t, pud_i),
-            pmd_addr: entry_addr(pmd_t, pmd_i),
-            pte_addr: entry_addr(pt_t, pt_i),
-        }
+        let leaf = self.populate(vpn);
+        self.walk_result(vpn, leaf)
     }
 
     /// Allocates any missing tables on the way to `vpn`'s leaf and returns
     /// the same `(pud, pmd, pt, pt index)` tuple as [`PageTable::leaf_of`].
     fn populate(&mut self, vpn: Vpn) -> (u32, u32, u32, usize) {
         let (pgd_i, pud_i, pmd_i, pt_i) = vpn.indices();
+        let memo = self.memo.get();
+        if memo.tag == vpn.0 >> 9 {
+            let (pud_t, pmd_t, pt_t) = memo.tables;
+            return (pud_t, pmd_t, pt_t, pt_i);
+        }
         let pud_t = self.child_of(0, pgd_i, Level::Pud);
         let pmd_t = self.child_of(pud_t, pud_i, Level::Pmd);
         let pt_t = self.child_of(pmd_t, pmd_i, Level::Pt);
+        self.memo.set(LeafMemo { tag: vpn.0 >> 9, tables: (pud_t, pmd_t, pt_t) });
         (pud_t, pmd_t, pt_t, pt_i)
     }
 
-    /// The leaf entry for `vpn`, populating intermediates as needed.
-    fn leaf_entry_mut(&mut self, vpn: Vpn) -> &mut Pte {
-        let (_, _, pt_t, pt_i) = self.populate(vpn);
-        &mut self.tables[pt_t as usize].entries[pt_i]
-    }
-
-    fn leaf_of(&self, vpn: Vpn) -> Option<(u32, u32, u32, usize)> {
-        let (pgd_i, pud_i, pmd_i, pt_i) = vpn.indices();
+    /// The `(pud, pmd, pt)` tables on the way to `vpn`'s leaf by a fresh
+    /// three-level descent, or `None` when one is missing.
+    fn descend(&self, vpn: Vpn) -> Option<(u32, u32, u32)> {
+        let (pgd_i, pud_i, pmd_i, _) = vpn.indices();
         let pud_t = self.tables[0].children[pgd_i];
         if pud_t == NO_CHILD {
             return None;
@@ -168,37 +217,69 @@ impl PageTable {
         if pt_t == NO_CHILD {
             return None;
         }
+        Some((pud_t, pmd_t, pt_t))
+    }
+
+    /// `(pud, pmd, pt, pt index)` of `vpn`'s leaf entry without allocating,
+    /// through the memo.
+    #[inline]
+    fn leaf_of(&self, vpn: Vpn) -> Option<(u32, u32, u32, usize)> {
+        let pt_i = (vpn.0 & 0x1FF) as usize;
+        let memo = self.memo.get();
+        let (pud_t, pmd_t, pt_t) = if memo.tag == vpn.0 >> 9 {
+            memo.tables
+        } else {
+            let tables = self.descend(vpn)?;
+            self.memo.set(LeafMemo { tag: vpn.0 >> 9, tables });
+            tables
+        };
         Some((pud_t, pmd_t, pt_t, pt_i))
+    }
+
+    fn walk_result(&self, vpn: Vpn, (pud_t, pmd_t, pt_t, pt_i): (u32, u32, u32, usize)) -> WalkResult {
+        let (_, pud_i, pmd_i, _) = vpn.indices();
+        WalkResult {
+            pte: self.tables[pt_t as usize].entries[pt_i],
+            pud_addr: entry_addr(pud_t, pud_i),
+            pmd_addr: entry_addr(pmd_t, pmd_i),
+            pte_addr: entry_addr(pt_t, pt_i),
+        }
     }
 
     /// Walks to `vpn` without allocating. Returns `None` when intermediate
     /// tables are missing (the walk would fault to the OS regardless of the
     /// LBA machinery).
+    #[inline]
     pub fn walk(&self, vpn: Vpn) -> Option<WalkResult> {
-        let (_, pud_i, pmd_i, _) = vpn.indices();
-        let (pud_t, pmd_t, pt_t, pt_i) = self.leaf_of(vpn)?;
-        Some(WalkResult {
-            pte: self.tables[pt_t as usize].entries[pt_i],
-            pud_addr: entry_addr(pud_t, pud_i),
-            pmd_addr: entry_addr(pmd_t, pmd_i),
-            pte_addr: entry_addr(pt_t, pt_i),
-        })
+        let leaf = self.leaf_of(vpn)?;
+        Some(self.walk_result(vpn, leaf))
     }
 
     /// Reads the leaf PTE for `vpn` ([`Pte::EMPTY`] if unpopulated).
+    #[inline]
     pub fn pte(&self, vpn: Vpn) -> Pte {
-        self.walk(vpn).map(|w| w.pte).unwrap_or(Pte::EMPTY)
+        self.leaf_of(vpn).map_or(Pte::EMPTY, |(_, _, pt_t, pt_i)| self.tables[pt_t as usize].entries[pt_i])
+    }
+
+    /// The leaf PTE for `vpn`, for a read-modify-write through one walk;
+    /// `None` (and nothing allocated) when the leaf is unpopulated.
+    #[inline]
+    pub fn leaf_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {
+        let (_, _, pt_t, pt_i) = self.leaf_of(vpn)?;
+        Some(&mut self.tables[pt_t as usize].entries[pt_i])
     }
 
     /// Writes the leaf PTE for `vpn`, populating intermediates as needed.
     pub fn set_pte(&mut self, vpn: Vpn, pte: Pte) {
-        *self.leaf_entry_mut(vpn) = pte;
+        let (_, _, pt_t, pt_i) = self.populate(vpn);
+        self.tables[pt_t as usize].entries[pt_i] = pte;
     }
 
     /// Mutates the leaf PTE in place via `f`, returning the new value.
     /// Populates intermediates as needed.
     pub fn update_pte(&mut self, vpn: Vpn, f: impl FnOnce(Pte) -> Pte) -> Pte {
-        let e = self.leaf_entry_mut(vpn);
+        let (_, _, pt_t, pt_i) = self.populate(vpn);
+        let e = &mut self.tables[pt_t as usize].entries[pt_i];
         *e = f(*e);
         *e
     }
@@ -248,48 +329,35 @@ impl PageTable {
     /// `ResidentNeedsSync` state, calls `sync(vpn, pte)`; the callback
     /// returns the replacement PTE (normally `pte.clear_lba_bit()` after
     /// updating OS metadata). Upper-level LBA bits are cleared before
-    /// descending, as the paper requires.
+    /// descending, as the paper requires. Only populated slots are visited
+    /// and counted, in ascending order.
     pub fn scan_needs_sync(&mut self, mut sync: impl FnMut(Vpn, Pte) -> Pte) -> ScanStats {
         let mut stats = ScanStats::default();
-        for pgd_i in 0..ENTRIES {
-            let pud_t = self.tables[0].children[pgd_i];
-            if pud_t == NO_CHILD {
-                continue;
-            }
-            for pud_i in 0..ENTRIES {
-                let pmd_t = self.tables[pud_t as usize].children[pud_i];
-                if pmd_t == NO_CHILD {
-                    continue;
-                }
+        for pgd_i in set_bits(self.tables[0].populated) {
+            let pud_t = self.tables[0].children[pgd_i] as usize;
+            for pud_i in set_bits(self.tables[pud_t].populated) {
+                let pmd_t = self.tables[pud_t].children[pud_i] as usize;
                 stats.entries_examined += 1;
-                let pud_e = self.tables[pud_t as usize].entries[pud_i];
+                let pud_e = self.tables[pud_t].entries[pud_i];
                 if !pud_e.lba_bit() {
                     stats.tables_skipped += 1;
                     continue;
                 }
                 // Clear before inspecting the lower level (§IV-C).
-                self.tables[pud_t as usize].entries[pud_i] = pud_e.clear_lba_bit();
-                for pmd_i in 0..ENTRIES {
-                    let pt_t = self.tables[pmd_t as usize].children[pmd_i];
-                    if pt_t == NO_CHILD {
-                        continue;
-                    }
+                self.tables[pud_t].entries[pud_i] = pud_e.clear_lba_bit();
+                for pmd_i in set_bits(self.tables[pmd_t].populated) {
+                    let pt_t = self.tables[pmd_t].children[pmd_i] as usize;
                     stats.entries_examined += 1;
-                    let pmd_e = self.tables[pmd_t as usize].entries[pmd_i];
+                    let pmd_e = self.tables[pmd_t].entries[pmd_i];
                     if !pmd_e.lba_bit() {
                         stats.tables_skipped += 1;
                         continue;
                     }
-                    self.tables[pmd_t as usize].entries[pmd_i] = pmd_e.clear_lba_bit();
-                    for pt_i in 0..ENTRIES {
+                    self.tables[pmd_t].entries[pmd_i] = pmd_e.clear_lba_bit();
+                    for (pt_i, e) in self.tables[pt_t].entries.iter_mut().enumerate() {
                         stats.entries_examined += 1;
-                        let pte = self.tables[pt_t as usize].entries[pt_i];
-                        if pte.class() == PteClass::ResidentNeedsSync {
-                            let vpn = Vpn(((pgd_i as u64) << 27)
-                                | ((pud_i as u64) << 18)
-                                | ((pmd_i as u64) << 9)
-                                | pt_i as u64);
-                            self.tables[pt_t as usize].entries[pt_i] = sync(vpn, pte);
+                        if e.class() == PteClass::ResidentNeedsSync {
+                            *e = sync(leaf_vpn(pgd_i, pud_i, pmd_i, pt_i), *e);
                             stats.ptes_synced += 1;
                         }
                     }
@@ -299,37 +367,58 @@ impl PageTable {
         stats
     }
 
-    /// Iterates every populated leaf PTE (diagnostics / munmap sweeps).
+    /// Iterates every populated leaf PTE in ascending VPN order
+    /// (diagnostics / munmap sweeps).
     pub fn for_each_pte(&self, mut f: impl FnMut(Vpn, Pte)) {
-        for pgd_i in 0..ENTRIES {
-            let pud_t = self.tables[0].children[pgd_i];
-            if pud_t == NO_CHILD {
-                continue;
-            }
-            for pud_i in 0..ENTRIES {
-                let pmd_t = self.tables[pud_t as usize].children[pud_i];
-                if pmd_t == NO_CHILD {
-                    continue;
-                }
-                for pmd_i in 0..ENTRIES {
-                    let pt_t = self.tables[pmd_t as usize].children[pmd_i];
-                    if pt_t == NO_CHILD {
-                        continue;
-                    }
-                    for pt_i in 0..ENTRIES {
-                        let pte = self.tables[pt_t as usize].entries[pt_i];
+        for pgd_i in set_bits(self.tables[0].populated) {
+            let pud_t = self.tables[0].children[pgd_i] as usize;
+            for pud_i in set_bits(self.tables[pud_t].populated) {
+                let pmd_t = self.tables[pud_t].children[pud_i] as usize;
+                for pmd_i in set_bits(self.tables[pmd_t].populated) {
+                    let pt_t = self.tables[pmd_t].children[pmd_i] as usize;
+                    for (pt_i, &pte) in self.tables[pt_t].entries.iter().enumerate() {
                         if pte != Pte::EMPTY {
-                            let vpn = Vpn(((pgd_i as u64) << 27)
-                                | ((pud_i as u64) << 18)
-                                | ((pmd_i as u64) << 9)
-                                | pt_i as u64);
-                            f(vpn, pte);
+                            f(leaf_vpn(pgd_i, pud_i, pmd_i, pt_i), pte);
                         }
                     }
                 }
             }
         }
     }
+
+    /// hwdp-audit `pt-memo-coherent` (full level): the leaf memo names the
+    /// tables a fresh three-level descent reaches for its tag.
+    pub fn audit_memo(&self, report: &mut hwdp_sim::sanitize::AuditReport) {
+        let memo = self.memo.get();
+        if memo == NO_MEMO {
+            return;
+        }
+        let fresh = self.descend(Vpn(memo.tag << 9));
+        report.check_args(
+            "mem",
+            "pt-memo-coherent",
+            fresh == Some(memo.tables),
+            format_args!(
+                "leaf memo for VPN {:#x} holds tables {:?} but a fresh walk reaches {fresh:?}",
+                memo.tag << 9,
+                memo.tables
+            ),
+        );
+    }
+
+    /// Points the leaf memo's leaf at its PMD table, as a memo that
+    /// survived a freed or relinked table would name the wrong table.
+    #[cfg(test)]
+    pub(crate) fn corrupt_memo_for_test(&self) {
+        let mut memo = self.memo.get();
+        memo.tables.2 = memo.tables.1;
+        self.memo.set(memo);
+    }
+}
+
+/// The VPN of leaf entry `pt_i` under the given upper-level slots.
+fn leaf_vpn(pgd_i: usize, pud_i: usize, pmd_i: usize, pt_i: usize) -> Vpn {
+    Vpn(((pgd_i as u64) << 27) | ((pud_i as u64) << 18) | ((pmd_i as u64) << 9) | pt_i as u64)
 }
 
 fn entry_addr(table: u32, idx: usize) -> PhysAddr {

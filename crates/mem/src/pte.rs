@@ -154,7 +154,7 @@ impl Pte {
 
     /// The mapped frame, if present.
     pub fn pfn(self) -> Option<Pfn> {
-        self.is_present().then(|| Pfn((self.0 & PAYLOAD_MASK) >> PAYLOAD_SHIFT))
+        self.is_present().then_some(Pfn((self.0 & PAYLOAD_MASK) >> PAYLOAD_SHIFT))
     }
 
     /// The storage block, if non-present and LBA-augmented.

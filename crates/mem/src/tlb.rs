@@ -92,6 +92,7 @@ impl Tlb {
     }
 
     /// Looks up a translation, updating LRU state and statistics.
+    #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> Option<Pfn> {
         self.tick += 1;
         let tick = self.tick;
@@ -109,6 +110,7 @@ impl Tlb {
 
     /// Inserts a translation after a walk, evicting the LRU way if the set
     /// is full.
+    #[inline]
     pub fn fill(&mut self, vpn: Vpn, pfn: Pfn) {
         self.tick += 1;
         let tick = self.tick;
@@ -129,6 +131,7 @@ impl Tlb {
 
     /// Invalidates one page (single-page shootdown). Returns `true` if an
     /// entry was removed.
+    #[inline]
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
         if self.live == 0 {
             return false;

@@ -38,6 +38,7 @@ impl LevelCache {
     }
 
     /// Returns `true` on hit; inserts on miss (evicting LRU).
+    #[inline]
     fn touch(&mut self, tag: u64) -> bool {
         self.tick += 1;
         if let Some(i) = self.tags.iter().position(|&t| t == tag) {
@@ -113,6 +114,7 @@ impl Walker {
 
     /// Performs (and times) one walk to `vpn`'s leaf PTE, updating the
     /// paging-structure caches.
+    #[inline]
     pub fn walk(&mut self, vpn: Vpn) -> Duration {
         self.stats.walks += 1;
         let mut t = Duration::ZERO;

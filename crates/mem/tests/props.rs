@@ -7,8 +7,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, ReadSnapshot, SocketId, Vpn, PAGE_SIZE, PATCH_MAX};
-use hwdp_mem::page_table::PageTable;
+use hwdp_mem::addr::{
+    BlockRef, DeviceId, Lba, PageData, Pfn, PhysAddr, ReadSnapshot, SocketId, Vpn, PAGE_SIZE, PATCH_MAX,
+};
+use hwdp_mem::page_table::{PageTable, ScanStats, WalkResult};
 use hwdp_mem::pte::{Pte, PteClass, PteFlags};
 use hwdp_mem::tlb::Tlb;
 use hwdp_sim::Prng;
@@ -96,6 +98,277 @@ fn lifecycle_ends_augmented() {
         let pte = pt.pte(Vpn(v));
         assert_eq!(pte.class(), PteClass::LbaAugmented, "{ctx}");
         assert_eq!(pte.block(), Some(blk(l2)), "{ctx}");
+    }
+}
+
+/// The page table without its host-side shortcuts: every access descends
+/// three levels, and every scan loops over all 512 slots of each level.
+/// Tables are allocated in the same order as [`PageTable`]'s, so entry
+/// addresses (the PMSHR key) agree as well as PTEs.
+struct ModelTable {
+    /// `(entries, children)` per table; the PGD is table 0.
+    tables: Vec<(Vec<Pte>, Vec<u32>)>,
+}
+
+impl ModelTable {
+    const NONE: u32 = u32::MAX;
+    const BASE: u64 = 1 << 40;
+
+    fn new() -> Self {
+        ModelTable { tables: vec![(vec![Pte::EMPTY; 512], vec![Self::NONE; 512])] }
+    }
+
+    fn addr(t: u32, i: usize) -> PhysAddr {
+        PhysAddr(Self::BASE + t as u64 * 4096 + i as u64 * 8)
+    }
+
+    fn split(a: PhysAddr) -> (usize, usize) {
+        let off = a.0 - Self::BASE;
+        ((off / 4096) as usize, (off % 4096 / 8) as usize)
+    }
+
+    fn child(&mut self, t: u32, i: usize) -> u32 {
+        if self.tables[t as usize].1[i] == Self::NONE {
+            let new = self.tables.len() as u32;
+            self.tables.push((vec![Pte::EMPTY; 512], vec![Self::NONE; 512]));
+            self.tables[t as usize].1[i] = new;
+        }
+        self.tables[t as usize].1[i]
+    }
+
+    fn result(&self, vpn: Vpn, (pud, pmd, pt): (u32, u32, u32)) -> WalkResult {
+        let (_, pud_i, pmd_i, pt_i) = vpn.indices();
+        WalkResult {
+            pte: self.tables[pt as usize].0[pt_i],
+            pud_addr: Self::addr(pud, pud_i),
+            pmd_addr: Self::addr(pmd, pmd_i),
+            pte_addr: Self::addr(pt, pt_i),
+        }
+    }
+
+    fn populate(&mut self, vpn: Vpn) -> WalkResult {
+        let (pgd_i, pud_i, pmd_i, _) = vpn.indices();
+        let pud = self.child(0, pgd_i);
+        let pmd = self.child(pud, pud_i);
+        let pt = self.child(pmd, pmd_i);
+        self.result(vpn, (pud, pmd, pt))
+    }
+
+    fn walk(&self, vpn: Vpn) -> Option<WalkResult> {
+        let (pgd_i, pud_i, pmd_i, _) = vpn.indices();
+        let pud = Some(self.tables[0].1[pgd_i]).filter(|&t| t != Self::NONE)?;
+        let pmd = Some(self.tables[pud as usize].1[pud_i]).filter(|&t| t != Self::NONE)?;
+        let pt = Some(self.tables[pmd as usize].1[pmd_i]).filter(|&t| t != Self::NONE)?;
+        Some(self.result(vpn, (pud, pmd, pt)))
+    }
+
+    fn leaf_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {
+        let (t, i) = Self::split(self.walk(vpn)?.pte_addr);
+        Some(&mut self.tables[t].0[i])
+    }
+
+    fn set_pte(&mut self, vpn: Vpn, pte: Pte) {
+        let (t, i) = Self::split(self.populate(vpn).pte_addr);
+        self.tables[t].0[i] = pte;
+    }
+
+    fn smu_complete(&mut self, w: &WalkResult, pfn: Pfn) -> Pte {
+        let (t, i) = Self::split(w.pte_addr);
+        let new = self.tables[t].0[i].complete_hw_miss(pfn);
+        self.tables[t].0[i] = new;
+        for a in [w.pmd_addr, w.pud_addr] {
+            let (t, i) = Self::split(a);
+            self.tables[t].0[i] = Pte(self.tables[t].0[i].0 | 1 << 10);
+        }
+        new
+    }
+
+    fn read_entry(&self, a: PhysAddr) -> Pte {
+        if a.0 < Self::BASE {
+            return Pte::EMPTY;
+        }
+        let (t, i) = Self::split(a);
+        self.tables[t].0[i]
+    }
+
+    /// Every populated `(pgd, pud)` slot pair with its PUD and PMD tables,
+    /// in ascending order, found by looping over all 512 slots per level.
+    fn pmd_tables(&self) -> Vec<(usize, usize, usize, usize)> {
+        let mut out = Vec::new();
+        for pgd_i in 0..512 {
+            let pud = self.tables[0].1[pgd_i];
+            if pud == Self::NONE {
+                continue;
+            }
+            for pud_i in 0..512 {
+                let pmd = self.tables[pud as usize].1[pud_i];
+                if pmd != Self::NONE {
+                    out.push((pgd_i, pud_i, pud as usize, pmd as usize));
+                }
+            }
+        }
+        out
+    }
+
+    fn scan_needs_sync(&mut self, mut sync: impl FnMut(Vpn, Pte) -> Pte) -> ScanStats {
+        let mut stats = ScanStats::default();
+        for (pgd_i, pud_i, pud, pmd) in self.pmd_tables() {
+            stats.entries_examined += 1;
+            let pud_e = self.tables[pud].0[pud_i];
+            if !pud_e.lba_bit() {
+                stats.tables_skipped += 1;
+                continue;
+            }
+            self.tables[pud].0[pud_i] = pud_e.clear_lba_bit();
+            for pmd_i in 0..512 {
+                let pt = self.tables[pmd].1[pmd_i];
+                if pt == Self::NONE {
+                    continue;
+                }
+                stats.entries_examined += 1;
+                let pmd_e = self.tables[pmd].0[pmd_i];
+                if !pmd_e.lba_bit() {
+                    stats.tables_skipped += 1;
+                    continue;
+                }
+                self.tables[pmd].0[pmd_i] = pmd_e.clear_lba_bit();
+                for pt_i in 0..512 {
+                    stats.entries_examined += 1;
+                    let pte = self.tables[pt as usize].0[pt_i];
+                    if pte.class() == PteClass::ResidentNeedsSync {
+                        self.tables[pt as usize].0[pt_i] = sync(leaf_vpn(pgd_i, pud_i, pmd_i, pt_i), pte);
+                        stats.ptes_synced += 1;
+                    }
+                }
+            }
+        }
+        stats
+    }
+
+    fn for_each_pte(&self, mut f: impl FnMut(Vpn, Pte)) {
+        for (pgd_i, pud_i, _, pmd) in self.pmd_tables() {
+            for pmd_i in 0..512 {
+                let pt = self.tables[pmd].1[pmd_i];
+                if pt == Self::NONE {
+                    continue;
+                }
+                for pt_i in 0..512 {
+                    let pte = self.tables[pt as usize].0[pt_i];
+                    if pte != Pte::EMPTY {
+                        f(leaf_vpn(pgd_i, pud_i, pmd_i, pt_i), pte);
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn leaf_vpn(pgd_i: usize, pud_i: usize, pmd_i: usize, pt_i: usize) -> Vpn {
+    Vpn(((pgd_i as u64) << 27) | ((pud_i as u64) << 18) | ((pmd_i as u64) << 9) | pt_i as u64)
+}
+
+fn walk_key(w: &WalkResult) -> (Pte, PhysAddr, PhysAddr, PhysAddr) {
+    (w.pte, w.pud_addr, w.pmd_addr, w.pte_addr)
+}
+
+/// A VPN near one of `bases`: within a few pages of it, or across the
+/// PMD (512 pages), PUD (2^18) or PGD (2^27) boundary nearest it.
+fn near_vpn(g: &mut Prng, bases: &[u64]) -> Vpn {
+    let base = bases[g.below(bases.len() as u64) as usize];
+    let shift = [0, 9, 18, 27][g.below(4) as usize];
+    let edge = if shift == 0 { base } else { (base >> shift << shift) + (1 << shift) };
+    Vpn((edge + g.below(16)).saturating_sub(8) % (1 << 36))
+}
+
+fn random_pte(g: &mut Prng) -> Pte {
+    match g.below(4) {
+        0 => Pte::EMPTY,
+        1 => Pte::present(Pfn(g.below(1 << 30)), PteFlags::user_data()),
+        _ => Pte::lba_augmented(blk(g.next_u64()), PteFlags::user_data()),
+    }
+}
+
+/// The memoized page table with populated-child bitmaps is
+/// indistinguishable from the plain table: under any interleaving of
+/// writes, walks, SMU completions and scans, over VPNs that cross PMD,
+/// PUD and PGD boundaries in several distant regions, both give equal
+/// PTEs, equal entry addresses, and equal scan callbacks (order
+/// included) and statistics.
+#[test]
+fn page_table_matches_the_unmemoized_model() {
+    let mut g = Prng::seed_from(0x3E_0009);
+    for case in 0..CASES {
+        let bases: Vec<u64> = (0..g.range(1, 5)).map(|_| g.below(1 << 36)).collect();
+        let (mut pt, mut model) = (PageTable::new(), ModelTable::new());
+        let mut addrs = vec![PhysAddr(0), PhysAddr(1 << 40)];
+        let steps = g.range(1, 120);
+        for step in 0..steps {
+            let vpn = near_vpn(&mut g, &bases);
+            let ctx = format!("case {case} step {step}: bases {bases:x?}, vpn {:#x}", vpn.0);
+            match g.below(10) {
+                0 => {
+                    let pte = random_pte(&mut g);
+                    pt.set_pte(vpn, pte);
+                    model.set_pte(vpn, pte);
+                }
+                1 => {
+                    let block = blk(g.next_u64());
+                    let f = [Pte::with_accessed, Pte::with_dirty, Pte::clear_accessed][g.below(3) as usize];
+                    let f = move |p: Pte| if p.is_present() { f(p) } else { p.evict_to(block) };
+                    let new = pt.update_pte(vpn, f);
+                    model.set_pte(vpn, f(model.walk(vpn).map_or(Pte::EMPTY, |w| w.pte)));
+                    assert_eq!(new, model.walk(vpn).map(|w| w.pte).unwrap_or(Pte::EMPTY), "{ctx}");
+                }
+                2 => {
+                    let (w, m) = (pt.ensure_populated(vpn), model.populate(vpn));
+                    assert_eq!(walk_key(&w), walk_key(&m), "{ctx}");
+                    addrs.extend([w.pud_addr, w.pmd_addr, w.pte_addr]);
+                }
+                3 => assert_eq!(pt.walk(vpn).map(|w| walk_key(&w)), model.walk(vpn).map(|w| walk_key(&w)), "{ctx}"),
+                4 => assert_eq!(pt.pte(vpn), model.walk(vpn).map_or(Pte::EMPTY, |w| w.pte), "{ctx}"),
+                5 => {
+                    let (a, b) = (pt.leaf_mut(vpn), model.leaf_mut(vpn));
+                    assert_eq!(a.as_deref(), b.as_deref(), "{ctx}");
+                    if let (Some(a), Some(b)) = (a, b) {
+                        *a = a.with_accessed();
+                        *b = b.with_accessed();
+                    }
+                }
+                6 => {
+                    if let Some(w) = pt.walk(vpn).filter(|w| w.pte.class() == PteClass::LbaAugmented) {
+                        let pfn = Pfn(g.below(1 << 30));
+                        assert_eq!(pt.smu_complete(&w, pfn), model.smu_complete(&w, pfn), "{ctx}");
+                    }
+                }
+                7 => {
+                    let a = if g.chance(0.5) {
+                        addrs[g.below(addrs.len() as u64) as usize]
+                    } else {
+                        ModelTable::addr(g.below(model.tables.len() as u64) as u32, g.below(512) as usize)
+                    };
+                    assert_eq!(pt.read_entry(a), model.read_entry(a), "{ctx}: entry {:#x}", a.0);
+                }
+                8 => {
+                    let keep = g.chance(0.3);
+                    let (mut seen, mut want) = (Vec::new(), Vec::new());
+                    let sync = |seen: &mut Vec<(Vpn, Pte)>, vpn, pte: Pte| {
+                        seen.push((vpn, pte));
+                        if keep { pte } else { pte.clear_lba_bit() }
+                    };
+                    let stats = pt.scan_needs_sync(|v, p| sync(&mut seen, v, p));
+                    let expect = model.scan_needs_sync(|v, p| sync(&mut want, v, p));
+                    assert_eq!(stats, expect, "{ctx}");
+                    assert_eq!(seen, want, "{ctx}");
+                }
+                _ => {
+                    let (mut seen, mut want) = (Vec::new(), Vec::new());
+                    pt.for_each_pte(|v, p| seen.push((v, p)));
+                    model.for_each_pte(|v, p| want.push((v, p)));
+                    assert_eq!(seen, want, "{ctx}");
+                }
+            }
+            assert_eq!(pt.tables_allocated(), model.tables.len(), "{ctx}");
+        }
     }
 }
 

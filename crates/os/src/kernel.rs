@@ -300,10 +300,9 @@ impl Os {
         cache.select_victims_into(
             n,
             |_, _, vpn| {
-                let Some(vpn) = vpn else { return false };
-                let pte = page_table.pte(vpn);
-                if pte.is_accessed() {
-                    page_table.update_pte(vpn, Pte::clear_accessed);
+                let Some(e) = vpn.and_then(|vpn| page_table.leaf_mut(vpn)) else { return false };
+                if e.is_accessed() {
+                    *e = e.clear_accessed();
                     true
                 } else {
                     false
@@ -334,10 +333,10 @@ impl Os {
                     .resolve(vpn)
                     .map(|(_, vma)| vma.flags.fast)
                     .unwrap_or(false);
-                if fast {
-                    self.page_table.update_pte(vpn, |p| p.evict_to(pte_block));
-                } else {
-                    self.page_table.set_pte(vpn, Pte::EMPTY);
+                // A cached page's leaf was populated when the page was
+                // mapped, and tables are never freed.
+                if let Some(e) = self.page_table.leaf_mut(vpn) {
+                    *e = if fast { e.evict_to(pte_block) } else { Pte::EMPTY };
                 }
             }
             self.stats.evictions += 1;

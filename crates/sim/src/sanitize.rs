@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn merge_folds_counts_and_violations() {
         let mut a = AuditReport::new();
-        a.check("os", "cache", true, || String::new());
+        a.check("os", "cache", true, String::new);
         let mut b = AuditReport::new();
         b.record("os", "cache", "lost page".into());
         b.checked();

@@ -133,8 +133,8 @@ fn bucket_of(d: Duration) -> usize {
     let ns = d.as_nanos().max(1);
     let oct = 63 - ns.leading_zeros() as u64; // floor(log2 ns)
     let oct = oct.min(OCTAVES - 1);
-    let base = 1u64 << oct;
-    let frac = ((ns - base) * SUB) / base; // 0..SUB
+    // (ns - base) * SUB / base, with the power-of-two division a shift.
+    let frac = ((ns - (1u64 << oct)) * SUB) >> oct; // 0..SUB
     (oct * SUB + frac.min(SUB - 1)) as usize
 }
 
@@ -254,6 +254,31 @@ impl fmt::Debug for LatencyHist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `bucket_of` shifts where it used to divide by the octave's base;
+    /// the two agree at every octave's edges and at random points in it,
+    /// the clamped top octave included.
+    #[test]
+    fn bucket_of_matches_the_division_form() {
+        fn by_division(d: Duration) -> usize {
+            let ns = d.as_nanos().max(1);
+            let oct = (63 - ns.leading_zeros() as u64).min(OCTAVES - 1);
+            let base = 1u64 << oct;
+            let frac = ((ns - base) * SUB) / base;
+            (oct * SUB + frac.min(SUB - 1)) as usize
+        }
+        let mut g = crate::rng::Prng::seed_from(0x51_5701);
+        for oct in 0..OCTAVES + 2 {
+            let base = 1u64 << oct;
+            let mut probes = vec![base - 1, base, base + 1, 2 * base - 1];
+            probes.extend((0..64).map(|_| base + g.below(base)));
+            for ns in probes {
+                let d = Duration::from_nanos(ns);
+                assert_eq!(bucket_of(d), by_division(d), "octave {oct}: {ns} ns");
+            }
+        }
+        assert_eq!(bucket_of(Duration::ZERO), by_division(Duration::ZERO));
+    }
 
     #[test]
     fn counter_basics() {

@@ -350,9 +350,13 @@ impl Freq {
 
     /// Duration of `n` clock cycles, rounded to the nearest picosecond.
     pub fn cycles(self, n: u64) -> Duration {
-        // ps = n * 1e12 / hz. Split to avoid overflow for large n.
-        let ps = (n as u128 * PS_PER_S as u128) / self.hz as u128;
-        Duration(ps as u64)
+        // ps = n * 1e12 / hz, in u64 when the product fits (exactly the
+        // u128 result), else in u128 so a large n cannot overflow.
+        let ps = match n.checked_mul(PS_PER_S) {
+            Some(p) => p / self.hz,
+            None => ((n as u128 * PS_PER_S as u128) / self.hz as u128) as u64,
+        };
+        Duration(ps)
     }
 
     /// Duration of one clock cycle.
@@ -362,7 +366,10 @@ impl Freq {
 
     /// Number of whole cycles in `d` (truncating).
     pub fn cycles_in(self, d: Duration) -> u64 {
-        ((d.as_ps() as u128 * self.hz as u128) / PS_PER_S as u128) as u64
+        match d.as_ps().checked_mul(self.hz) {
+            Some(p) => p / PS_PER_S,
+            None => ((d.as_ps() as u128 * self.hz as u128) / PS_PER_S as u128) as u64,
+        }
     }
 
     /// Time to retire `instructions` at a given IPC on this clock.

@@ -197,6 +197,31 @@ fn freq_roundtrip() {
     }
 }
 
+/// `Freq::cycles` and `Freq::cycles_in` equal the exact `u128` formula
+/// (`n * 1e12 / hz` and `ps * hz / 1e12`, truncated to `u64`) for any
+/// frequency, on inputs drawn at and around the point where the `u64`
+/// product overflows, at 0, at `u64::MAX`, and anywhere between.
+#[test]
+fn freq_conversions_match_the_u128_formula() {
+    const PS: u128 = 1_000_000_000_000;
+    let mut g = Prng::seed_from(0x51_000B);
+    for case in 0..CASES {
+        let f = Freq::from_mhz(g.range(1, 10_000));
+        let hz = f.hz();
+        // The largest inputs whose u64 products do not overflow.
+        let (n_edge, ps_edge) = (u64::MAX / PS as u64, u64::MAX / hz);
+        let near = |g: &mut Prng, edge: u64| edge.saturating_add(g.below(5)).saturating_sub(2);
+        let mut inputs = vec![0, 1, u64::MAX, u64::MAX - 1, n_edge, n_edge + 1, ps_edge, ps_edge + 1];
+        inputs.extend([near(&mut g, n_edge), near(&mut g, ps_edge), g.next_u64(), g.below(1 << 32)]);
+        for x in inputs {
+            let ctx = format!("case {case}: {hz} Hz, input {x}");
+            assert_eq!(f.cycles(x).as_ps(), (x as u128 * PS / hz as u128) as u64, "{ctx}");
+            let d = Duration::from_ps(x);
+            assert_eq!(f.cycles_in(d), (x as u128 * hz as u128 / PS) as u64, "{ctx}");
+        }
+    }
+}
+
 /// Duration arithmetic is consistent: (a + b) - b == a.
 #[test]
 fn duration_add_sub() {
