@@ -38,7 +38,7 @@ use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
 use hwdp_sim::stats::LatencyHist;
 use hwdp_sim::time::{Duration, Time};
 use hwdp_tier::{MigrationPlan, TierEngine, TierReport, TierResidence};
-use hwdp_workloads::kvstore::record_header;
+use hwdp_workloads::kvstore::initial_record;
 use hwdp_workloads::{RegionId, Step, Workload};
 
 use crate::config::{Mode, SystemConfig};
@@ -526,11 +526,11 @@ impl System {
         assert!(records <= capacity, "records exceed capacity");
         let file = self.os.fs.create(name, SocketId(0), device, 1, capacity);
         let dev = self.device_index[&(0, device.0)];
-        for key in 0..records {
-            let lba = self.os.fs.lba_of(file, key);
-            let mut page = PageData::Zero;
-            page.write(0, &record_header(key, 0));
-            self.devices[dev].namespace_mut(1).write_block(lba, page);
+        // A new file's blocks are one contiguous run (`MiniFs::create`), so
+        // its records are one extent read in closed form.
+        if records > 0 {
+            let first = self.os.fs.lba_of(file, 0);
+            self.devices[dev].namespace_mut(1).init_extent(first, records, initial_record);
         }
         self.tier_register_file(file, device, capacity);
         file

@@ -178,14 +178,14 @@ fn prepare(spec: &JobSpec) -> System {
         // (two SMT contexts) for the canonical single-FIO-thread co-run.
         let contexts = spec.pin.unwrap_or(0) + spec.threads + 1;
         builder = builder.tweak(move |cfg| {
-            cfg.physical_cores = ((contexts + cfg.smt_ways - 1) / cfg.smt_ways).max(1);
+            cfg.physical_cores = contexts.div_ceil(cfg.smt_ways).max(1);
         });
     } else if let Some(base) = spec.pin {
         // Pinning places thread i on context `base + i`; grow the core
         // count when the pinned span runs past the default topology.
         let contexts = base + spec.threads;
         builder = builder.tweak(move |cfg| {
-            let needed = (contexts + cfg.smt_ways - 1) / cfg.smt_ways;
+            let needed = contexts.div_ceil(cfg.smt_ways);
             cfg.physical_cores = cfg.physical_cores.max(needed);
         });
     }

@@ -380,6 +380,25 @@ impl PageData {
         }
     }
 
+    /// A zero page with `data` written at `offset`, kept patched: the
+    /// same page [`PageData::write`] makes from [`PageData::Zero`], or
+    /// `None` when the write would leave the page or its window would not
+    /// fit [`PATCH_MAX`] bytes. Never materializes and never panics, so
+    /// it is safe on completion paths.
+    #[inline]
+    pub fn patched(offset: usize, data: &[u8]) -> Option<PageData> {
+        if data.is_empty() {
+            return (offset <= PAGE_SIZE).then_some(PageData::Zero);
+        }
+        if data.len() > PATCH_MAX || offset > PAGE_SIZE - data.len() {
+            return None;
+        }
+        let mut bytes = [0; PATCH_MAX];
+        bytes[..data.len()].copy_from_slice(data);
+        // `offset < PAGE_SIZE` and `data.len() <= PATCH_MAX`, so both fit.
+        Some(PageData::Patched(Patch { offset: offset as u16, len: data.len() as u8, bytes }))
+    }
+
     /// Whether the page holds an explicit heap byte buffer.
     pub fn is_materialized(&self) -> bool {
         matches!(self, PageData::Bytes(_))
@@ -720,6 +739,22 @@ mod tests {
             assert!(!page.is_materialized());
             assert_eq!(page.checksum(), fnv1a(FNV_OFFSET, &bytes), "offset {offset} len {len}");
         }
+    }
+
+    #[test]
+    fn patched_constructor_equals_a_write_to_a_zero_page() {
+        for (offset, len) in [(0, 24), (0, PATCH_MAX), (PAGE_SIZE - 8, 8), (1000, 1), (7, 0)] {
+            let data: Vec<u8> = (1..=len as u8).collect();
+            let mut written = PageData::Zero;
+            written.write(offset, &data);
+            let built = PageData::patched(offset, &data).expect("fits");
+            assert_eq!(built, written, "offset {offset} len {len}");
+            assert_eq!(built.checksum(), written.checksum());
+            assert!(!built.is_materialized());
+        }
+        assert!(PageData::patched(0, &[1; PATCH_MAX + 1]).is_none());
+        assert!(PageData::patched(PAGE_SIZE - 7, &[1; 8]).is_none());
+        assert!(PageData::patched(PAGE_SIZE + 1, &[]).is_none());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! A namespace is "a storage volume organized into logical blocks"
 //! (paper, footnote 1); ours stores one [`PageData`] per 4 KiB block.
-//! Blocks never explicitly written return a configurable default — either
-//! zeroes or a deterministic per-block pattern, which lets FIO-style
-//! read-only datasets exist without materializing gigabytes.
+//! Blocks never explicitly written return a closed-form initial value: the
+//! block's initializer extent if one covers it (MiniDB's record pages),
+//! else a configurable default — zeroes or a deterministic per-block
+//! pattern. Datasets therefore exist without materializing gigabytes, and
+//! creating one costs the same whatever its size.
 
 use hwdp_mem::addr::{Lba, PageData};
 use hwdp_sim::DenseMap;
@@ -22,12 +24,25 @@ pub enum DefaultContents {
     },
 }
 
+/// Initial contents of a run of blocks, in closed form: block `start + i`
+/// reads as `init(i)` until it is written.
+#[derive(Clone, Copy, Debug)]
+struct InitExtent {
+    start: u64,
+    end: u64,
+    init: fn(u64) -> PageData,
+}
+
 /// The block store behind one namespace.
 #[derive(Debug)]
 pub struct BlockStore {
     blocks: u64,
-    /// Explicitly written blocks, by LBA.
+    /// Explicitly written blocks, by LBA. Initial dataset contents are not
+    /// here: they come from `extents` or `default` when read.
     written: DenseMap<PageData>,
+    /// Initializer extents in registration order; the latest covering a
+    /// block wins.
+    extents: Vec<InitExtent>,
     default: DefaultContents,
 }
 
@@ -38,15 +53,18 @@ impl BlockStore {
     ///
     /// Panics if `blocks` is zero.
     pub fn new(blocks: u64) -> Self {
-        assert!(blocks > 0, "namespace must have at least one block");
-        BlockStore { blocks, written: DenseMap::new(), default: DefaultContents::Zero }
+        BlockStore::with_default(blocks, DefaultContents::Zero)
     }
 
     /// Creates a store whose unwritten blocks hold a deterministic pattern
     /// derived from `seed` (synthetic pre-populated dataset).
     pub fn with_pattern(blocks: u64, seed: u64) -> Self {
+        BlockStore::with_default(blocks, DefaultContents::Pattern { seed })
+    }
+
+    fn with_default(blocks: u64, default: DefaultContents) -> Self {
         assert!(blocks > 0, "namespace must have at least one block");
-        BlockStore { blocks, written: DenseMap::new(), default: DefaultContents::Pattern { seed } }
+        BlockStore { blocks, written: DenseMap::new(), extents: Vec::new(), default }
     }
 
     /// Capacity in blocks.
@@ -93,6 +111,9 @@ impl BlockStore {
 
     /// Contents of `lba` while it has never been written.
     fn unwritten(&self, lba: Lba) -> PageData {
+        if let Some(e) = self.extents.iter().rev().find(|e| (e.start..e.end).contains(&lba.0)) {
+            return (e.init)(lba.0 - e.start);
+        }
         match self.default {
             DefaultContents::Zero => PageData::Zero,
             DefaultContents::Pattern { seed } => PageData::Pattern(seed ^ lba.0),
@@ -109,7 +130,22 @@ impl BlockStore {
         self.written.insert(lba.0, data);
     }
 
-    /// Number of blocks holding explicitly written data.
+    /// Initializes the `len` blocks from `start` in closed form: block
+    /// `start + i` reads as `init(i)` until it is next written. Equivalent
+    /// to writing every block now, at a cost independent of `len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range leaves the namespace.
+    pub fn init_extent(&mut self, start: Lba, len: u64, init: fn(u64) -> PageData) {
+        let end = start.0.saturating_add(len);
+        assert!(end <= self.blocks, "initializer extent beyond namespace end");
+        self.written.remove_range(start.0..end);
+        self.extents.push(InitExtent { start: start.0, end, init });
+    }
+
+    /// Number of blocks holding explicitly written data. Blocks that hold
+    /// an initializer extent's or the default contents do not count.
     pub fn written_blocks(&self) -> usize {
         self.written.len()
     }
@@ -159,6 +195,20 @@ mod tests {
         for l in 0..10 {
             assert_eq!(s.block_checksum(Lba(l)), s.read_block(Lba(l)).checksum(), "lba {l}");
         }
+    }
+
+    #[test]
+    fn extent_reads_in_closed_form_until_written() {
+        let mut s = BlockStore::with_pattern(10, 42);
+        s.write_block(Lba(4), PageData::Zero);
+        s.init_extent(Lba(3), 4, |i| PageData::Pattern(100 + i));
+        assert_eq!(s.written_blocks(), 0, "the extent supersedes the earlier write");
+        assert_eq!(s.read_block(Lba(2)), PageData::Pattern(42 ^ 2));
+        assert_eq!(s.read_block(Lba(4)), PageData::Pattern(101));
+        assert_eq!(s.read_block(Lba(7)), PageData::Pattern(42 ^ 7));
+        s.write_block(Lba(5), PageData::Zero);
+        assert_eq!(s.read_block(Lba(5)), PageData::Zero);
+        assert_eq!(s.block_checksum(Lba(6)), PageData::Pattern(103).checksum());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use hwdp_mem::addr::{PageData, PhysAddr};
+use hwdp_mem::addr::{Lba, PageData, PhysAddr};
 use hwdp_nvme::command::{NvmeCommand, Opcode, Status};
 use hwdp_nvme::device::NvmeController;
 use hwdp_nvme::namespace::BlockStore;
@@ -158,6 +158,79 @@ fn command_wire_roundtrip() {
         for opcode in [Opcode::Read, Opcode::Write] {
             let cmd = NvmeCommand { opcode, cid, nsid, prp1: PhysAddr(prp), slba, nlb };
             assert_eq!(NvmeCommand::decode(&cmd.encode()).unwrap(), cmd, "case {case}");
+        }
+    }
+}
+
+/// Initializers the extent property draws from: a MiniDB-style header, a
+/// per-block pattern, and a mix of zero and patched pages.
+const INITS: [fn(u64) -> PageData; 3] = [
+    |i| PageData::patched(0, &i.wrapping_mul(0x9E37).to_le_bytes()).unwrap_or_default(),
+    |i| PageData::Pattern(i ^ 0xE7),
+    |i| match i % 3 {
+        0 => PageData::Zero,
+        _ => PageData::patched(8, &[i as u8; 5]).unwrap_or_default(),
+    },
+];
+
+/// A store whose initial blocks come from initializer extents reads,
+/// checksums and copies exactly like one where every extent block was
+/// written eagerly when the extent was registered.
+#[test]
+fn initializer_extents_equal_eager_writes() {
+    let mut g = Prng::seed_from(0x4E_0006);
+    for case in 0..CASES {
+        let blocks = g.range(4, 96);
+        let seed = g.next_u64();
+        let pattern = g.chance(0.5);
+        let fresh = || match pattern {
+            true => BlockStore::with_pattern(blocks, seed),
+            false => BlockStore::new(blocks),
+        };
+        let (mut lazy, mut eager) = (fresh(), fresh());
+        let ctx = format!("case {case}: {blocks} blocks, pattern default {pattern}");
+        let mut marker = 0u8;
+        for step in 0..g.range(1, 120) {
+            let lba = Lba(g.below(blocks));
+            match g.below(8) {
+                0 => {
+                    let start = g.below(blocks);
+                    let len = g.range(0, blocks - start);
+                    let init = INITS[g.below(INITS.len() as u64) as usize];
+                    lazy.init_extent(Lba(start), len, init);
+                    for i in 0..len {
+                        eager.write_block(Lba(start + i), init(i));
+                    }
+                }
+                1 | 2 => {
+                    marker = marker.wrapping_add(1);
+                    let mut d = if g.chance(0.5) { PageData::Zero } else { eager.read_block(lba) };
+                    d.write(g.below(4000) as usize, &[marker; 9]);
+                    lazy.write_block(lba, d.clone());
+                    eager.write_block(lba, d);
+                }
+                3 => {
+                    // Relocate-style copy, as a tier migration or a remap
+                    // does: read one block, write it to another.
+                    let to = Lba(g.below(blocks));
+                    lazy.write_block(to, lazy.read_block(lba));
+                    eager.write_block(to, eager.read_block(lba));
+                }
+                4 | 5 => assert_eq!(
+                    lazy.block_checksum(lba),
+                    eager.block_checksum(lba),
+                    "{ctx}, step {step}: checksum of {lba:?}"
+                ),
+                _ => assert_eq!(
+                    lazy.read_block(lba),
+                    eager.read_block(lba),
+                    "{ctx}, step {step}: {lba:?}"
+                ),
+            }
+        }
+        for lba in (0..blocks).map(Lba) {
+            assert_eq!(lazy.read_block(lba), eager.read_block(lba), "{ctx}: final {lba:?}");
+            assert_eq!(lazy.block_checksum(lba), eager.block_checksum(lba), "{ctx}: final {lba:?}");
         }
     }
 }

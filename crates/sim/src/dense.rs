@@ -98,9 +98,26 @@ impl<V> DenseMap<V> {
         prev
     }
 
+    /// Removes every value whose key lies in `keys`. Costs nothing past
+    /// the highest key ever inserted.
+    pub fn remove_range(&mut self, keys: std::ops::Range<u64>) {
+        let end = slot_index(keys.end).min(self.slots.len());
+        let start = slot_index(keys.start).min(end);
+        for slot in &mut self.slots[start..end] {
+            if slot.take().is_some() {
+                self.len -= 1;
+            }
+        }
+    }
+
     /// `(key, &value)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
         self.slots.iter().enumerate().filter_map(|(k, v)| Some((k as u64, v.as_ref()?)))
+    }
+
+    /// `(key, &mut value)` pairs in ascending key order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut V)> + '_ {
+        self.slots.iter_mut().enumerate().filter_map(|(k, v)| Some((k as u64, v.as_mut()?)))
     }
 
     /// Occupied keys in ascending order.
@@ -111,11 +128,6 @@ impl<V> DenseMap<V> {
     /// Values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
         self.slots.iter().filter_map(Option::as_ref)
-    }
-
-    /// Mutable values in ascending key order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.slots.iter_mut().filter_map(Option::as_mut)
     }
 
     /// Grows the slot vector to cover `key`; returns its slot index.
@@ -172,11 +184,28 @@ mod tests {
         }
         m.remove(0);
         assert_eq!(m.iter().collect::<Vec<_>>(), [(4, &40), (9, &90)]);
-        for v in m.values_mut() {
+        for (_, v) in m.iter_mut() {
             *v += 1;
         }
         assert_eq!(m.values().copied().collect::<Vec<_>>(), [41, 91]);
         assert_eq!(m.keys().collect::<Vec<_>>(), [4, 9]);
+    }
+
+    #[test]
+    fn remove_range_clears_only_its_keys() {
+        let mut m = DenseMap::new();
+        for k in [1, 2, 5, 8] {
+            m.insert(k, k);
+        }
+        m.remove_range(2..8);
+        assert_eq!(m.keys().collect::<Vec<_>>(), [1, 8]);
+        assert_eq!(m.len(), 2);
+        m.remove_range(8..u64::MAX);
+        assert_eq!(m.keys().collect::<Vec<_>>(), [1]);
+        for (k, v) in m.iter_mut() {
+            *v += k;
+        }
+        assert_eq!(m.get(1), Some(&2));
     }
 
     #[test]

@@ -2,12 +2,19 @@
 //!
 //! * [`Zipfian`] / [`ScrambledZipfian`] — the YCSB request-popularity
 //!   distributions (Gray et al.'s rejection-free method, as used in the YCSB
-//!   core driver).
+//!   core driver). Their normalization constant, the zeta sum, comes from
+//!   a per-thread table of prefix sums per skew: the same additions in the
+//!   same order as a fresh loop, so every value is bit-identical, while
+//!   building a distribution costs no `powf` for a size the thread has
+//!   already reached.
 //! * [`Latest`] — YCSB-D's "latest" distribution: recency-skewed access over
 //!   a growing keyspace.
 //! * [`ServiceJitter`] — multiplicative lognormal-ish jitter for device
 //!   service times (ultra-low-latency SSDs have tight but nonzero
 //!   variation).
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 use crate::rng::Prng;
 
@@ -37,11 +44,39 @@ pub struct Zipfian {
     rank1_bound: f64,
 }
 
-/// Incremental zeta: sum_{i=1..=n} 1/i^theta.
+/// Largest `n` whose zeta prefix sum is kept in the table (8 MiB per
+/// skew); larger populations continue the sum from the last kept entry.
+const ZETA_TABLE_MAX: u64 = 1 << 20;
+
+thread_local! {
+    /// Per-skew prefix sums `[zeta(1), zeta(2), …]`, keyed by the skew's
+    /// bits and grown on demand. Every entry is the previous one plus
+    /// `1/i^theta`, the same additions in the same order as a fresh loop,
+    /// so a lookup returns the loop's bits and later jobs on this thread
+    /// reuse the `powf` calls of earlier ones.
+    static ZETA_PREFIX: RefCell<BTreeMap<u64, Vec<f64>>> = const { RefCell::new(BTreeMap::new()) };
+}
+
+/// `1/i^theta`, the zeta sum's `i`-th term.
+fn zeta_term(i: u64, theta: f64) -> f64 {
+    1.0 / (i as f64).powf(theta)
+}
+
+/// Zeta: sum_{i=1..=n} 1/i^theta, added in ascending `i`.
 fn zeta(n: u64, theta: f64) -> f64 {
-    let mut sum = 0.0;
-    for i in 1..=n {
-        sum += 1.0 / (i as f64).powf(theta);
+    let kept = n.min(ZETA_TABLE_MAX);
+    let mut sum = ZETA_PREFIX.with(|table| {
+        let mut table = table.borrow_mut();
+        let prefix = table.entry(theta.to_bits()).or_default();
+        let mut last = prefix.last().copied().unwrap_or(0.0);
+        for i in prefix.len() as u64 + 1..=kept {
+            last += zeta_term(i, theta);
+            prefix.push(last);
+        }
+        kept.checked_sub(1).map_or(0.0, |k| prefix[k as usize])
+    });
+    for i in kept + 1..=n {
+        sum += zeta_term(i, theta);
     }
     sum
 }
@@ -82,15 +117,15 @@ impl Zipfian {
         rank.min(self.items - 1)
     }
 
-    /// Grows the population (used by insert-heavy workloads). Recomputes the
-    /// normalization constant incrementally.
+    /// Grows the population (used by insert-heavy workloads). The
+    /// normalization constant comes from the shared zeta table.
     pub fn grow_to(&mut self, items: u64) {
         if items <= self.items {
             return;
         }
-        for i in (self.items + 1)..=items {
-            self.zetan += 1.0 / (i as f64).powf(self.theta);
-        }
+        // `zetan` is `zeta(self.items)`, so extending the sum in place
+        // and reading the table give the same bits.
+        self.zetan = zeta(items, self.theta);
         self.items = items;
         self.eta = (1.0 - (2.0 / items as f64).powf(1.0 - self.theta))
             / (1.0 - self.zeta2 / self.zetan);
@@ -117,9 +152,9 @@ pub fn fnv1a_u64(x: u64) -> u64 {
 }
 
 impl ScrambledZipfian {
-    /// Scrambles the ranks of `inner` over its own population. Building
-    /// `inner` costs one `powf` per item, so callers with several clients
-    /// over one keyspace build it once and hand each a clone.
+    /// Scrambles the ranks of `inner` over its own population. Callers
+    /// with several clients over one keyspace build `inner` once and hand
+    /// each a clone.
     pub fn new(inner: Zipfian) -> Self {
         ScrambledZipfian { inner }
     }
@@ -200,6 +235,78 @@ impl ServiceJitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Zipfian::new` as it was before the zeta table: two fresh loops.
+    fn reference_zipfian(items: u64, theta: f64) -> Zipfian {
+        let zeta = |n: u64| {
+            let mut sum = 0.0;
+            for i in 1..=n {
+                sum += 1.0 / (i as f64).powf(theta);
+            }
+            sum
+        };
+        let (zetan, zeta2) = (zeta(items), zeta(2));
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        let rank1_bound = 1.0 + 0.5f64.powf(theta);
+        Zipfian { items, theta, alpha, zetan, eta, zeta2, rank1_bound }
+    }
+
+    /// Every field bit for bit, then 10,000 draws from one seed.
+    fn assert_bit_identical(z: &Zipfian, reference: &Zipfian, ctx: &str) {
+        let bits = |z: &Zipfian| {
+            [z.theta, z.alpha, z.zetan, z.eta, z.zeta2, z.rank1_bound].map(f64::to_bits)
+        };
+        assert_eq!(z.items, reference.items, "{ctx}: items");
+        assert_eq!(bits(z), bits(reference), "{ctx}: fields");
+        let (mut a, mut b) = (z.clone(), reference.clone());
+        let (mut ra, mut rb) = (Prng::seed_from(z.items), Prng::seed_from(z.items));
+        for i in 0..10_000 {
+            assert_eq!(a.sample(&mut ra), b.sample(&mut rb), "{ctx}: draw {i}");
+        }
+    }
+
+    /// Sizes in ascending, descending and repeated order, two skews
+    /// interleaved, growth, and a second thread with a table of its own.
+    fn check_zeta_table_orders() {
+        let ascending = [1, 2, 3, 17, 500, 4096];
+        let descending = [5000, 1024, 333, 2, 1];
+        let repeated = [777, 777, 12, 777];
+        let orders = [("ascending", &ascending[..]), ("descending", &descending[..])];
+        for (order, sizes) in orders.into_iter().chain([("repeated", &repeated[..])]) {
+            for &n in sizes {
+                for theta in [YCSB_ZIPFIAN_THETA, 0.5] {
+                    let ctx = format!("{order} n {n} theta {theta}");
+                    let reference = reference_zipfian(n, theta);
+                    assert_bit_identical(&Zipfian::new(n, theta), &reference, &ctx);
+                }
+            }
+        }
+        for (start, end) in [(1, 2), (10, 6000), (700, 701), (3000, 3000)] {
+            let mut z = Zipfian::new(start, YCSB_ZIPFIAN_THETA);
+            z.grow_to(end);
+            let reference = reference_zipfian(end, YCSB_ZIPFIAN_THETA);
+            assert_bit_identical(&z, &reference, &format!("grow {start}→{end}"));
+        }
+        // Growing one step at a time, as inserts do.
+        let mut z = Zipfian::new(100, 0.5);
+        for n in 101..=300 {
+            z.grow_to(n);
+        }
+        assert_bit_identical(&z, &reference_zipfian(300, 0.5), "grow by ones");
+    }
+
+    #[test]
+    fn zeta_table_is_bit_exact() {
+        check_zeta_table_orders();
+        std::thread::spawn(check_zeta_table_orders).join().expect("second thread passes");
+    }
+
+    #[test]
+    fn zeta_past_the_table_continues_the_same_sum() {
+        let n = ZETA_TABLE_MAX + 3;
+        assert_bit_identical(&Zipfian::new(n, 0.9), &reference_zipfian(n, 0.9), "past the table");
+    }
 
     #[test]
     fn zipfian_in_range() {

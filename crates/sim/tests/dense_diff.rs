@@ -3,11 +3,11 @@
 //!
 //! Both maps are driven with identical operation streams — insert
 //! (including overwrites and keys past the current end, so the slot
-//! vector grows), remove (including absent and past-the-end keys), get,
-//! get_mut, get-or-insert — and after every op the lengths must agree;
-//! iteration (pairs, keys, values, mutable values) is compared in full
-//! at intervals. Any difference in a returned value or
-//! in iteration order fails the test.
+//! vector grows), remove (including absent and past-the-end keys), range
+//! removal, get, get_mut, get-or-insert — and after every op the lengths
+//! must agree; iteration (pairs, keys, values, mutable pairs) is compared
+//! in full at intervals. Any difference in a returned value or in
+//! iteration order fails the test.
 //!
 //! Two fixed 5,000-op streams pin exact traces; the property test draws
 //! 256 streams from a fixed-seed [`Prng`], and a failing case is named
@@ -25,6 +25,8 @@ enum Op {
     Get(u64),
     GetMut(u64, u32),
     GetOrInsert(u64, u32),
+    /// Remove every key in `start..end`.
+    RemoveRange(u64, u64),
     /// Compare every iterator of both maps in full.
     Iterate,
 }
@@ -59,6 +61,10 @@ impl Pair {
                 let b = *self.model.entry(k).or_insert(v);
                 assert_eq!(a, b, "{op:?}");
             }
+            Op::RemoveRange(start, end) => {
+                self.dense.remove_range(start..end);
+                self.model.retain(|k, _| !(start..end).contains(k));
+            }
             Op::Iterate => self.compare_iteration(),
         }
         assert_eq!(self.dense.len(), self.model.len(), "len after {op:?}");
@@ -71,11 +77,11 @@ impl Pair {
         assert_eq!(dense, model, "iteration order");
         assert!(self.dense.keys().eq(self.model.keys().copied()));
         assert!(self.dense.values().eq(self.model.values()));
-        for v in self.dense.values_mut() {
-            *v = v.rotate_left(1);
+        for (k, v) in self.dense.iter_mut() {
+            *v = v.rotate_left(1) ^ k as u32;
         }
-        for v in self.model.values_mut() {
-            *v = v.rotate_left(1);
+        for (&k, v) in self.model.iter_mut() {
+            *v = v.rotate_left(1) ^ k as u32;
         }
         assert!(self.dense.values().eq(self.model.values()), "mutable iteration");
     }
@@ -97,6 +103,7 @@ fn decode(raw: &[(u8, u64, u64)]) -> Vec<Op> {
                 17..=21 => Op::Get(key),
                 22..=24 => Op::GetMut(key, v),
                 25..=27 => Op::GetOrInsert(key, v),
+                28 => Op::RemoveRange(key, key + b % 8),
                 _ => Op::Iterate,
             }
         })

@@ -405,21 +405,27 @@ impl TierEngine {
     ) {
         let epoch = self.epoch;
 
-        // Promotion candidates: hottest first, key order tie-break.
+        // One walk over the tracked pages collects the promotion
+        // candidates (slow pages the policy would promote) and the views
+        // of fast-resident pages, then decays each heat by half. The plan
+        // reads only the heats captured here, so decaying them now gives
+        // the plan it would get after planning.
         let mut cands = std::mem::take(&mut self.scratch_cands);
-        cands.extend(
-            self.pages
-                .iter()
-                .filter(|(k, p)| {
-                    matches!(p.residence, TierResidence::Slow)
-                        && self.policy.promote(
-                            &PageView { key: *k, heat: p.heat, last_epoch: p.last_epoch },
-                            epoch,
-                        )
-                })
-                .map(|(k, p)| (p.heat, k)),
-        );
-        cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut fast_resident = std::mem::take(&mut self.scratch_views);
+        for (key, p) in self.pages.iter_mut() {
+            let view = PageView { key, heat: p.heat, last_epoch: p.last_epoch };
+            match p.residence {
+                TierResidence::Slow if self.policy.promote(&view, epoch) => {
+                    cands.push((p.heat, key));
+                }
+                TierResidence::Fast(_) => fast_resident.push(view),
+                _ => {}
+            }
+            p.heat /= 2;
+        }
+        // Hottest first, key order tie-break; keys are unique, so the
+        // order is total and an unstable sort gives the stable one's.
+        cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
         let limit = self.fast_limit();
         let mut promoted = 0usize;
@@ -447,14 +453,9 @@ impl TierEngine {
 
         // Demotion victims: policy-driven demotions first, then (only
         // under promotion pressure) forced demotions of the coldest
-        // fast-resident pages to make room for the next tick.
-        let mut fast_resident = std::mem::take(&mut self.scratch_views);
-        fast_resident.extend(
-            self.pages
-                .iter()
-                .filter(|(_, p)| matches!(p.residence, TierResidence::Fast(_)))
-                .map(|(k, p)| PageView { key: k, heat: p.heat, last_epoch: p.last_epoch }),
-        );
+        // fast-resident pages to make room for the next tick. Promotions
+        // above only turned slow pages in flight, so `fast_resident` is
+        // still exactly the fast-resident set.
         let mut victims = std::mem::take(&mut self.scratch_victims);
         for v in &fast_resident {
             match self.policy.demote(v, epoch) {
@@ -493,14 +494,12 @@ impl TierEngine {
         self.scratch_views = fast_resident;
         self.scratch_victims = victims;
 
-        // Close the epoch: fold hit deltas, decay heat, advance.
+        // Close the epoch: fold hit deltas and advance (heat decayed in
+        // the walk above).
         let delta =
             (self.fast_hits - self.counted_hits.0, self.slow_hits - self.counted_hits.1);
         self.epoch_hits.push(delta);
         self.counted_hits = (self.fast_hits, self.slow_hits);
-        for p in self.pages.values_mut() {
-            p.heat /= 2;
-        }
         self.epoch += 1;
     }
 
@@ -957,5 +956,182 @@ mod tests {
         let mut report = hwdp_sim::sanitize::AuditReport::new();
         e.sanitize(SanitizeLevel::Off, &mut report);
         assert_eq!(report.checks, 0);
+    }
+
+    /// The planner as it was before the one-pass walk, kept as the
+    /// reference model: one walk for the promotion candidates (stable
+    /// sort), a second for the fast-resident views after promotion, and a
+    /// third that decays every heat after planning.
+    fn model_plan_tick(
+        e: &mut TierEngine,
+        mut eligible: impl FnMut(u64) -> bool,
+        plans: &mut Vec<MigrationPlan>,
+    ) {
+        let epoch = e.epoch;
+        let mut cands: Vec<(u32, u64)> = e
+            .pages
+            .iter()
+            .filter(|(k, p)| {
+                matches!(p.residence, TierResidence::Slow)
+                    && e.policy.promote(
+                        &PageView { key: *k, heat: p.heat, last_epoch: p.last_epoch },
+                        epoch,
+                    )
+            })
+            .map(|(k, p)| (p.heat, k))
+            .collect();
+        cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let limit = e.fast_limit();
+        let (mut promoted, mut overflow) = (0usize, 0usize);
+        for (_, key) in cands {
+            if promoted >= e.cfg.batch || e.fast_map.len() >= limit {
+                overflow += 1;
+                continue;
+            }
+            if !eligible(key) {
+                continue;
+            }
+            let f = e.alloc_fast();
+            e.fast_map.insert(f, key);
+            if let Some(p) = e.pages.get_mut(key) {
+                p.residence = TierResidence::PromoteInFlight(f);
+            }
+            plans.push(MigrationPlan::Promote { key, fast_lba: f });
+            promoted += 1;
+        }
+        let fast_resident: Vec<PageView> = e
+            .pages
+            .iter()
+            .filter(|(_, p)| matches!(p.residence, TierResidence::Fast(_)))
+            .map(|(k, p)| PageView { key: k, heat: p.heat, last_epoch: p.last_epoch })
+            .collect();
+        let mut victims = Vec::new();
+        for v in &fast_resident {
+            match e.policy.demote(v, epoch) {
+                Some(score) => victims.push((0u8, score, v.key)),
+                None if overflow > 0 => {
+                    let score = ((v.heat as u64) << 32) | (v.last_epoch & 0xFFFF_FFFF);
+                    victims.push((1, score, v.key));
+                }
+                None => {}
+            }
+        }
+        victims.sort_unstable();
+        let (mut demoted, mut forced) = (0usize, 0usize);
+        for (kind, _, key) in victims {
+            if demoted >= e.cfg.batch {
+                break;
+            }
+            if kind == 1 {
+                if forced >= overflow {
+                    continue;
+                }
+                forced += 1;
+            }
+            if !eligible(key) {
+                continue;
+            }
+            let Some(p) = e.pages.get_mut(key) else { continue };
+            let TierResidence::Fast(f) = p.residence else { continue };
+            p.residence = TierResidence::DemoteInFlight(f);
+            plans.push(MigrationPlan::Demote { key, fast_lba: f });
+            demoted += 1;
+        }
+        let delta = (e.fast_hits - e.counted_hits.0, e.slow_hits - e.counted_hits.1);
+        e.epoch_hits.push(delta);
+        e.counted_hits = (e.fast_hits, e.slow_hits);
+        for (_, p) in e.pages.iter_mut() {
+            p.heat /= 2;
+        }
+        e.epoch += 1;
+    }
+
+    /// Every piece of engine state a plan can touch.
+    #[allow(clippy::type_complexity)]
+    fn engine_state(
+        e: &TierEngine,
+    ) -> (Vec<(u64, TierResidence, u32, u64)>, Vec<(u64, u64)>, Vec<u64>, u64, u64, TierReport)
+    {
+        (
+            e.pages.iter().map(|(k, p)| (k, p.residence, p.heat, p.last_epoch)).collect(),
+            e.fast_map.iter().map(|(f, k)| (f, *k)).collect(),
+            e.free_fast.clone(),
+            e.next_fast,
+            e.epoch,
+            e.report(),
+        )
+    }
+
+    #[test]
+    fn one_pass_planner_matches_the_three_walk_model() {
+        use hwdp_sim::rng::Prng;
+        for case in 0..300u64 {
+            let mut rng = Prng::seed_from(0x71E2 ^ case);
+            let mut c = cfg(PolicyKind::ALL[rng.below(3) as usize]);
+            c.cap_pct = rng.range(0, 60) as u32;
+            c.batch = rng.range(1, 9) as usize;
+            let (mut real, mut model) = (TierEngine::new(c), TierEngine::new(c));
+            // A sparse key set with holes, registered in random order.
+            let span = rng.range(8, 300);
+            let mut keys: Vec<u64> = (0..span).filter(|_| rng.chance(0.7)).collect();
+            rng.shuffle(&mut keys);
+            for &k in &keys {
+                real.register(k);
+                model.register(k);
+            }
+            let reject = rng.f64() * 0.5;
+            for tick in 0..40u64 {
+                for _ in 0..rng.below(4 * span) {
+                    let fast = rng.chance(0.3);
+                    let lba = rng.below(span + 4);
+                    real.record_access(fast, lba);
+                    model.record_access(fast, lba);
+                }
+                // Settle some in-flight migrations: commit, abort or leave.
+                let in_flight: Vec<u64> =
+                    real.pages.keys().filter(|&k| real.in_flight(k)).collect();
+                for k in in_flight {
+                    match rng.below(3) {
+                        0 => assert_eq!(real.commit(k), model.commit(k)),
+                        1 => {
+                            real.abort(k);
+                            model.abort(k);
+                        }
+                        _ => {}
+                    }
+                }
+                // Eligibility is a pure function of the key and tick, and
+                // both planners must consult it for the same keys in order.
+                let salt = rng.next_u64();
+                let ok = |k: u64| {
+                    let h = hwdp_sim::dist::fnv1a_u64(k ^ salt ^ tick);
+                    (h % 1000) as f64 >= reject * 1000.0
+                };
+                let (mut asked_real, mut asked_model) = (Vec::new(), Vec::new());
+                let mut plans_real = Vec::new();
+                real.plan_tick_into(
+                    |k| {
+                        asked_real.push(k);
+                        ok(k)
+                    },
+                    &mut plans_real,
+                );
+                let mut plans_model = Vec::new();
+                model_plan_tick(
+                    &mut model,
+                    |k| {
+                        asked_model.push(k);
+                        ok(k)
+                    },
+                    &mut plans_model,
+                );
+                assert_eq!(plans_real, plans_model, "case {case} tick {tick}: plans");
+                assert_eq!(asked_real, asked_model, "case {case} tick {tick}: eligibility calls");
+                assert!(
+                    engine_state(&real) == engine_state(&model),
+                    "case {case} tick {tick}: engine state diverged"
+                );
+            }
+        }
     }
 }

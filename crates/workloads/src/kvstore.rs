@@ -9,6 +9,7 @@
 //! the demand-paging machinery (wrong LBA in a PTE, lost DMA, stale
 //! eviction) surfaces as a verification failure.
 
+use hwdp_mem::addr::PageData;
 use hwdp_sim::rng::Prng;
 
 use crate::{ReadSnapshot, RegionId, Step, Workload};
@@ -25,6 +26,12 @@ pub fn record_header(key: u64, version: u64) -> [u8; RECORD_HEADER_LEN] {
     h[8..16].copy_from_slice(&key.to_le_bytes());
     h[16..24].copy_from_slice(&version.to_le_bytes());
     h
+}
+
+/// The page record `key` starts with: its version-0 header at offset 0,
+/// zeroes after. The initializer of a MiniDB file's record extent.
+pub fn initial_record(key: u64) -> PageData {
+    PageData::patched(0, &record_header(key, 0)).unwrap_or_default()
 }
 
 /// Parses and validates a record header for `key`; returns the version.

@@ -101,8 +101,10 @@ pub struct Ycsb {
 
 impl Ycsb {
     /// The key popularity of a dataset of `records` records: YCSB's
-    /// Zipfian. Building it costs one `powf` per record, so a job builds
-    /// it once and gives each client a clone through [`Ycsb::with_keys`].
+    /// Zipfian. Its zeta sum comes from the thread's shared prefix table
+    /// (one `powf` per record only the first time a thread reaches that
+    /// size); a job builds it once and gives each client a clone through
+    /// [`Ycsb::with_keys`].
     pub fn popularity(records: u64) -> Zipfian {
         Zipfian::new(records, YCSB_ZIPFIAN_THETA)
     }

@@ -35,9 +35,11 @@ echo "== MSRV: no API newer than rust-version =="
 cargo clippy --workspace --all-targets --offline -- -A clippy::all -D clippy::incompatible_msrv
 
 echo "== clippy: warning-free crates =="
-# The simulation kernel, memory, OS and core crates are clippy-clean;
-# keep them so. The other crates still carry warnings and are not gated.
-cargo clippy -p hwdp-sim -p hwdp-mem -p hwdp-os -p hwdp-core --all-targets --offline -- -D warnings
+# These crates are clippy-clean; keep them so. hwdp-lint, hwdp-cli and
+# the facade still carry warnings and are not gated.
+cargo clippy -p hwdp-sim -p hwdp-mem -p hwdp-os -p hwdp-core -p hwdp-nvme -p hwdp-workloads \
+    -p hwdp-tier -p hwdp-smu -p hwdp-cpu -p hwdp-harness -p hwdp-bench --all-targets --offline \
+    -- -D warnings
 
 echo "== tier-1: tests =="
 cargo test -q --workspace --offline
