@@ -35,9 +35,10 @@ use hwdp_sim::dense::DenseMap;
 use hwdp_sim::events::{EventId, EventQueue};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
+use hwdp_sim::sorted::SortedMap;
 use hwdp_sim::stats::LatencyHist;
 use hwdp_sim::time::{Duration, Time};
-use hwdp_tier::{MigrationPlan, TierEngine, TierReport, TierResidence};
+use hwdp_tier::{MigrationPlan, TierEngine, TierResidence};
 use hwdp_workloads::kvstore::initial_record;
 use hwdp_workloads::{RegionId, Step, Workload};
 
@@ -157,50 +158,6 @@ struct OsdpPending {
     waiters: Vec<ThreadId>,
 }
 
-/// In-flight OS faults keyed by `(file, page)`. Only a handful are in
-/// flight at once, so a vector sorted by key and searched by binary
-/// search beats a tree; iteration is in ascending key order, as a
-/// `BTreeMap`'s would be.
-#[derive(Default)]
-struct OsdpInflight(Vec<((u32, u64), OsdpPending)>);
-
-impl OsdpInflight {
-    fn find(&self, key: (u32, u64)) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&key, |&(k, _)| k)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn contains_key(&self, key: (u32, u64)) -> bool {
-        self.find(key).is_ok()
-    }
-
-    fn get_mut(&mut self, key: (u32, u64)) -> Option<&mut OsdpPending> {
-        let i = self.find(key).ok()?;
-        Some(&mut self.0[i].1)
-    }
-
-    /// Stores `pending` at `key`, replacing any fault already there.
-    fn insert(&mut self, key: (u32, u64), pending: OsdpPending) {
-        match self.find(key) {
-            Ok(i) => self.0[i].1 = pending,
-            Err(i) => self.0.insert(i, (key, pending)),
-        }
-    }
-
-    fn remove(&mut self, key: (u32, u64)) -> Option<OsdpPending> {
-        let i = self.find(key).ok()?;
-        Some(self.0.remove(i).1)
-    }
-
-    /// `(key, fault)` pairs in ascending key order.
-    fn iter(&self) -> impl Iterator<Item = (&(u32, u64), &OsdpPending)> + '_ {
-        self.0.iter().map(|(k, v)| (k, v))
-    }
-}
-
 /// Watchdog bookkeeping for one in-flight command. Only populated while
 /// fault injection is active: fault-free runs schedule no timeout events
 /// and keep no per-command state, preserving byte-identical artifacts.
@@ -269,7 +226,9 @@ pub struct System {
     /// `next_region`).
     region_map: DenseMap<VmaId>,
     next_region: u32,
-    osdp_inflight: OsdpInflight,
+    /// In-flight OS faults keyed by `(file, page)`; only a handful are in
+    /// flight at once.
+    osdp_inflight: SortedMap<(u32, u64), OsdpPending>,
     pending_misses: VecDeque<(ThreadId, Vpn)>,
     rng: Prng,
     wb_cid: u16,
@@ -293,10 +252,12 @@ pub struct System {
     /// Reusable migration-plan buffer for tier-daemon ticks.
     scratch_plans: Vec<MigrationPlan>,
     /// Per-command watchdog state, keyed by `(device index, token)`.
-    io_meta: BTreeMap<(usize, CompletionToken), IoMeta>,
+    /// Tokens are issued in increasing order per device, so arming a
+    /// watchdog mostly appends.
+    io_meta: SortedMap<(usize, CompletionToken), IoMeta>,
     /// Tokens whose watchdog already fired; their late (or dropped)
     /// completions are retired silently.
-    stale_tokens: BTreeSet<(usize, CompletionToken)>,
+    stale_tokens: SortedMap<(usize, CompletionToken), ()>,
     /// Parked submissions per device (queue-full recovery).
     deferred_io: Vec<VecDeque<DeferredIo>>,
     /// Pages the SMU abandoned after exhausting retries: the next access
@@ -398,7 +359,7 @@ impl System {
             runqueue: VecDeque::new(),
             region_map: DenseMap::new(),
             next_region: 0,
-            osdp_inflight: OsdpInflight::default(),
+            osdp_inflight: SortedMap::new(),
             pending_misses: VecDeque::new(),
             rng,
             wb_cid: 0,
@@ -411,8 +372,8 @@ impl System {
             scratch_evictions: Vec::new(),
             scratch_frames: Vec::new(),
             scratch_plans: Vec::new(),
-            io_meta: BTreeMap::new(),
-            stale_tokens: BTreeSet::new(),
+            io_meta: SortedMap::new(),
+            stale_tokens: SortedMap::new(),
             deferred_io: vec![VecDeque::new()],
             force_osdp: BTreeSet::new(),
             io_errors: Vec::new(),
@@ -1025,7 +986,7 @@ impl System {
 
         // Join an in-flight fault for the same page (the page-lock wait in
         // a real kernel) instead of aliasing it.
-        if let Some(pending) = self.osdp_inflight.get_mut(key) {
+        if let Some(pending) = self.osdp_inflight.get_mut(&key) {
             pending.waiters.push(tid);
             self.charge_kernel(tid, entry_instr, entry_lat);
             self.block_thread(tid, hw, now);
@@ -1104,7 +1065,7 @@ impl System {
             let Some((_, vma)) = self.os.aspace.resolve(next) else { break };
             let file_page = vma.file_page(next);
             let key = (vma.file.0, file_page);
-            if self.osdp_inflight.contains_key(key)
+            if self.osdp_inflight.contains_key(&key)
                 || self.os.cache.lookup(vma.file, file_page).is_some()
                 || self.os.page_table.pte(next).is_present()
             {
@@ -1173,7 +1134,7 @@ impl System {
 
     fn finish_osdp_read(&mut self, key: (u32, u64), data: PageData, now: Time) {
         let costs = self.os.osdp_costs;
-        let Some(pending) = self.osdp_inflight.remove(key) else {
+        let Some(pending) = self.osdp_inflight.remove(&key) else {
             // Fault recovery already resolved (or surfaced) this fault; a
             // late completion has nothing left to deliver.
             return;
@@ -1590,7 +1551,7 @@ impl System {
             let _ = self.devices[dev].queue(qid).host_poll_completion();
         }
         let key = (dev, token);
-        if self.stale_tokens.remove(&key) {
+        if self.stale_tokens.remove(&key).is_some() {
             // The watchdog already recovered this command; the late (or
             // dropped) completion is silently retired.
         } else if done.dropped {
@@ -1796,7 +1757,7 @@ impl System {
         self.queue.schedule(now + latency, Event::ControllerReset { dev });
         // Tokens lost with the controller will never complete; any stale
         // marks for them would leak (their late completions are gone too).
-        self.stale_tokens.retain(|&(d, _)| d != dev);
+        self.stale_tokens.retain(|&(d, _), _| d != dev);
         // Sweep the watchdogs: cancel each timeout (the recovery below is
         // the timeout's job, done early) and recover per purpose. The map
         // is taken whole so recovery actions can re-arm watchdogs for
@@ -1953,7 +1914,7 @@ impl System {
     /// An OS-path read failed or timed out: one more deterministic retry,
     /// then the error surfaces to the waiting threads.
     fn recover_osdp(&mut self, key: (u32, u64), now: Time) {
-        let Some(pending) = self.osdp_inflight.get_mut(key) else { return };
+        let Some(pending) = self.osdp_inflight.get_mut(&key) else { return };
         if pending.attempts < 1 {
             pending.attempts += 1;
             let (block, pfn) = (pending.block, pending.pfn);
@@ -1972,7 +1933,7 @@ impl System {
     /// process dying. Failed readahead is dropped without an error:
     /// speculation is best-effort.
     fn surface_osdp_error(&mut self, key: (u32, u64), now: Time) {
-        let Some(pending) = self.osdp_inflight.remove(key) else { return };
+        let Some(pending) = self.osdp_inflight.remove(&key) else { return };
         self.os.osdp_fault_abort(pending.vpn, pending.pfn);
         let mut waiters = pending.waiters;
         if waiters.is_empty() {
@@ -2108,7 +2069,7 @@ impl System {
                     // reaching here means the command is genuinely late,
                     // dropped, or stuck. Mark the token stale and recover.
                     if let Some(meta) = self.io_meta.remove(&(dev, token)) {
-                        self.stale_tokens.insert((dev, token));
+                        self.stale_tokens.insert((dev, token), ());
                         self.io_timeouts += 1;
                         match meta.purpose {
                             Purpose::HwdpMiss { entry } => {
@@ -2231,12 +2192,6 @@ impl System {
             audit: self.audit.clone(),
             tier,
         }
-    }
-
-    /// The tiering engine's current counters (`None` when tiering is
-    /// off). Device service fields are only filled in by [`System::run`].
-    pub fn tier_report(&self) -> Option<TierReport> {
-        self.tier.as_ref().map(|tr| tr.engine.report())
     }
 
     /// Direct access to the SMU (ablation benches).
@@ -2517,7 +2472,7 @@ impl Sanitizer for System {
         // Fault-recovery pairing: every armed watchdog must reference live
         // state — a dangling reference means a retry chain lost its
         // target and can never resolve.
-        for (&(dev, token), meta) in &self.io_meta {
+        for (&(dev, token), meta) in self.io_meta.iter() {
             match meta.purpose {
                 Purpose::HwdpMiss { entry } => {
                     report.check_args(
@@ -2533,7 +2488,7 @@ impl Sanitizer for System {
                     report.check_args(
                         "core",
                         "fault-watchdog-osdp",
-                        self.osdp_inflight.contains_key(key),
+                        self.osdp_inflight.contains_key(&key),
                         format_args!(
                             "watchdog for device {dev} token {token:?} references resolved OS fault {key:?}"
                         ),
@@ -2684,12 +2639,6 @@ impl SystemBuilder {
     /// built without this call.
     pub fn faults(mut self, cfg: hwdp_nvme::FaultConfig) -> Self {
         self.cfg.faults = Some(cfg);
-        self
-    }
-
-    /// Overrides the host-side I/O retry/timeout policy.
-    pub fn retry_policy(mut self, policy: crate::config::RetryPolicy) -> Self {
-        self.cfg.retry = policy;
         self
     }
 

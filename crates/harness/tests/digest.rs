@@ -36,11 +36,17 @@ fn ycsb_a() -> JobSpec {
 
 /// YCSB-C over a Z-SSD capacity tier with an Optane-PMM fast tier.
 fn tiered() -> JobSpec {
+    tiered_with("lru")
+}
+
+/// [`tiered`] under the named placement policy.
+fn tiered_with(policy: &str) -> JobSpec {
     let mut spec = JobSpec::new(Scenario::Ycsb(YcsbKind::C), Mode::Hwdp, 0x71E2);
     spec.memory_frames = 128;
     spec.ratio = 4.0;
     spec.ops = 400;
-    spec.tiers = Some(TierSpec::parse("fast:pmm,slow:zssd,policy:lru").expect("valid tiers"));
+    let tiers = format!("fast:pmm,slow:zssd,policy:{policy}");
+    spec.tiers = Some(TierSpec::parse(&tiers).expect("valid tiers"));
     spec
 }
 
@@ -141,4 +147,38 @@ fn every_ycsb_kind_matches_pinned_results() {
         "ycsb-f/HWDP/zssd t=2 r=2 0x0ddbe0ff6a10f0f1",
     ];
     assert_eq!(prints, expected, "a YCSB result drifted");
+}
+
+/// [`tiered_with`] squeezed to 16 frames under four threads. With 128
+/// frames a page is rarely read twice from the device inside an epoch, so
+/// the default (threshold) policy promotes nothing in [`tiered`]'s job
+/// and matches the static policy bit for bit; here it promotes and
+/// demotes on most ticks.
+fn tiered_under_pressure(policy: &str) -> JobSpec {
+    let mut spec = tiered_with(policy);
+    spec.memory_frames = 16;
+    spec.threads = 4;
+    spec
+}
+
+/// The tier planner under its default and its control policy, and the
+/// recovery ladder under every fault class plus a controller crash (the
+/// one pinned job whose watchdog sweep runs), pinned bit for bit.
+#[test]
+fn tiered_and_faulted_results_match_pinned_values() {
+    let threshold = simulate(&tiered_with("threshold"));
+    assert!(metric(&threshold, "tier/slow_hits") > 0.0, "the threshold case must track reads");
+    let fixed = simulate(&tiered_with("static"));
+    assert_eq!(metric(&fixed, "tier/promotions"), 0.0, "the static case never migrates");
+    let pressed = simulate(&tiered_under_pressure("threshold"));
+    assert!(metric(&pressed, "tier/promotions") > 0.0, "the pressed case must promote");
+    assert!(metric(&pressed, "tier/demotions") > 0.0, "the pressed case must demote");
+    let crashed = simulate(&faulted());
+    assert!(metric(&crashed, "fault/controller_resets") > 0.0, "the faulted case must reset");
+    let prints = [threshold, fixed, pressed, crashed].map(|r| format!("{:#018x}", fingerprint(&r)));
+    assert_eq!(
+        prints,
+        ["0x0205cd984832a01e", "0x0205cd984832a01e", "0xf073d4583c7a38fd", "0x542663cca8d65be7"],
+        "a tiered or faulted result drifted"
+    );
 }

@@ -10,6 +10,9 @@
 //!   in scheduling order, and a cancelled event leaves it at once.
 //! * [`dense`] — [`dense::DenseMap`], the ordered map for dense integer
 //!   keys (file ids, page indices, LBAs): a slot vector, no tree, no hashing.
+//! * [`sorted`] — [`sorted::SortedMap`], the ordered map for a few
+//!   short-lived entries under growing keys (watchdog tokens, in-flight
+//!   faults): one vector sorted by key, an append for an increasing key.
 //! * [`rng`] — a small, seedable, portable PRNG ([`rng::Prng`], SplitMix64 +
 //!   xoshiro256**) so simulations never depend on platform entropy.
 //! * [`dist`] — workload distributions (uniform, Zipfian, scrambled Zipfian,
@@ -44,6 +47,7 @@ pub mod rng;
 pub mod sanitize;
 #[cfg(test)]
 mod sched;
+pub mod sorted;
 pub mod stats;
 pub mod time;
 
@@ -51,4 +55,5 @@ pub use dense::DenseMap;
 pub use events::EventQueue;
 pub use rng::Prng;
 pub use sanitize::{AuditReport, SanitizeLevel, Sanitizer, Violation};
+pub use sorted::SortedMap;
 pub use time::{Duration, Freq, Time};

@@ -72,12 +72,6 @@ impl Duration {
         Duration((ns * PS_PER_NS as f64).round() as u64)
     }
 
-    /// Creates a duration from fractional microseconds, rounding to the
-    /// nearest picosecond. Negative or non-finite inputs clamp to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Duration::from_nanos_f64(us * 1e3)
-    }
-
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
         self.0

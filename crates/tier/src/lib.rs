@@ -10,9 +10,14 @@
 //! their *home LBA on the slow tier* (a stable `u64` key), decides *what*
 //! to move, and leaves the *how* — issuing real NVMe reads and writes so
 //! migration traffic contends with demand misses — to the system driver.
-//! Placement decisions sit behind the [`PlacementPolicy`] trait so
+//! Placement decisions are [`PolicyKind`]'s `promote`/`demote` methods, so
 //! static, LRU-epoch, and promotion-threshold policies are swappable
 //! research knobs (the Virtuoso methodology), not constants.
+//!
+//! Planning costs what is active, not what is tracked: heats decay
+//! lazily (a page's heat is stored with the epoch of its last access and
+//! read shifted right once per epoch since), and a tick visits only the
+//! warm list of pages with nonzero heat and the fast-tier owners.
 //!
 //! Ownership discipline: every page is owned by exactly one tier at any
 //! virtual-time instant. A migration holds the page in an explicit
@@ -100,7 +105,8 @@ pub enum TierResidence {
     DemoteInFlight(u64),
 }
 
-/// A page's trackable state, as seen by a [`PlacementPolicy`].
+/// A page's trackable state, as seen by [`PolicyKind::promote`] and
+/// [`PolicyKind::demote`].
 #[derive(Clone, Copy, Debug)]
 pub struct PageView {
     /// The page's key (its home LBA on the slow tier).
@@ -111,78 +117,36 @@ pub struct PageView {
     pub last_epoch: u64,
 }
 
-/// A placement policy: decides, per epoch, which slow-resident pages to
-/// promote and which fast-resident pages to demote. Implementations must
-/// be deterministic pure functions of the page view and epoch.
-pub trait PlacementPolicy: Send {
-    /// Stable policy name for artifacts and reports.
-    fn name(&self) -> &'static str;
-    /// Whether a slow-resident page should be promoted this epoch.
-    fn promote(&self, page: &PageView, epoch: u64) -> bool;
-    /// Standalone demotion: `Some(score)` to demote a fast-resident page
-    /// (lower scores are demoted first), `None` to keep it.
-    fn demote(&self, page: &PageView, epoch: u64) -> Option<u64>;
-}
+/// Epochs of inactivity before [`PolicyKind::LruEpoch`] demotes a
+/// fast-resident page.
+const LRU_IDLE_EPOCHS: u64 = 4;
 
-/// Never migrates anything.
-pub struct StaticPolicy;
+/// Decayed access count at which [`PolicyKind::Threshold`] finds a slow
+/// page promotion-worthy.
+const PROMOTE_THRESHOLD: u32 = 2;
 
-impl PlacementPolicy for StaticPolicy {
-    fn name(&self) -> &'static str {
-        "static"
+impl PolicyKind {
+    /// Whether a slow-resident page should be promoted this epoch. A
+    /// deterministic pure function of the view and epoch, and never true
+    /// for a page whose heat is 0: the planner looks for candidates only
+    /// among pages with nonzero heat.
+    pub fn promote(self, page: &PageView, epoch: u64) -> bool {
+        match self {
+            PolicyKind::Static => false,
+            PolicyKind::LruEpoch => page.last_epoch == epoch && page.heat > 0,
+            PolicyKind::Threshold => page.heat >= PROMOTE_THRESHOLD,
+        }
     }
-    fn promote(&self, _page: &PageView, _epoch: u64) -> bool {
-        false
-    }
-    fn demote(&self, _page: &PageView, _epoch: u64) -> Option<u64> {
-        None
-    }
-}
 
-/// Epoch-LRU: promote what was touched this epoch, demote what has been
-/// idle for `idle_epochs`.
-pub struct LruEpochPolicy {
-    /// Epochs of inactivity before a fast-resident page is demoted.
-    pub idle_epochs: u64,
-}
-
-impl PlacementPolicy for LruEpochPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-    fn promote(&self, page: &PageView, epoch: u64) -> bool {
-        page.last_epoch == epoch && page.heat > 0
-    }
-    fn demote(&self, page: &PageView, epoch: u64) -> Option<u64> {
-        (epoch.saturating_sub(page.last_epoch) >= self.idle_epochs).then_some(page.last_epoch)
-    }
-}
-
-/// Promotion-threshold: promote once the decayed access count reaches
-/// `threshold`, demote once it decays back to zero.
-pub struct ThresholdPolicy {
-    /// Decayed access count at which a slow page becomes promotion-worthy.
-    pub threshold: u32,
-}
-
-impl PlacementPolicy for ThresholdPolicy {
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
-    fn promote(&self, page: &PageView, _epoch: u64) -> bool {
-        page.heat >= self.threshold
-    }
-    fn demote(&self, page: &PageView, _epoch: u64) -> Option<u64> {
-        (page.heat == 0).then_some(page.last_epoch)
-    }
-}
-
-/// Builds the concrete policy for a [`PolicyKind`].
-pub fn make_policy(kind: PolicyKind) -> Box<dyn PlacementPolicy> {
-    match kind {
-        PolicyKind::Static => Box::new(StaticPolicy),
-        PolicyKind::LruEpoch => Box::new(LruEpochPolicy { idle_epochs: 4 }),
-        PolicyKind::Threshold => Box::new(ThresholdPolicy { threshold: 2 }),
+    /// Standalone demotion of a fast-resident page: `Some(score)` to
+    /// demote it (lower scores are demoted first), `None` to keep it.
+    pub fn demote(self, page: &PageView, epoch: u64) -> Option<u64> {
+        let demote = match self {
+            PolicyKind::Static => false,
+            PolicyKind::LruEpoch => epoch.saturating_sub(page.last_epoch) >= LRU_IDLE_EPOCHS,
+            PolicyKind::Threshold => page.heat == 0,
+        };
+        demote.then_some(page.last_epoch)
     }
 }
 
@@ -249,17 +213,44 @@ pub struct TierReport {
 #[derive(Clone, Copy, Debug)]
 struct PageState {
     residence: TierResidence,
+    /// Access count as of `last_epoch`, the epoch of the page's last
+    /// update; [`PageState::heat_at`] applies the decay since.
     heat: u32,
     last_epoch: u64,
+    /// The page's position on the engine's warm list, if listed.
+    warm_slot: Option<usize>,
+}
+
+impl PageState {
+    /// The heat at `epoch`: halved once per tick since `last_epoch`,
+    /// exactly as repeated `/= 2` would leave it (32 halvings clear any
+    /// `u32`).
+    fn heat_at(&self, epoch: u64) -> u32 {
+        let halvings = epoch.saturating_sub(self.last_epoch).min(32);
+        (u64::from(self.heat) >> halvings) as u32
+    }
+
+    fn view(&self, key: u64, epoch: u64) -> PageView {
+        PageView { key, heat: self.heat_at(epoch), last_epoch: self.last_epoch }
+    }
+}
+
+/// A demotion victim's sort key: `score`, then `key`.
+fn victim(score: u64, key: u64) -> u128 {
+    (u128::from(score) << 64) | u128::from(key)
 }
 
 /// The tiering engine: hotness tracking, placement planning, and
 /// ownership bookkeeping over one fast / one slow tier.
 pub struct TierEngine {
     cfg: TierConfig,
-    policy: Box<dyn PlacementPolicy>,
     /// Tracked pages keyed by home slow LBA.
     pages: DenseMap<PageState>,
+    /// Every tracked page whose heat may be nonzero, each once at the
+    /// position its `warm_slot` names, in no particular order. A tick
+    /// looks for promotion candidates only here: no policy promotes a
+    /// cold page.
+    warm: Vec<u64>,
     /// Fast-LBA ownership: fast LBA → page key. Exactly the pages whose
     /// residence is `Fast`/`PromoteInFlight`/`DemoteInFlight` on that LBA.
     fast_map: DenseMap<u64>,
@@ -279,17 +270,17 @@ pub struct TierEngine {
     /// Scratch buffers reused across ticks so steady-state planning does
     /// not allocate (always drained before a tick returns).
     scratch_cands: Vec<(u32, u64)>,
-    scratch_views: Vec<PageView>,
-    scratch_victims: Vec<(u8, u64, u64)>,
+    scratch_victims: Vec<u128>,
+    scratch_forced: Vec<u128>,
 }
 
 impl TierEngine {
     /// Creates an engine for `cfg` with no tracked pages.
     pub fn new(cfg: TierConfig) -> TierEngine {
         TierEngine {
-            policy: make_policy(cfg.policy),
             cfg,
             pages: DenseMap::new(),
+            warm: Vec::new(),
             fast_map: DenseMap::new(),
             next_fast: 0,
             free_fast: Vec::new(),
@@ -302,8 +293,8 @@ impl TierEngine {
             epoch_hits: Vec::new(),
             counted_hits: (0, 0),
             scratch_cands: Vec::new(),
-            scratch_views: Vec::new(),
             scratch_victims: Vec::new(),
+            scratch_forced: Vec::new(),
         }
     }
 
@@ -318,6 +309,7 @@ impl TierEngine {
             residence: TierResidence::Slow,
             heat: 0,
             last_epoch: 0,
+            warm_slot: None,
         });
     }
 
@@ -364,8 +356,12 @@ impl TierEngine {
         };
         let epoch = self.epoch;
         if let Some(p) = self.pages.get_mut(key) {
-            p.heat = p.heat.saturating_add(1);
+            p.heat = p.heat_at(epoch).saturating_add(1);
             p.last_epoch = epoch;
+            if p.warm_slot.is_none() {
+                p.warm_slot = Some(self.warm.len());
+                self.warm.push(key);
+            }
             if fast {
                 self.fast_hits += 1;
             } else {
@@ -383,12 +379,13 @@ impl TierEngine {
         f
     }
 
-    /// One migration-daemon tick: evaluates the policy over every tracked
-    /// page and returns the migrations to start. `eligible` filters pages
-    /// the driver cannot safely migrate right now (e.g. resident in the
-    /// page cache). Planned pages are marked in flight; the driver must
-    /// later [`TierEngine::commit`] or [`TierEngine::abort`] each one.
-    /// After planning, heats decay by half and the epoch advances.
+    /// One migration-daemon tick: evaluates the policy over the warm and
+    /// fast-resident pages and returns the migrations to start.
+    /// `eligible` filters pages the driver cannot safely migrate right now
+    /// (e.g. resident in the page cache). Planned pages are marked in
+    /// flight; the driver must later [`TierEngine::commit`] or
+    /// [`TierEngine::abort`] each one. After planning, heats decay by half
+    /// and the epoch advances.
     pub fn plan_tick(&mut self, eligible: impl FnMut(u64) -> bool) -> Vec<MigrationPlan> {
         let mut plans = Vec::new();
         self.plan_tick_into(eligible, &mut plans);
@@ -404,25 +401,30 @@ impl TierEngine {
         plans: &mut Vec<MigrationPlan>,
     ) {
         let epoch = self.epoch;
+        let policy = self.cfg.policy;
 
-        // One walk over the tracked pages collects the promotion
-        // candidates (slow pages the policy would promote) and the views
-        // of fast-resident pages, then decays each heat by half. The plan
-        // reads only the heats captured here, so decaying them now gives
-        // the plan it would get after planning.
+        // Promotion candidates: slow pages the policy would promote. Only
+        // a page with nonzero heat can be one, so the warm list is walked
+        // instead of every tracked page; a page whose heat the closing
+        // decay clears leaves the list until its next access.
         let mut cands = std::mem::take(&mut self.scratch_cands);
-        let mut fast_resident = std::mem::take(&mut self.scratch_views);
-        for (key, p) in self.pages.iter_mut() {
-            let view = PageView { key, heat: p.heat, last_epoch: p.last_epoch };
-            match p.residence {
-                TierResidence::Slow if self.policy.promote(&view, epoch) => {
-                    cands.push((p.heat, key));
-                }
-                TierResidence::Fast(_) => fast_resident.push(view),
-                _ => {}
+        let mut kept = 0;
+        for i in 0..self.warm.len() {
+            let key = self.warm[i];
+            let Some(p) = self.pages.get_mut(key) else { continue };
+            let view = p.view(key, epoch);
+            if p.residence == TierResidence::Slow && policy.promote(&view, epoch) {
+                cands.push((view.heat, key));
             }
-            p.heat /= 2;
+            if view.heat > 1 {
+                p.warm_slot = Some(kept);
+                self.warm[kept] = key;
+                kept += 1;
+            } else {
+                p.warm_slot = None;
+            }
         }
+        self.warm.truncate(kept);
         // Hottest first, key order tie-break; keys are unique, so the
         // order is total and an unstable sort gives the stable one's.
         cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -451,36 +453,40 @@ impl TierEngine {
         }
         self.scratch_cands = cands;
 
-        // Demotion victims: policy-driven demotions first, then (only
-        // under promotion pressure) forced demotions of the coldest
-        // fast-resident pages to make room for the next tick. Promotions
-        // above only turned slow pages in flight, so `fast_resident` is
-        // still exactly the fast-resident set.
+        // Demotion victims, from the fast-resident pages (the owners in
+        // `fast_map` that are not in flight, which excludes the pages just
+        // promoted): policy-driven demotions first, then (only under
+        // promotion pressure) forced demotions of the coldest fast-resident
+        // pages to make room for the next tick. Each list is sorted by
+        // score, then key, both packed into one `u128`.
         let mut victims = std::mem::take(&mut self.scratch_victims);
-        for v in &fast_resident {
-            match self.policy.demote(v, epoch) {
-                Some(score) => victims.push((0, score, v.key)),
+        let mut forced = std::mem::take(&mut self.scratch_forced);
+        for (_, &key) in self.fast_map.iter() {
+            let Some(p) = self.pages.get(key) else { continue };
+            if !matches!(p.residence, TierResidence::Fast(_)) {
+                continue;
+            }
+            let v = p.view(key, epoch);
+            match policy.demote(&v, epoch) {
+                Some(score) => victims.push(victim(score, key)),
                 None if overflow > 0 => {
                     // Coldest first: heat, then staleness, then key.
                     let score = ((v.heat as u64) << 32) | (v.last_epoch & 0xFFFF_FFFF);
-                    victims.push((1, score, v.key));
+                    forced.push(victim(score, key));
                 }
                 None => {}
             }
         }
         victims.sort_unstable();
+        forced.sort_unstable();
+        // At most `overflow` forced victims are tried, eligible or not.
         let mut demoted = 0usize;
-        let mut forced = 0usize;
-        for (kind, _, key) in victims.drain(..) {
+        for &entry in victims.iter().chain(forced.iter().take(overflow)) {
             if demoted >= self.cfg.batch {
                 break;
             }
-            if kind == 1 {
-                if forced >= overflow {
-                    continue;
-                }
-                forced += 1;
-            }
+            // The low 64 bits of the sort key are the page key.
+            let key = entry as u64;
             if !eligible(key) {
                 continue;
             }
@@ -490,12 +496,13 @@ impl TierEngine {
             plans.push(MigrationPlan::Demote { key, fast_lba: f });
             demoted += 1;
         }
-        fast_resident.clear();
-        self.scratch_views = fast_resident;
+        victims.clear();
+        forced.clear();
         self.scratch_victims = victims;
+        self.scratch_forced = forced;
 
-        // Close the epoch: fold hit deltas and advance (heat decayed in
-        // the walk above).
+        // Close the epoch: fold hit deltas and advance, which halves every
+        // heat (see `PageState::heat_at`).
         let delta =
             (self.fast_hits - self.counted_hits.0, self.slow_hits - self.counted_hits.1);
         self.epoch_hits.push(delta);
@@ -599,12 +606,20 @@ impl TierEngine {
         let key = self.pages.keys().next().unwrap_or(0);
         self.fast_map.insert(f, key);
     }
+
+    /// Test hook: drops the newest warm-list entry but leaves its page's
+    /// slot set, as an access that skipped the listing would, for
+    /// negative audit tests.
+    #[cfg(test)]
+    pub(crate) fn corrupt_warm_list_for_test(&mut self) {
+        self.warm.pop();
+    }
 }
 
 impl std::fmt::Debug for TierEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TierEngine")
-            .field("policy", &self.policy.name())
+            .field("policy", &self.cfg.policy.name())
             .field("tracked", &self.pages.len())
             .field("fast_used", &self.fast_map.len())
             .field("epoch", &self.epoch)
@@ -655,7 +670,27 @@ impl Sanitizer for TierEngine {
                 format_args!("fast LBA {f} maps to page {key} whose residence does not own it"),
             );
         }
+        // warm-list-complete: the planner finds promotion candidates
+        // only on the warm list, so every page with nonzero heat must be
+        // listed, and the list and the pages' slots must name each other
+        // (which lists each page at most once).
+        for (i, &key) in self.warm.iter().enumerate() {
+            report.check_args(
+                "tier",
+                "warm-list-complete",
+                self.pages.get(key).is_some_and(|p| p.warm_slot == Some(i)),
+                format_args!("warm-list entry {i} names page {key}, whose slot is elsewhere"),
+            );
+        }
         for (key, p) in self.pages.iter() {
+            let heat = p.heat_at(self.epoch);
+            let listed = p.warm_slot.map(|i| self.warm.get(i) == Some(&key));
+            report.check_args(
+                "tier",
+                "warm-list-complete",
+                listed.unwrap_or(heat == 0),
+                format_args!("page {key} (heat {heat}, slot {:?}) is not on the warm list", p.warm_slot),
+            );
             let (claimed, lba) = match p.residence {
                 TierResidence::Slow => (false, 0),
                 TierResidence::Fast(f)
@@ -715,7 +750,6 @@ mod tests {
     fn policy_names_round_trip() {
         for p in PolicyKind::ALL {
             assert_eq!(PolicyKind::parse(p.name()), Some(p));
-            assert_eq!(make_policy(p).name(), p.name());
         }
         assert_eq!(PolicyKind::parse("bogus"), None);
     }
@@ -958,107 +992,281 @@ mod tests {
         assert_eq!(report.checks, 0);
     }
 
-    /// The planner as it was before the one-pass walk, kept as the
-    /// reference model: one walk for the promotion candidates (stable
-    /// sort), a second for the fast-resident views after promotion, and a
-    /// third that decays every heat after planning.
-    fn model_plan_tick(
-        e: &mut TierEngine,
-        mut eligible: impl FnMut(u64) -> bool,
-        plans: &mut Vec<MigrationPlan>,
-    ) {
-        let epoch = e.epoch;
-        let mut cands: Vec<(u32, u64)> = e
-            .pages
-            .iter()
-            .filter(|(k, p)| {
-                matches!(p.residence, TierResidence::Slow)
-                    && e.policy.promote(
-                        &PageView { key: *k, heat: p.heat, last_epoch: p.last_epoch },
-                        epoch,
-                    )
-            })
-            .map(|(k, p)| (p.heat, k))
-            .collect();
-        cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let limit = e.fast_limit();
-        let (mut promoted, mut overflow) = (0usize, 0usize);
-        for (_, key) in cands {
-            if promoted >= e.cfg.batch || e.fast_map.len() >= limit {
-                overflow += 1;
-                continue;
-            }
-            if !eligible(key) {
-                continue;
-            }
-            let f = e.alloc_fast();
-            e.fast_map.insert(f, key);
-            if let Some(p) = e.pages.get_mut(key) {
-                p.residence = TierResidence::PromoteInFlight(f);
-            }
-            plans.push(MigrationPlan::Promote { key, fast_lba: f });
-            promoted += 1;
-        }
-        let fast_resident: Vec<PageView> = e
-            .pages
-            .iter()
-            .filter(|(_, p)| matches!(p.residence, TierResidence::Fast(_)))
-            .map(|(k, p)| PageView { key: k, heat: p.heat, last_epoch: p.last_epoch })
-            .collect();
-        let mut victims = Vec::new();
-        for v in &fast_resident {
-            match e.policy.demote(v, epoch) {
-                Some(score) => victims.push((0u8, score, v.key)),
-                None if overflow > 0 => {
-                    let score = ((v.heat as u64) << 32) | (v.last_epoch & 0xFFFF_FFFF);
-                    victims.push((1, score, v.key));
+    #[test]
+    fn no_policy_promotes_a_cold_page() {
+        // The warm list holds only pages with nonzero heat, so a policy
+        // that promoted a cold page would never see it.
+        for policy in PolicyKind::ALL {
+            for epoch in [0, 1, 2, 5, 40, u64::MAX] {
+                for last_epoch in [0, 1, epoch.saturating_sub(1), epoch] {
+                    let view = PageView { key: 3, heat: 0, last_epoch };
+                    assert!(!policy.promote(&view, epoch), "{policy:?} at {epoch}/{last_epoch}");
                 }
-                None => {}
             }
         }
-        victims.sort_unstable();
-        let (mut demoted, mut forced) = (0usize, 0usize);
-        for (kind, _, key) in victims {
-            if demoted >= e.cfg.batch {
-                break;
-            }
-            if kind == 1 {
-                if forced >= overflow {
-                    continue;
-                }
-                forced += 1;
-            }
-            if !eligible(key) {
-                continue;
-            }
-            let Some(p) = e.pages.get_mut(key) else { continue };
-            let TierResidence::Fast(f) = p.residence else { continue };
-            p.residence = TierResidence::DemoteInFlight(f);
-            plans.push(MigrationPlan::Demote { key, fast_lba: f });
-            demoted += 1;
-        }
-        let delta = (e.fast_hits - e.counted_hits.0, e.slow_hits - e.counted_hits.1);
-        e.epoch_hits.push(delta);
-        e.counted_hits = (e.fast_hits, e.slow_hits);
-        for (_, p) in e.pages.iter_mut() {
-            p.heat /= 2;
-        }
-        e.epoch += 1;
     }
 
-    /// Every piece of engine state a plan can touch.
-    #[allow(clippy::type_complexity)]
-    fn engine_state(
-        e: &TierEngine,
-    ) -> (Vec<(u64, TierResidence, u32, u64)>, Vec<(u64, u64)>, Vec<u64>, u64, u64, TierReport)
-    {
+    #[test]
+    fn lazy_heat_equals_repeated_halving() {
+        for heat in [0, 1, 2, 3, 0x8000_0000, u32::MAX - 1, u32::MAX] {
+            let mut eager = heat;
+            for epoch in 0..40u64 {
+                let p =
+                    PageState { residence: TierResidence::Slow, heat, last_epoch: 0, warm_slot: None };
+                assert_eq!(p.heat_at(epoch), eager, "heat {heat:#x} after {epoch} epochs");
+                eager /= 2;
+            }
+        }
+    }
+
+    #[test]
+    fn negative_unlisted_warm_page_detected() {
+        use hwdp_sim::sanitize::AuditReport;
+        let mut e = engine_with_pages(PolicyKind::Threshold, 16);
+        e.record_access(false, 5);
+        e.corrupt_warm_list_for_test();
+        let mut report = AuditReport::new();
+        e.sanitize(SanitizeLevel::Full, &mut report);
+        assert!(
+            report.violations.iter().any(|v| v.invariant == "warm-list-complete"),
+            "expected warm-list-complete, got {:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn cold_pages_leave_the_warm_list() {
+        let mut e = engine_with_pages(PolicyKind::LruEpoch, 16);
+        for _ in 0..4 {
+            e.record_access(false, 9);
+        }
+        // The ticks reading heat 4 and 2 keep the page listed; the one
+        // reading heat 1 leaves 0 behind and drops it.
+        for listed in [1, 1, 0, 0] {
+            e.plan_tick(|_| false);
+            assert_eq!(e.warm.len(), listed);
+        }
+        e.record_access(false, 9);
+        assert_eq!(e.warm, [9]);
+    }
+
+    /// A tracked page in the reference model.
+    #[derive(Clone, Copy)]
+    struct ModelPage {
+        residence: TierResidence,
+        heat: u32,
+        last_epoch: u64,
+    }
+
+    /// The reference model: an eager engine with its own page table whose
+    /// heats are all halved at the end of every tick, the three policies
+    /// as plain functions, and one walk per list over every tracked page.
+    struct Model {
+        cfg: TierConfig,
+        pages: std::collections::BTreeMap<u64, ModelPage>,
+        fast_map: std::collections::BTreeMap<u64, u64>,
+        next_fast: u64,
+        free_fast: Vec<u64>,
+        epoch: u64,
+        /// Promotions, demotions, aborts, fast hits, slow hits.
+        counts: [u64; 5],
+        epoch_hits: Vec<(u64, u64)>,
+        counted_hits: (u64, u64),
+    }
+
+    fn model_promote(policy: PolicyKind, p: &ModelPage, epoch: u64) -> bool {
+        match policy {
+            PolicyKind::Static => false,
+            PolicyKind::LruEpoch => p.last_epoch == epoch && p.heat > 0,
+            PolicyKind::Threshold => p.heat >= 2,
+        }
+    }
+
+    fn model_demote(policy: PolicyKind, p: &ModelPage, epoch: u64) -> Option<u64> {
+        match policy {
+            PolicyKind::Static => None,
+            PolicyKind::LruEpoch => {
+                (epoch.saturating_sub(p.last_epoch) >= 4).then_some(p.last_epoch)
+            }
+            PolicyKind::Threshold => (p.heat == 0).then_some(p.last_epoch),
+        }
+    }
+
+    impl Model {
+        fn new(cfg: TierConfig) -> Model {
+            Model {
+                cfg,
+                pages: Default::default(),
+                fast_map: Default::default(),
+                next_fast: 0,
+                free_fast: Vec::new(),
+                epoch: 0,
+                counts: [0; 5],
+                epoch_hits: Vec::new(),
+                counted_hits: (0, 0),
+            }
+        }
+
+        fn register(&mut self, key: u64) {
+            let cold = ModelPage { residence: TierResidence::Slow, heat: 0, last_epoch: 0 };
+            self.pages.entry(key).or_insert(cold);
+        }
+
+        fn record_access(&mut self, fast: bool, lba: u64) {
+            let key = if fast {
+                match self.fast_map.get(&lba) {
+                    Some(&k) => k,
+                    None => return,
+                }
+            } else {
+                lba
+            };
+            if let Some(p) = self.pages.get_mut(&key) {
+                p.heat = p.heat.saturating_add(1);
+                p.last_epoch = self.epoch;
+                self.counts[if fast { 3 } else { 4 }] += 1;
+            }
+        }
+
+        fn alloc_fast(&mut self) -> u64 {
+            self.free_fast.pop().unwrap_or_else(|| {
+                self.next_fast += 1;
+                self.next_fast - 1
+            })
+        }
+
+        fn commit(&mut self, key: u64) -> Option<TierResidence> {
+            let p = self.pages.get_mut(&key)?;
+            match p.residence {
+                TierResidence::PromoteInFlight(f) => {
+                    p.residence = TierResidence::Fast(f);
+                    self.counts[0] += 1;
+                }
+                TierResidence::DemoteInFlight(f) => {
+                    p.residence = TierResidence::Slow;
+                    self.fast_map.remove(&f);
+                    self.free_fast.push(f);
+                    self.counts[1] += 1;
+                }
+                _ => return None,
+            }
+            Some(p.residence)
+        }
+
+        fn abort(&mut self, key: u64) {
+            let Some(p) = self.pages.get_mut(&key) else { return };
+            match p.residence {
+                TierResidence::PromoteInFlight(f) => {
+                    p.residence = TierResidence::Slow;
+                    self.fast_map.remove(&f);
+                    self.free_fast.push(f);
+                }
+                TierResidence::DemoteInFlight(f) => p.residence = TierResidence::Fast(f),
+                _ => return,
+            }
+            self.counts[2] += 1;
+        }
+
+        fn plan_tick(&mut self, mut eligible: impl FnMut(u64) -> bool) -> Vec<MigrationPlan> {
+            let (epoch, policy) = (self.epoch, self.cfg.policy);
+            let mut plans = Vec::new();
+            let mut cands: Vec<(u32, u64)> = self
+                .pages
+                .iter()
+                .filter(|(_, p)| {
+                    p.residence == TierResidence::Slow && model_promote(policy, p, epoch)
+                })
+                .map(|(&k, p)| (p.heat, k))
+                .collect();
+            cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            let limit = ((self.pages.len() as u64 * self.cfg.cap_pct as u64 / 100).max(1)) as usize;
+            let (mut promoted, mut overflow) = (0usize, 0usize);
+            for (_, key) in cands {
+                if promoted >= self.cfg.batch || self.fast_map.len() >= limit {
+                    overflow += 1;
+                    continue;
+                }
+                if !eligible(key) {
+                    continue;
+                }
+                let f = self.alloc_fast();
+                self.fast_map.insert(f, key);
+                self.pages.get_mut(&key).unwrap().residence = TierResidence::PromoteInFlight(f);
+                plans.push(MigrationPlan::Promote { key, fast_lba: f });
+                promoted += 1;
+            }
+            let mut victims = Vec::new();
+            for (&key, p) in &self.pages {
+                if !matches!(p.residence, TierResidence::Fast(_)) {
+                    continue;
+                }
+                match model_demote(policy, p, epoch) {
+                    Some(score) => victims.push((0u8, score, key)),
+                    None if overflow > 0 => {
+                        let score = ((p.heat as u64) << 32) | (p.last_epoch & 0xFFFF_FFFF);
+                        victims.push((1, score, key));
+                    }
+                    None => {}
+                }
+            }
+            victims.sort();
+            let (mut demoted, mut forced) = (0usize, 0usize);
+            for (kind, _, key) in victims {
+                if demoted >= self.cfg.batch {
+                    break;
+                }
+                if kind == 1 {
+                    if forced >= overflow {
+                        continue;
+                    }
+                    forced += 1;
+                }
+                if !eligible(key) {
+                    continue;
+                }
+                let p = self.pages.get_mut(&key).unwrap();
+                let TierResidence::Fast(f) = p.residence else { continue };
+                p.residence = TierResidence::DemoteInFlight(f);
+                plans.push(MigrationPlan::Demote { key, fast_lba: f });
+                demoted += 1;
+            }
+            let hits = (self.counts[3], self.counts[4]);
+            self.epoch_hits.push((hits.0 - self.counted_hits.0, hits.1 - self.counted_hits.1));
+            self.counted_hits = hits;
+            for p in self.pages.values_mut() {
+                p.heat /= 2;
+            }
+            self.epoch += 1;
+            plans
+        }
+    }
+
+    /// Everything a plan can touch, with each page's current heat: the
+    /// pages, the fast map, the free list, the bump allocator, the epoch
+    /// and the five counters.
+    type State =
+        (Vec<(u64, TierResidence, u32, u64)>, Vec<(u64, u64)>, Vec<u64>, u64, u64, [u64; 5]);
+
+    fn engine_state(e: &TierEngine) -> State {
+        let r = e.report();
         (
-            e.pages.iter().map(|(k, p)| (k, p.residence, p.heat, p.last_epoch)).collect(),
+            e.pages.iter().map(|(k, p)| (k, p.residence, p.heat_at(e.epoch), p.last_epoch)).collect(),
             e.fast_map.iter().map(|(f, k)| (f, *k)).collect(),
             e.free_fast.clone(),
             e.next_fast,
             e.epoch,
-            e.report(),
+            [r.promotions, r.demotions, r.aborts, r.fast_hits, r.slow_hits],
+        )
+    }
+
+    fn model_state(m: &Model) -> State {
+        (
+            m.pages.iter().map(|(&k, p)| (k, p.residence, p.heat, p.last_epoch)).collect(),
+            m.fast_map.iter().map(|(&f, &k)| (f, k)).collect(),
+            m.free_fast.clone(),
+            m.next_fast,
+            m.epoch,
+            m.counts,
         )
     }
 
@@ -1070,7 +1278,7 @@ mod tests {
             let mut c = cfg(PolicyKind::ALL[rng.below(3) as usize]);
             c.cap_pct = rng.range(0, 60) as u32;
             c.batch = rng.range(1, 9) as usize;
-            let (mut real, mut model) = (TierEngine::new(c), TierEngine::new(c));
+            let (mut real, mut model) = (TierEngine::new(c), Model::new(c));
             // A sparse key set with holes, registered in random order.
             let span = rng.range(8, 300);
             let mut keys: Vec<u64> = (0..span).filter(|_| rng.chance(0.7)).collect();
@@ -1080,12 +1288,25 @@ mod tests {
                 model.register(k);
             }
             let reject = rng.f64() * 0.5;
-            for tick in 0..40u64 {
-                for _ in 0..rng.below(4 * span) {
+            for tick in 0..80u64 {
+                // Every third case idles for 36 ticks, longer than the 32
+                // halvings that clear any heat.
+                let idle = case % 3 == 0 && (20..56).contains(&tick);
+                for _ in 0..if idle { 0 } else { rng.below(4 * span) } {
                     let fast = rng.chance(0.3);
                     let lba = rng.below(span + 4);
                     real.record_access(fast, lba);
                     model.record_access(fast, lba);
+                }
+                // Now and then a tracked page's heat is pushed to within a
+                // few accesses of saturation.
+                if !idle && !keys.is_empty() && rng.chance(0.2) {
+                    let key = keys[rng.below(keys.len() as u64) as usize];
+                    real.record_access(false, key);
+                    model.record_access(false, key);
+                    let heat = u32::MAX - rng.below(3) as u32;
+                    real.pages.get_mut(key).unwrap().heat = heat;
+                    model.pages.get_mut(&key).unwrap().heat = heat;
                 }
                 // Settle some in-flight migrations: commit, abort or leave.
                 let in_flight: Vec<u64> =
@@ -1116,21 +1337,20 @@ mod tests {
                     },
                     &mut plans_real,
                 );
-                let mut plans_model = Vec::new();
-                model_plan_tick(
-                    &mut model,
-                    |k| {
-                        asked_model.push(k);
-                        ok(k)
-                    },
-                    &mut plans_model,
-                );
+                let plans_model = model.plan_tick(|k| {
+                    asked_model.push(k);
+                    ok(k)
+                });
                 assert_eq!(plans_real, plans_model, "case {case} tick {tick}: plans");
                 assert_eq!(asked_real, asked_model, "case {case} tick {tick}: eligibility calls");
                 assert!(
-                    engine_state(&real) == engine_state(&model),
+                    engine_state(&real) == model_state(&model),
                     "case {case} tick {tick}: engine state diverged"
                 );
+                assert_eq!(real.epoch_hits, model.epoch_hits, "case {case} tick {tick}: hits");
+                let mut report = hwdp_sim::sanitize::AuditReport::new();
+                real.sanitize(SanitizeLevel::Full, &mut report);
+                assert!(report.is_clean(), "case {case} tick {tick}: {:?}", report.violations);
             }
         }
     }

@@ -10,6 +10,11 @@ use hwdp_sim::rng::Prng;
 
 use crate::{ReadSnapshot, RegionId, Step, Workload};
 
+/// Per-op user instructions: the mmap engine's 4 KiB buffer handling,
+/// verification and loop bookkeeping, calibrated so FIO's user/kernel
+/// instruction split matches Fig. 16's totals.
+const THINK_INSTRUCTIONS: u64 = 6_000;
+
 /// FIO `--rw=randread --bs=4k` over an mmap'd file.
 #[derive(Debug)]
 pub struct FioRandRead {
@@ -18,8 +23,6 @@ pub struct FioRandRead {
     rng: Prng,
     ops_target: u64,
     ops_done: u64,
-    /// Per-op user instructions (buffer touch + loop overhead).
-    think_instructions: u64,
     state: State,
 }
 
@@ -44,18 +47,8 @@ impl FioRandRead {
             rng,
             ops_target,
             ops_done: 0,
-            think_instructions: 6_000,
             state: State::Compute,
         }
-    }
-
-    /// Overrides the per-op compute (default 6 000 instructions: the mmap
-    /// engine's 4 KiB buffer handling, verification and loop bookkeeping —
-    /// calibrated so FIO's user/kernel instruction split matches Fig. 16's
-    /// totals).
-    pub fn with_think_instructions(mut self, n: u64) -> Self {
-        self.think_instructions = n;
-        self
     }
 }
 
@@ -67,7 +60,7 @@ impl Workload for FioRandRead {
         match self.state {
             State::Compute => {
                 self.state = State::Read;
-                Step::Compute { instructions: self.think_instructions }
+                Step::Compute { instructions: THINK_INSTRUCTIONS }
             }
             State::Read => {
                 self.state = State::Compute;
@@ -169,7 +162,6 @@ pub struct FioSeqRead {
     next_page: u64,
     ops_target: u64,
     ops_done: u64,
-    think_instructions: u64,
     state: State,
 }
 
@@ -188,7 +180,6 @@ impl FioSeqRead {
             next_page: 0,
             ops_target,
             ops_done: 0,
-            think_instructions: 6_000,
             state: State::Compute,
         }
     }
@@ -202,7 +193,7 @@ impl Workload for FioSeqRead {
         match self.state {
             State::Compute => {
                 self.state = State::Read;
-                Step::Compute { instructions: self.think_instructions }
+                Step::Compute { instructions: THINK_INSTRUCTIONS }
             }
             State::Read => {
                 self.state = State::Compute;

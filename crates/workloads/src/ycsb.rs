@@ -70,6 +70,12 @@ impl YcsbKind {
 /// scaled dataset).
 const MAX_SCAN_LEN: u64 = 16;
 
+/// Per-operation application compute in instructions: request parsing,
+/// RocksDB-style block decode and index probing, response marshalling,
+/// calibrated so YCSB's compute/paging split yields the paper's 5–27 %
+/// gains rather than FIO's 29–57 %.
+const PER_OP_INSTRUCTIONS: u64 = 30_000;
+
 /// The one distribution a client draws keys from.
 #[derive(Debug)]
 enum Keys {
@@ -96,7 +102,6 @@ pub struct Ycsb {
     awaiting: Option<u64>,
     in_op: bool,
     version_counter: u64,
-    per_op_instructions: u64,
 }
 
 impl Ycsb {
@@ -146,17 +151,7 @@ impl Ycsb {
             awaiting: None,
             in_op: false,
             version_counter: 1,
-            per_op_instructions: 30_000,
         }
-    }
-
-    /// Overrides per-operation application compute (default 30 000
-    /// instructions: request parsing, RocksDB-style block decode and index
-    /// probing, response marshalling — calibrated so YCSB's compute/paging
-    /// split yields the paper's 5–27 % gains rather than FIO's 29–57 %).
-    pub fn with_per_op_instructions(mut self, n: u64) -> Self {
-        self.per_op_instructions = n;
-        self
     }
 
     fn pick_key(&mut self) -> u64 {
@@ -170,7 +165,7 @@ impl Ycsb {
         debug_assert!(self.queue.is_empty());
         self.in_op = true;
         self.queue
-            .push_back((Step::Compute { instructions: self.per_op_instructions }, None));
+            .push_back((Step::Compute { instructions: PER_OP_INSTRUCTIONS }, None));
         let r = self.rng.f64();
         match self.kind {
             YcsbKind::C => {
@@ -211,7 +206,7 @@ impl Ycsb {
                         // Each scanned record is decoded/processed, so scans
                         // carry per-record compute on top of the per-op cost.
                         self.queue.push_back((
-                            Step::Compute { instructions: self.per_op_instructions / 4 },
+                            Step::Compute { instructions: PER_OP_INSTRUCTIONS / 4 },
                             None,
                         ));
                         self.queue.push_back((self.db.get(key), Some(key)));
