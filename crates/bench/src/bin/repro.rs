@@ -12,6 +12,16 @@
 //! option, a `--workers` without a number, or an argument that no table id
 //! contains exits with status 2 before anything runs.
 
+// A binary: stdout is its output, and a panic ends only this process.
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::process::ExitCode;
 
 use hwdp_bench::campaigns::{self, Scale};

@@ -73,8 +73,9 @@ pub const FIG13_SCENARIOS: [Scenario; 8] = [
 
 /// Worker-pool size for figure campaigns: the machine's parallelism,
 /// capped — figure jobs are short, and results don't depend on this.
+// Pool sizing only; artifacts are byte-identical for any worker count.
+#[allow(clippy::disallowed_methods)]
 pub fn default_workers() -> usize {
-    // hwdp-lint: allow(det-thread): pool sizing only; artifacts are byte-identical for any worker count
     std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
@@ -208,6 +209,7 @@ impl CampaignResults {
     /// # Panics
     ///
     /// Panics if any job fails — figure inputs must be complete.
+    #[allow(clippy::panic)] // documented under `# Panics`
     pub fn collect(campaign: &Campaign, workers: usize) -> CampaignResults {
         let artifact = execute_campaign(campaign, workers, &mut Silent);
         if let Some(job) = artifact.jobs.iter().find(|j| !j.is_ok()) {
@@ -222,6 +224,7 @@ impl CampaignResults {
     ///
     /// Panics when no job matches or the metric is absent — a figure
     /// querying a job outside its own campaign is a bug.
+    #[allow(clippy::panic)] // documented under `# Panics`
     pub fn metric(
         &self,
         name: &str,

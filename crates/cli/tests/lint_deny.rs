@@ -16,19 +16,19 @@ const MISSING_AUDITS: &str = "\
 1 audit-coverage crates/tier/src/lib.rs
 ";
 
-/// A workspace under the test's scratch directory whose only source file
-/// holds one `panic-expect` finding, with `baseline` (after the
-/// audit-coverage budgets) as its budget file.
+/// A workspace under the test's scratch directory whose only source file,
+/// in the sim-path crate `sim`, holds one `unit-mix` finding, with
+/// `baseline` (after the audit-coverage budgets) as its budget file.
 fn workspace(name: &str, baseline: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let src = root.join("crates/demo/src");
+    let src = root.join("crates/sim/src");
     std::fs::create_dir_all(&src).expect("create source tree");
     std::fs::create_dir_all(root.join("baselines")).expect("create baselines");
     std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
         .expect("write manifest");
     std::fs::write(
         src.join("lib.rs"),
-        "//! Demo.\n\n/// Parses a number.\npub fn parse(s: &str) -> u64 {\n    s.parse().expect(\"number\")\n}\n",
+        "//! Demo.\n\n/// Adds two times.\npub fn add(a_ns: u64, b_us: u64) -> u64 {\n    a_ns + b_us\n}\n",
     )
     .expect("write source");
     std::fs::write(root.join("baselines/LINT_allow.txt"), format!("{MISSING_AUDITS}{baseline}"))
@@ -48,9 +48,9 @@ fn deny(root: &Path) -> (bool, String) {
 
 #[test]
 fn exact_budget_passes() {
-    let (passed, stderr) = deny(&workspace("exact", "1 panic-expect crates/demo/src/lib.rs\n"));
+    let (passed, stderr) = deny(&workspace("exact", "1 unit-mix crates/sim/src/lib.rs\n"));
     assert!(passed, "{stderr}");
-    assert!(stderr.contains("0 finding(s), 0 inline-suppressed, 7 grandfathered"), "{stderr}");
+    assert!(stderr.contains("0 finding(s), 7 grandfathered"), "{stderr}");
 }
 
 #[test]
@@ -62,10 +62,10 @@ fn uncovered_finding_fails() {
 
 #[test]
 fn stale_budget_fails() {
-    let (passed, stderr) = deny(&workspace("stale", "2 panic-expect crates/demo/src/lib.rs\n"));
+    let (passed, stderr) = deny(&workspace("stale", "2 unit-mix crates/sim/src/lib.rs\n"));
     assert!(!passed, "a budget above the file's findings must fail --deny");
     assert!(
-        stderr.contains("stale baseline budget '2 panic-expect crates/demo/src/lib.rs' (now 1)"),
+        stderr.contains("stale baseline budget '2 unit-mix crates/sim/src/lib.rs' (now 1)"),
         "{stderr}"
     );
 }

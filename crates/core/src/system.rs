@@ -596,6 +596,8 @@ impl System {
             self.osdp_inflight.is_empty(),
             "outstanding OS faults during munmap"
         );
+        // An unknown region is a caller bug, documented under `# Panics`.
+        #[allow(clippy::expect_used)]
         let vma_id = self.region_map.remove(u64::from(region.0)).expect("unknown region");
         let evictions = self.os.munmap(vma_id);
         let n = evictions.len();
@@ -607,6 +609,9 @@ impl System {
     /// flushes every dirty page to storage (the mapping stays intact).
     /// Returns the number of pages written back.
     pub fn msync_region(&mut self, region: RegionId) -> usize {
+        // Region ids come only from this System's `map_*`; an unknown one
+        // is a caller bug.
+        #[allow(clippy::expect_used)]
         let vma_id = *self.region_map.get(u64::from(region.0)).expect("unknown region");
         let evictions = self.os.msync(vma_id);
         let n = evictions.len();
@@ -618,6 +623,9 @@ impl System {
     /// normal OS-handled PTEs because fast-mmapped pages cannot be shared
     /// across address spaces. Returns how many PTEs were reverted.
     pub fn fork_region(&mut self, region: RegionId) -> u64 {
+        // Region ids come only from this System's `map_*`; an unknown one
+        // is a caller bug.
+        #[allow(clippy::expect_used)]
         let vma_id = *self.region_map.get(u64::from(region.0)).expect("unknown region");
         self.os.fork_revert_lba(vma_id)
     }
@@ -786,6 +794,9 @@ impl System {
     // ----- step execution ---------------------------------------------------
 
     fn advance(&mut self, tid: ThreadId, now: Time) {
+        // A Step event for a thread that is not running is a scheduler bug,
+        // not a recoverable condition.
+        #[allow(clippy::panic)]
         let ThreadState::Running(hw) = self.threads[tid.0].state else {
             // A stale Step event for a thread that got blocked/stalled in
             // the meantime cannot happen (events are scheduled exactly at

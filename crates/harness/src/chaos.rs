@@ -315,7 +315,8 @@ pub fn run_chaos(cfg: &ChaosConfig, progress: &mut dyn Progress) -> ChaosReport 
         let ok = verdict.mismatch.is_none();
         if let Some(reason) = verdict.mismatch {
             report.oracle_mismatches += 1;
-            // hwdp-lint: allow(panic-expect): chaos_job always installs a plan
+            // `chaos_job` always installs a plan.
+            #[allow(clippy::expect_used)]
             let plan = spec.faults.expect("chaos jobs carry a fault plan");
             let minimal = shrink(&spec, plan);
             report.failures.push(ChaosFailure {

@@ -131,7 +131,8 @@ fn resume_with_exec(
         .map(|(index, (spec, record))| match record {
             Some(r) => r,
             None => {
-                // hwdp-lint: allow(panic-expect): pending holds exactly the jobs with no reused record
+                // `pending` holds exactly the jobs with no reused record.
+                #[allow(clippy::expect_used)]
                 let (outcome, wall_ms) = fresh.next().expect("one fresh result per pending job");
                 let (status, metrics) = outcome_status(outcome);
                 JobRecord { index, spec: *spec, status, metrics, wall_ms }
@@ -154,6 +155,9 @@ fn outcome_status(outcome: JobOutcome) -> (JobStatus, Vec<(String, f64)>) {
 
 /// [`execute`] with a custom job function — the panic-isolation and
 /// ordering machinery under test-controlled workloads.
+// The one `expect`, at the end: the atomic counter hands every index to
+// exactly one worker, so every slot is filled.
+#[allow(clippy::expect_used)]
 pub fn execute_with(
     campaign: &Campaign,
     workers: usize,
@@ -191,7 +195,6 @@ pub fn execute_with(
     });
 
     let (slots, _) = shared.into_inner().unwrap_or_else(|p| p.into_inner());
-    // hwdp-lint: allow(panic-expect): the atomic counter hands every index to exactly one worker
     slots.into_iter().map(|s| s.expect("every job index was claimed")).collect()
 }
 
@@ -206,6 +209,9 @@ pub fn execute_with(
 /// byte-stable artifact pipeline. `job_fn` must be `Copy + 'static`
 /// (a fn pointer or capture-free closure) because it crosses into
 /// detached threads.
+// The one `expect`, at the end: the atomic counter hands every index to
+// exactly one worker, so every slot is filled.
+#[allow(clippy::expect_used)]
 pub fn execute_watchdog_with(
     campaign: &Campaign,
     workers: usize,
@@ -238,7 +244,6 @@ pub fn execute_watchdog_with(
     });
 
     let (slots, _) = shared.into_inner().unwrap_or_else(|p| p.into_inner());
-    // hwdp-lint: allow(panic-expect): the atomic counter hands every index to exactly one worker
     slots.into_iter().map(|s| s.expect("every job index was claimed")).collect()
 }
 

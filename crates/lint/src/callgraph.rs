@@ -33,15 +33,13 @@
 //! (iterative Tarjan) and propagating reachability over the condensation,
 //! so cycles can never hang the walk or double-count.
 //!
-//! Three named root sets drive the rule families built on top:
+//! Two named root sets drive the rule families built on top:
 //!
 //! * **event-loop roots** — `run`/`step` in `crates/core`, the
 //!   `System::run` event loop that replays campaigns byte-identically;
 //! * **completion-path roots** — every `finish_*` function plus the
 //!   completion entry points in [`COMPLETION_ROOT_NAMES`], the paths that
-//!   retire or recover an I/O and must never abort a campaign;
-//! * **public-API roots** — `pub fn`s of the sim-path crates, recorded in
-//!   the exported graph for downstream audits.
+//!   retire or recover an I/O and must never abort a campaign.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -192,8 +190,6 @@ pub struct CallGraph {
     pub event_roots: Vec<usize>,
     /// Completion-path root node ids.
     pub completion_roots: Vec<usize>,
-    /// Public-API root node ids (pub fns of sim-path crates).
-    pub public_roots: Vec<usize>,
     /// Per node: transitively reachable from an event-loop root.
     pub reach_event: Vec<bool>,
     /// Per node: transitively reachable from a completion-path root.
@@ -256,9 +252,6 @@ pub fn build<'a>(files: impl Iterator<Item = (&'a FileContext, &'a str)>) -> Cal
                     || COMPLETION_ROOT_NAMES.contains(&nodes[i].name.as_str()))
         })
         .collect();
-    let public_roots: Vec<usize> = (0..nodes.len())
-        .filter(|&i| nodes[i].is_pub && SIM_PATH_CRATES.contains(&nodes[i].crate_name.as_str()))
-        .collect();
 
     // Condensation adjacency, shared by both reachability walks.
     let mut scc_adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); scc_count];
@@ -280,15 +273,12 @@ pub fn build<'a>(files: impl Iterator<Item = (&'a FileContext, &'a str)>) -> Cal
         scc_count,
         event_roots,
         completion_roots,
-        public_roots,
         reach_event,
         reach_completion,
     }
 }
 
-/// The four reachability rule families, as findings over `g`. Inline
-/// allows are applied by the workspace driver, which owns the per-file
-/// directive positions.
+/// The four reachability rule families, as findings over `g`.
 pub fn findings(g: &CallGraph) -> Vec<Finding> {
     let mut out = Vec::new();
     for (id, node) in g.nodes.iter().enumerate() {
@@ -619,39 +609,33 @@ fn collect_sinks(sig: &[&Token], owner_of: &[Option<usize>], nodes: &mut [FnNode
         match t.text.as_str() {
             "HashMap" | "HashSet" => push(nodes, SinkKind::HashOrder, t.text.clone()),
             "Instant" | "SystemTime" => push(nodes, SinkKind::WallClock, t.text.clone()),
-            "std" => {
+            "std"
                 if next.is_some_and(|n| n.is_punct(':'))
                     && next2.is_some_and(|n| n.is_punct(':'))
-                    && sig.get(i + 3).is_some_and(|n| n.is_ident("thread"))
-                {
-                    push(nodes, SinkKind::ThreadSpawn, "std::thread".into());
-                }
+                    && sig.get(i + 3).is_some_and(|n| n.is_ident("thread")) =>
+            {
+                push(nodes, SinkKind::ThreadSpawn, "std::thread".into());
             }
-            "thread" => {
+            "thread"
                 if next.is_some_and(|n| n.is_punct(':'))
                     && next2.is_some_and(|n| n.is_punct(':'))
                     && sig.get(i + 3).is_some_and(|n| {
                         n.is_ident("spawn") || n.is_ident("sleep") || n.is_ident("scope")
                     })
-                    && !prev.is_some_and(|p| p.is_punct(':') || p.is_punct('.'))
-                {
-                    push(nodes, SinkKind::ThreadSpawn, "thread::spawn".into());
-                }
+                    && !prev.is_some_and(|p| p.is_punct(':') || p.is_punct('.')) =>
+            {
+                push(nodes, SinkKind::ThreadSpawn, "thread::spawn".into());
             }
-            "unwrap" | "expect" => {
-                if after_dot && next.is_some_and(|n| n.is_punct('(')) {
-                    push(nodes, SinkKind::PanicPath, format!(".{}()", t.text));
-                }
+            "unwrap" | "expect" if after_dot && next.is_some_and(|n| n.is_punct('(')) => {
+                push(nodes, SinkKind::PanicPath, format!(".{}()", t.text));
             }
-            "panic" | "unreachable" | "todo" | "unimplemented" => {
-                if next.is_some_and(|n| n.is_punct('!')) {
-                    push(nodes, SinkKind::PanicPath, format!("{}!", t.text));
-                }
+            "panic" | "unreachable" | "todo" | "unimplemented"
+                if next.is_some_and(|n| n.is_punct('!')) =>
+            {
+                push(nodes, SinkKind::PanicPath, format!("{}!", t.text));
             }
-            "vec" | "format" => {
-                if next.is_some_and(|n| n.is_punct('!')) && !after_dot {
-                    push(nodes, SinkKind::Alloc, format!("{}!", t.text));
-                }
+            "vec" | "format" if next.is_some_and(|n| n.is_punct('!')) && !after_dot => {
+                push(nodes, SinkKind::Alloc, format!("{}!", t.text));
             }
             "as" => {
                 let lhs = prev.filter(|p| p.kind == TokKind::Ident);
@@ -662,20 +646,17 @@ fn collect_sinks(sig: &[&Token], owner_of: &[Option<usize>], nodes: &mut [FnNode
                     }
                 }
             }
-            name if ALLOC_METHODS.contains(&name) => {
-                if after_dot && opens_args {
-                    push(nodes, SinkKind::Alloc, format!(".{name}()"));
-                }
+            name if ALLOC_METHODS.contains(&name) && after_dot && opens_args => {
+                push(nodes, SinkKind::Alloc, format!(".{name}()"));
             }
-            name if ALLOC_CTORS.contains(&name) => {
-                if next.is_some_and(|n| n.is_punct('('))
-                    && i >= 3
-                    && sig[i - 1].is_punct(':')
-                    && sig[i - 2].is_punct(':')
-                    && ALLOC_OWNERS.contains(&sig[i - 3].text.as_str())
-                {
-                    push(nodes, SinkKind::Alloc, format!("{}::{name}", sig[i - 3].text));
-                }
+            name if ALLOC_CTORS.contains(&name)
+                && next.is_some_and(|n| n.is_punct('('))
+                && i >= 3
+                && sig[i - 1].is_punct(':')
+                && sig[i - 2].is_punct(':')
+                && ALLOC_OWNERS.contains(&sig[i - 3].text.as_str()) =>
+            {
+                push(nodes, SinkKind::Alloc, format!("{}::{name}", sig[i - 3].text));
             }
             _ => {}
         }
@@ -861,11 +842,7 @@ mod tests {
     use super::*;
 
     fn ctx(crate_name: &str, file: &str) -> FileContext {
-        FileContext {
-            crate_name: crate_name.into(),
-            is_bin: false,
-            path: format!("crates/{crate_name}/src/{file}"),
-        }
+        FileContext { crate_name: crate_name.into(), path: format!("crates/{crate_name}/src/{file}") }
     }
 
     fn graph(files: &[(FileContext, &str)]) -> CallGraph {
@@ -1066,16 +1043,5 @@ mod tests {
         let helper = g.find("System::helper").expect("helper");
         let tick = g.find("System::tick").expect("tick");
         assert_eq!(g.edges[run], vec![helper, tick]);
-    }
-
-    #[test]
-    fn public_roots_are_sim_path_pub_fns() {
-        let files = [
-            (ctx("core", "a.rs"), "pub fn api() {}\nfn private() {}"),
-            (ctx("harness", "b.rs"), "pub fn not_sim_path() {}"),
-        ];
-        let g = graph(&files);
-        assert_eq!(g.public_roots.len(), 1);
-        assert_eq!(g.nodes[g.public_roots[0]].name, "api");
     }
 }

@@ -1,15 +1,14 @@
 //! Expression-level views over the significant token stream.
 //!
-//! The token-stream rules ([`crate::rules`]) match fixed token patterns;
-//! the item tree ([`crate::item_tree`]) gives them structural scoping.
-//! The semantic rules added in v3 need one layer more: *expressions* —
+//! The item tree ([`crate::item_tree`]) gives the rules structural
+//! scoping; the semantic rules need one layer more: *expressions* —
 //! which identifiers meet in a binary operation, what a call site passes
 //! into which parameter, which string literal sits in key position at a
 //! metrics sink. This module extracts exactly those shapes, nothing else:
 //!
-//! * [`fn_sigs`] — every `fn` signature (parameter names, whether the
-//!   return type mentions `Result`), brace/paren/angle-matched so default
-//!   values, array types, and generic bounds cannot derail it.
+//! * [`fn_sigs`] — every `fn` signature's parameter names,
+//!   brace/paren/angle-matched so default values, array types, and
+//!   generic bounds cannot derail it.
 //! * [`call_sites`] — `callee(arg, …)` occurrences with each argument
 //!   reduced to its sole identifier when it is a bare name or dotted
 //!   path (anything more complex is deliberately opaque: a composite
@@ -45,8 +44,6 @@ pub struct FnSig {
     pub name: String,
     /// Parameters in order, the `self` receiver (if any) excluded.
     pub params: Vec<Param>,
-    /// Whether the return type mentions `Result`.
-    pub returns_result: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Whether the fn lives inside a test-only span.
@@ -150,12 +147,9 @@ pub fn fn_sigs(sig: &[&Token], tree: &ItemTree, mask: &[bool]) -> Vec<FnSig> {
         let Some(open) = paren_after_generics(sig, kw + 2, header_end) else { return };
         let Some(close) = matching_close(sig, open, '(', ')') else { return };
         let (params, _has_self) = split_params(sig, open + 1, close);
-        let ret = &sig[(close + 1).min(header_end)..header_end];
-        let returns_result = ret.iter().any(|t| t.is_ident("Result"));
         out.push(FnSig {
             name,
             params,
-            returns_result,
             line: sig[kw].line,
             test_only: item.test_only || mask.get(kw).copied().unwrap_or(false),
         });
@@ -212,9 +206,10 @@ pub(crate) fn split_params(sig: &[&Token], start: usize, end: usize) -> (Vec<Par
             let t = group[k];
             if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
                 depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if t.is_punct('>') && !(k > 0 && group[k - 1].is_punct('-')) {
+            } else if t.is_punct(')')
+                || t.is_punct(']')
+                || (t.is_punct('>') && !(k > 0 && group[k - 1].is_punct('-')))
+            {
                 depth -= 1;
             } else if depth == 0
                 && t.is_punct(':')
@@ -535,14 +530,16 @@ pub fn struct_fields(sig: &[&Token], tree: &ItemTree, struct_name: &str) -> Vec<
             let t = sig[k];
             if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
                 depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            } else if t.is_punct('>') && !(k > 0 && sig[k - 1].is_punct('-')) {
+            } else if t.is_punct(')')
+                || t.is_punct(']')
+                || t.is_punct('}')
+                || (t.is_punct('>') && !(k > 0 && sig[k - 1].is_punct('-')))
+            {
                 depth -= 1;
             } else if depth == 0
                 && t.is_punct(':')
                 && sig.get(k + 1).map_or(true, |n| !n.is_punct(':'))
-                && !(k > 0 && sig[k - 1].is_punct(':'))
+                // An identifier before it: not the second half of a `::`.
                 && k > 0
                 && sig[k - 1].kind == TokKind::Ident
             {
@@ -567,9 +564,9 @@ pub fn idents_in_trait_impl(sig: &[&Token], tree: &ItemTree, trait_name: &str) -
         {
             return;
         }
-        for k in item.span.0..item.span.1.min(sig.len()) {
-            if sig[k].kind == TokKind::Ident {
-                out.push(sig[k].text.clone());
+        for t in sig.iter().take(item.span.1).skip(item.span.0) {
+            if t.kind == TokKind::Ident {
+                out.push(t.text.clone());
             }
         }
     });
@@ -585,9 +582,9 @@ pub fn strings_in_fn(sig: &[&Token], tree: &ItemTree, fn_name: &str) -> Vec<Stri
             return;
         }
         let Some((body_start, body_end)) = item.body else { return };
-        for k in body_start..body_end.min(sig.len()) {
-            if sig[k].kind == TokKind::Str {
-                out.push(sig[k].text.clone());
+        for t in sig.iter().take(body_end).skip(body_start) {
+            if t.kind == TokKind::Str {
+                out.push(t.text.clone());
             }
         }
     });
@@ -624,7 +621,6 @@ mod tests {
             vec![Some("t_ns"), Some("warm_us")]
         );
         assert!(f.params[1].ty.contains("Option"));
-        assert!(f.returns_result);
     }
 
     #[test]
@@ -632,7 +628,6 @@ mod tests {
         let fns = sigs_of("fn plan<F: Fn(u64) -> bool>(cold: F, period_us: u64) {}");
         assert_eq!(fns[0].params.len(), 2);
         assert_eq!(fns[0].params[1].name.as_deref(), Some("period_us"));
-        assert!(!fns[0].returns_result);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! A brace-matched item tree over the lexed token stream.
 //!
-//! The token-stream rules in [`crate::rules`] need structural context the
-//! flat stream cannot give them:
+//! The rules need structural context the flat token stream cannot give
+//! them:
 //!
-//! * **Function-precise panic-policy scoping** — `#[cfg(test)]` items and
-//!   `#[test]` functions are exempt from the panic rules, and the
-//!   exemption must cover exactly their brace-matched bodies. A linear
+//! * **Function-precise test scoping** — `#[cfg(test)]` items and
+//!   `#[test]` functions are exempt from every rule (and are no call-graph
+//!   nodes), and the exemption must cover exactly their brace-matched
+//!   bodies. A linear
 //!   "skip to the next `;` or `{`" heuristic terminates early on items
 //!   like `fn f(x: [u8; 4])` (the `;` inside the array type) and cannot
 //!   see a `#[test]` function that sits outside a `#[cfg(test)]` module.

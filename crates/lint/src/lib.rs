@@ -1,34 +1,34 @@
-//! # hwdp-lint — determinism & panic-policy static analysis
+//! # hwdp-lint — the contract checks clippy cannot prove
 //!
 //! The whole value of this reproduction rests on the simulator being
 //! deterministic: `hwdp-harness` derives per-job SplitMix64 seeds and
 //! promises byte-identical `BENCH_*.json` artifacts for any worker count.
-//! That promise dies silently the moment simulation state iterates a
-//! `HashMap`, reads a wall clock, or spawns a thread — and a stray
-//! `unwrap()` turns a recoverable job error into a campaign abort.
+//! Clippy guards the local half of that promise with types: `clippy.toml`
+//! bans hash containers, host clocks and threads, and `scripts/ci.sh`
+//! denies `unwrap`/`expect`/`panic!`, `dbg!`, `println!`, `{:p}` and
+//! discarded `Result`s in library code. This crate checks what needs the
+//! whole workspace, the docs, or naming conventions, with zero external
+//! dependencies:
 //!
-//! This crate enforces those invariants mechanically, with zero external
-//! dependencies, the way gem5's style checker gates its tree:
-//!
-//! * [`lexer`] — a small hand-rolled Rust lexer (comments, strings,
-//!   lifetimes, raw identifiers) so rules never fire inside literals or
-//!   doc comments.
-//! * [`rules`] — the rule set with per-crate scoping: determinism rules
-//!   for the sim-path crates, panic-policy for all library code, hygiene
-//!   rules everywhere. Inline
-//!   `// hwdp-lint: allow(rule-id): justification` comments suppress a
-//!   finding with an attached reason.
+//! * [`lexer`] / [`item_tree`] — a small hand-rolled Rust lexer
+//!   (comments, strings, lifetimes, raw identifiers) and brace-matched
+//!   item spans, so rules never fire inside literals, doc comments or
+//!   test code.
+//! * [`rules`] — the rule table with per-crate scoping, and the per-file
+//!   `unit-mix` and `audit-coverage` scan.
 //! * [`expr`] / [`model`] — the expression layer (fn signatures, call
 //!   sites, binary-op operands, sink string literals) and the
-//!   workspace-wide API model built from it, powering the semantic rules
-//!   (`unit-mix`, `result-dropped`, `metric-key-*`,
-//!   `spec-knob-consistency`).
+//!   workspace-wide API model built from it, powering `unit-mix`,
+//!   `metric-key-*` and `spec-knob-consistency`.
+//! * [`callgraph`] — the workspace call graph and its reachability rules
+//!   (`det-`/`panic-reachability`, `hot-path-alloc`, `cast-truncation`).
 //! * [`baseline`] — `baselines/LINT_allow.txt` budgets that grandfather
-//!   violations we deliberately keep, per `(rule, file)`.
+//!   findings we deliberately keep, per `(rule, file)`.
 //!
-//! The CLI front end is `hwdp lint [--json] [--deny] [--metric-keys]`;
-//! CI runs it with `--deny` between build and tests (`scripts/ci.sh`)
-//! and archives the `--metric-keys` registry as a build artifact.
+//! The CLI front end is `hwdp lint [--json] [--deny] [--metric-keys]
+//! [--call-graph]`; CI runs it with `--deny` between build and tests
+//! (`scripts/ci.sh`) and archives the `--metric-keys` registry and the
+//! call graph as build artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,11 +49,8 @@ use rules::{FileContext, Finding};
 /// A lint run's aggregate result, before baseline application.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings surviving inline `allow(...)` suppression, sorted by
-    /// `(file, line, col)`.
+    /// Every finding, sorted by `(file, line, col)`.
     pub findings: Vec<Finding>,
-    /// Findings silenced by justified inline allows.
-    pub inline_suppressed: usize,
     /// Source files scanned.
     pub files_scanned: usize,
 }
@@ -66,7 +63,6 @@ impl Report {
         Json::obj([
             ("schema", Json::Num(1.0)),
             ("files_scanned", Json::Num(self.files_scanned as f64)),
-            ("inline_suppressed", Json::Num(self.inline_suppressed as f64)),
             ("grandfathered", Json::Num(grandfathered as f64)),
             ("stale_baseline_entries", Json::Num(stale as f64)),
             (
@@ -129,10 +125,7 @@ fn context_for(rel: &str) -> FileContext {
         // The facade crate at the workspace root.
         "hwdp".to_string()
     };
-    let is_bin = crate_name == "cli"
-        || parts.contains(&"bin")
-        || parts.last() == Some(&"main.rs");
-    FileContext { crate_name, is_bin, path: rel.to_string() }
+    FileContext { crate_name, path: rel.to_string() }
 }
 
 /// Recursively collects every in-scope `.rs` file under `root`, sorted by
@@ -254,7 +247,6 @@ pub fn graph_to_json(g: &callgraph::CallGraph) -> Json {
             Json::obj([
                 ("event_loop", roots(&g.event_roots)),
                 ("completion_path", roots(&g.completion_roots)),
-                ("public_api", roots(&g.public_roots)),
             ]),
         ),
         (
@@ -323,8 +315,8 @@ pub fn graph_to_json(g: &callgraph::CallGraph) -> Json {
     ])
 }
 
-/// Lints every in-scope source file under `root`. Inline allows are
-/// applied; the grandfather baseline is not (see [`baseline::apply`]).
+/// Lints every in-scope source file under `root`. The grandfather
+/// baseline is not applied (see [`baseline::apply`]).
 ///
 /// Two passes: the first builds the workspace [`model::ApiModel`] (fn
 /// signatures for cross-crate call boundaries, the metric-key registry),
@@ -340,43 +332,23 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
         files.push((context_for(&rel), std::fs::read_to_string(&path)?));
     }
     let model = model::ApiModel::build(files.iter().map(|(c, s)| (c, s.as_str())));
-    // Per-file justified allow directives, honoured by the workspace
-    // passes below exactly as the per-file scanner honours them.
-    let mut allow_map: std::collections::BTreeMap<String, Vec<(u32, Vec<String>)>> =
-        std::collections::BTreeMap::new();
     for (ctx, source) in &files {
         let outcome = rules::scan_with(ctx, source, &model);
         if outcome.has_sanitizer_impl {
             audited_crates.insert(ctx.crate_name.clone());
         }
-        if !outcome.allows.is_empty() {
-            allow_map.insert(ctx.path.clone(), outcome.allows);
-        }
         report.findings.extend(outcome.findings);
-        report.inline_suppressed += outcome.suppressed;
         report.files_scanned += 1;
     }
     let docs = read_docs(root);
     let doc_refs: Vec<(&str, &str)> = docs.iter().map(|(n, s)| (*n, s.as_str())).collect();
-    let mut workspace_findings = model::metric_key_findings(&model, &doc_refs);
+    report.findings.extend(model::metric_key_findings(&model, &doc_refs));
     let readme = doc_refs.first().map(|(_, s)| *s).unwrap_or("");
-    workspace_findings
+    report
+        .findings
         .extend(model::spec_knob_findings(files.iter().map(|(c, s)| (c, s.as_str())), readme));
     let graph = callgraph::build(files.iter().map(|(c, s)| (c, s.as_str())));
-    workspace_findings.extend(callgraph::findings(&graph));
-    for f in workspace_findings {
-        let allowed = allow_map.get(&f.file).is_some_and(|directives| {
-            directives.iter().any(|(line, allowed_rules)| {
-                (*line == f.line || *line + 1 == f.line)
-                    && allowed_rules.iter().any(|r| r == f.rule)
-            })
-        });
-        if allowed {
-            report.inline_suppressed += 1;
-        } else {
-            report.findings.push(f);
-        }
-    }
+    report.findings.extend(callgraph::findings(&graph));
     // Workspace-level audit-coverage pass: every crate on the hwdp-audit
     // roster must register at least one sanitizer checker somewhere in
     // its src/ tree. Anchored at the crate root so the finding (and any
@@ -427,15 +399,9 @@ mod tests {
     fn context_classification() {
         let c = context_for("crates/core/src/system.rs");
         assert_eq!(c.crate_name, "core");
-        assert!(!c.is_bin);
-        let cli = context_for("crates/cli/src/args.rs");
-        assert_eq!(cli.crate_name, "cli");
-        assert!(cli.is_bin, "every cli module belongs to the binary");
-        let bin = context_for("crates/bench/src/bin/figures.rs");
-        assert!(bin.is_bin);
-        let facade = context_for("src/lib.rs");
-        assert_eq!(facade.crate_name, "hwdp");
-        assert!(!facade.is_bin);
+        assert_eq!(context_for("crates/cli/src/args.rs").crate_name, "cli");
+        assert_eq!(context_for("crates/bench/src/bin/figures.rs").crate_name, "bench");
+        assert_eq!(context_for("src/lib.rs").crate_name, "hwdp");
     }
 
     #[test]
@@ -445,10 +411,9 @@ mod tests {
                 file: "crates/os/src/x.rs".into(),
                 line: 3,
                 col: 7,
-                rule: "panic-unwrap",
+                rule: "unit-mix",
                 message: "m".into(),
             }],
-            inline_suppressed: 2,
             files_scanned: 10,
         };
         let j = report.to_json(5, 1);
@@ -456,7 +421,7 @@ mod tests {
         let back = Json::parse(&text).expect("writer output parses");
         assert_eq!(back.get("files_scanned").and_then(Json::as_f64), Some(10.0));
         let findings = back.get("findings").and_then(Json::as_arr).expect("array");
-        assert_eq!(findings[0].get("rule").and_then(Json::as_str), Some("panic-unwrap"));
+        assert_eq!(findings[0].get("rule").and_then(Json::as_str), Some("unit-mix"));
         assert_eq!(findings[0].get("line").and_then(Json::as_f64), Some(3.0));
     }
 

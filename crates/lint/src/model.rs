@@ -3,10 +3,10 @@
 //! [`ApiModel`] aggregates what the expression layer ([`crate::expr`])
 //! extracts per file into workspace-wide lookup tables:
 //!
-//! * **fn signatures by name** — for `unit-mix` call-boundary checks and
-//!   `result-dropped` return-type lookups. Same-name collisions are kept
-//!   as a list; rules only act when every signature of that name agrees,
-//!   so an ambiguous name can cause a miss but never a false positive.
+//! * **fn signatures by name** — for `unit-mix` call-boundary checks.
+//!   Same-name collisions are kept as a list; the rule only acts when
+//!   every signature of that name agrees, so an ambiguous name can cause
+//!   a miss but never a false positive.
 //! * **the metric-key registry** — every string literal in key position
 //!   at an `export_metrics` sink, with its source location. `hwdp lint
 //!   --metric-keys` serializes this registry; CI archives it.
@@ -22,14 +22,12 @@ use crate::item_tree::ItemTree;
 use crate::lexer::{lex, TokKind, Token};
 use crate::rules::{FileContext, Finding};
 
-/// One fn signature as the rules see it: parameter binding names (in
-/// order, receiver excluded) and Result-ness of the return type.
+/// One fn signature as the rules see it: parameter binding names, in
+/// order, receiver excluded.
 #[derive(Clone, Debug)]
 pub struct FnInfo {
     /// Parameter binding names; `None` for destructuring patterns.
     pub params: Vec<Option<String>>,
-    /// Whether the return type mentions `Result`.
-    pub returns_result: bool,
 }
 
 /// One harvested metric key.
@@ -84,7 +82,6 @@ impl ApiModel {
             }
             self.fns.entry(f.name).or_default().push(FnInfo {
                 params: f.params.into_iter().map(|p| p.name).collect(),
-                returns_result: f.returns_result,
             });
         }
         for s in expr::sink_strings(&sig, &tree, &mask, "export_metrics") {
@@ -101,14 +98,12 @@ impl ApiModel {
     /// The recognized time-unit suffix of an identifier: `_ns`/`_us`/`_ms`
     /// (or the bare unit name, as in a conversion fn's `ns: u64` param).
     pub fn time_suffix(name: &str) -> Option<&'static str> {
-        for s in ["ns", "us", "ms"] {
-            if name == s || (name.len() > s.len() + 1 && name.ends_with(s)
-                && name.as_bytes()[name.len() - s.len() - 1] == b'_')
-            {
-                return Some(s);
-            }
-        }
-        None
+        ["ns", "us", "ms"].into_iter().find(|s| {
+            name == *s
+                || (name.len() > s.len() + 1
+                    && name.ends_with(s)
+                    && name.as_bytes()[name.len() - s.len() - 1] == b'_')
+        })
     }
 
     /// The unit suffix every same-name signature agrees on for parameter
@@ -126,14 +121,6 @@ impl ApiModel {
             }
         }
         agreed
-    }
-
-    /// Whether every known fn named `callee` returns a `Result` (and at
-    /// least one is known). Ambiguity disables the check.
-    pub fn always_returns_result(&self, callee: &str) -> bool {
-        self.fns
-            .get(callee)
-            .is_some_and(|sigs| !sigs.is_empty() && sigs.iter().all(|f| f.returns_result))
     }
 }
 
@@ -433,7 +420,7 @@ mod tests {
     use super::*;
 
     fn ctx(crate_name: &str, path: &str) -> FileContext {
-        FileContext { crate_name: crate_name.into(), is_bin: false, path: path.into() }
+        FileContext { crate_name: crate_name.into(), path: path.into() }
     }
 
     #[test]
@@ -450,7 +437,6 @@ mod tests {
         "#;
         let m = ApiModel::of_file(&c, src);
         assert_eq!(m.fns["record"].len(), 2, "test fns excluded");
-        assert!(!m.always_returns_result("record"), "mixed Result-ness disables the check");
         assert_eq!(m.agreed_param_suffix("record", 0), Some("ns"));
         assert_eq!(m.metric_keys.len(), 1);
         assert_eq!(m.metric_keys[0].key, "elapsed_ns");

@@ -1,16 +1,19 @@
-//! The rule set and the token-stream scanner.
+//! The rule table and the per-file scanner.
 //!
-//! Rules are scoped per crate (see [`applies`]): determinism rules guard
-//! the simulation-path crates whose iteration order and timing feed the
-//! byte-identical `BENCH_*.json` artifacts; panic-policy rules cover all
-//! library code; hygiene rules everything that is not a CLI/bench binary.
+//! Rules are scoped per crate (see [`applies`]). The per-file scanner
+//! runs `unit-mix` over the sim-path crates and reports whether a file
+//! registers an hwdp-audit checker; every other rule is a workspace pass
+//! (metric keys, spec knobs, call-graph reachability). Determinism,
+//! panic-policy and hygiene checks that need types (hash containers,
+//! clocks, threads, `unwrap`/`expect`/`panic!`, `dbg!`, `println!`,
+//! `{:p}`, dropped `Result`s) are clippy's: see `clippy.toml` and the
+//! restriction step in `scripts/ci.sh`.
 //!
 //! The scanner never looks at raw text. It walks the lexed token stream
-//! under the brace-matched [`crate::item_tree`]: panic-policy exemptions
-//! cover exactly the spans of `#[cfg(test)]` items and `#[test]`
-//! functions, and the `audit-coverage` rule checks for structural
-//! `impl … Sanitizer for …` registrations. Inline suppressions of the
-//! form `// hwdp-lint: allow(rule-id): justification` are honoured.
+//! under the brace-matched [`crate::item_tree`]: test exemptions cover
+//! exactly the spans of `#[cfg(test)]` items and `#[test]` functions, and
+//! the `audit-coverage` rule checks for structural
+//! `impl … Sanitizer for …` registrations.
 
 use crate::expr;
 use crate::item_tree::ItemTree;
@@ -34,9 +37,6 @@ pub const AUDIT_REQUIRED_CRATES: [&str; 6] = ["core", "mem", "nvme", "os", "smu"
 pub struct FileContext {
     /// Short crate name (`core`, `harness`, …; the facade crate is `hwdp`).
     pub crate_name: String,
-    /// `true` for binary-target sources (`src/main.rs`, `src/bin/**`, and
-    /// every module of the `cli` crate).
-    pub is_bin: bool,
     /// Workspace-relative path, used verbatim in diagnostics.
     pub path: String,
 }
@@ -65,7 +65,7 @@ impl Finding {
 
 /// A rule's identity and scope, for the `hwdp lint` rule table.
 pub struct RuleInfo {
-    /// Stable identifier (used in `allow(...)` and the baseline file).
+    /// Stable identifier (used in the baseline file).
     pub id: &'static str,
     /// What the rule guards against.
     pub summary: &'static str,
@@ -74,52 +74,7 @@ pub struct RuleInfo {
 }
 
 /// Every rule this pass knows, for documentation and `--rules` output.
-pub const RULES: [RuleInfo; 20] = [
-    RuleInfo {
-        id: "det-hash-container",
-        summary: "HashMap/HashSet iteration order is randomized per process; use BTreeMap/BTreeSet or Vec",
-        scope: "sim-path crates",
-    },
-    RuleInfo {
-        id: "det-wall-clock",
-        summary: "Instant/SystemTime read the host clock; simulation must use virtual time",
-        scope: "sim-path crates",
-    },
-    RuleInfo {
-        id: "det-thread",
-        summary: "std::thread outside the harness breaks single-threaded determinism",
-        scope: "all crates except harness",
-    },
-    RuleInfo {
-        id: "det-ptr-format",
-        summary: "{:p} prints ASLR-dependent addresses into output paths",
-        scope: "sim-path crates and harness",
-    },
-    RuleInfo {
-        id: "panic-unwrap",
-        summary: "unwrap() panics without an invariant message; use typed errors or expect()",
-        scope: "library code",
-    },
-    RuleInfo {
-        id: "panic-expect",
-        summary: "expect() panics mid-campaign; prefer typed errors on fallible paths",
-        scope: "library code",
-    },
-    RuleInfo {
-        id: "panic-macro",
-        summary: "panic!/todo!/unimplemented! in library code aborts a whole campaign job",
-        scope: "library code",
-    },
-    RuleInfo {
-        id: "hygiene-dbg",
-        summary: "dbg! is debugging debris",
-        scope: "everywhere",
-    },
-    RuleInfo {
-        id: "hygiene-println",
-        summary: "println!/print! pollute stdout outside the cli/bench binaries",
-        scope: "all crates except cli and bench",
-    },
+pub const RULES: [RuleInfo; 10] = [
     RuleInfo {
         id: "audit-coverage",
         summary: "audited sim-path crates must register an `impl ... Sanitizer for ...` checker",
@@ -129,11 +84,6 @@ pub const RULES: [RuleInfo; 20] = [
         id: "unit-mix",
         summary: "_ns/_us/_ms-suffixed values may not meet in arithmetic or cross a call boundary into a differently-suffixed parameter without a conversion",
         scope: "sim-path crates",
-    },
-    RuleInfo {
-        id: "result-dropped",
-        summary: "`let _ =` / bare-statement discard of a Result-returning call swallows the error path",
-        scope: "sim-path library code",
     },
     RuleInfo {
         id: "metric-key-duplicate",
@@ -184,17 +134,8 @@ fn is_sim_path(crate_name: &str) -> bool {
 /// Whether `rule` applies to a file in `ctx`.
 pub fn applies(rule: &str, ctx: &FileContext) -> bool {
     match rule {
-        "det-hash-container" | "det-wall-clock" => is_sim_path(&ctx.crate_name),
-        "det-thread" => ctx.crate_name != "harness",
-        "det-ptr-format" => is_sim_path(&ctx.crate_name) || ctx.crate_name == "harness",
-        "panic-unwrap" | "panic-expect" | "panic-macro" => !ctx.is_bin,
-        "hygiene-dbg" => true,
-        "hygiene-println" => {
-            !ctx.is_bin && ctx.crate_name != "cli" && ctx.crate_name != "bench"
-        }
         "audit-coverage" => AUDIT_REQUIRED_CRATES.contains(&ctx.crate_name.as_str()),
         "unit-mix" => is_sim_path(&ctx.crate_name),
-        "result-dropped" => is_sim_path(&ctx.crate_name) && !ctx.is_bin,
         // Workspace passes: emitted by `lint_workspace`, not the per-file
         // scanner. Scoped here so the rule table test covers them and the
         // baseline machinery treats them like any other rule.
@@ -209,39 +150,6 @@ pub fn applies(rule: &str, ctx: &FileContext) -> bool {
     }
 }
 
-/// An inline `allow(...)` suppression directive found in a comment.
-#[derive(Clone, Debug)]
-struct AllowDirective {
-    line: u32,
-    col: u32,
-    rules: Vec<String>,
-    justified: bool,
-}
-
-/// Parses suppression directives out of a comment token. Accepted form:
-///
-/// ```text
-/// // hwdp-lint: allow(rule-a, rule-b): why this is fine
-/// ```
-fn parse_allow(tok: &Token) -> Option<AllowDirective> {
-    let text = &tok.text;
-    let at = text.find("hwdp-lint:")?;
-    let rest = text[at + "hwdp-lint:".len()..].trim_start();
-    let rest = rest.strip_prefix("allow")?.trim_start();
-    let rest = rest.strip_prefix('(')?;
-    let close = rest.find(')')?;
-    let rules: Vec<String> = rest[..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    let tail = rest[close + 1..].trim_start();
-    let justified = tail
-        .strip_prefix(':')
-        .is_some_and(|j| !j.trim().trim_end_matches("*/").trim().is_empty());
-    Some(AllowDirective { line: tok.line, col: tok.col, rules, justified })
-}
-
 /// Scans one source file against a model built from that file alone —
 /// call boundaries within the file still resolve. The workspace driver
 /// uses [`scan_with`] so boundaries resolve across crates.
@@ -249,207 +157,31 @@ pub fn scan(ctx: &FileContext, source: &str) -> ScanOutcome {
     scan_with(ctx, source, &ApiModel::of_file(ctx, source))
 }
 
-/// Scans one source file and returns its findings, inline suppressions
-/// already applied. Findings are ordered by source position.
+/// Scans one source file and returns its findings, ordered by source
+/// position.
 pub fn scan_with(ctx: &FileContext, source: &str, model: &ApiModel) -> ScanOutcome {
     let tokens = lex(source);
-    let mut allows = Vec::new();
-    let mut findings = Vec::new();
-    for tok in tokens.iter().filter(|t| t.kind == TokKind::Comment) {
-        if let Some(d) = parse_allow(tok) {
-            if !d.justified {
-                findings.push(Finding {
-                    file: ctx.path.clone(),
-                    line: d.line,
-                    col: d.col,
-                    rule: "allow-needs-reason",
-                    message: "hwdp-lint allow(...) requires a ': justification' tail".into(),
-                });
-            }
-            allows.push(d);
-        }
-    }
-
     let sig: Vec<&Token> = tokens.iter().filter(|t| t.kind != TokKind::Comment).collect();
     let tree = ItemTree::parse(&sig);
-    // Function-precise panic-policy scoping: the mask covers exactly the
-    // brace-matched spans of `#[cfg(test)]` items and `#[test]` fns, so a
-    // `;` inside a type or a test fn outside a test module cannot confuse
-    // the exemption boundary.
+    // The mask covers exactly the brace-matched spans of `#[cfg(test)]`
+    // items and `#[test]` fns, so a `;` inside a type or a test fn outside
+    // a test module cannot confuse the exemption boundary.
     let test_mask = tree.test_token_mask(sig.len());
-    let mut raw = Vec::new();
-    for i in 0..sig.len() {
-        if test_mask[i] {
-            continue;
-        }
-        check_at(ctx, &sig, i, &mut raw);
-    }
-    check_unit_mix(ctx, &sig, &test_mask, model, &mut raw);
-    check_result_dropped(ctx, &sig, &test_mask, model, &mut raw);
-    let has_sanitizer_impl = tree.has_trait_impl(&sig, "Sanitizer");
-
-    let mut suppressed = 0usize;
-    findings.extend(raw.into_iter().filter(|f| {
-        let allowed = allows.iter().any(|d| {
-            d.justified
-                && (d.line == f.line || d.line + 1 == f.line)
-                && d.rules.iter().any(|r| r == f.rule)
-        });
-        if allowed {
-            suppressed += 1;
-        }
-        !allowed
-    }));
+    let mut findings = Vec::new();
+    check_unit_mix(ctx, &sig, &test_mask, model, &mut findings);
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    let allows = allows
-        .iter()
-        .filter(|d| d.justified)
-        .map(|d| (d.line, d.rules.clone()))
-        .collect();
-    ScanOutcome { findings, suppressed, has_sanitizer_impl, allows }
+    let has_sanitizer_impl = tree.has_trait_impl(&sig, "Sanitizer");
+    ScanOutcome { findings, has_sanitizer_impl }
 }
 
 /// What [`scan`] produced for one file.
 pub struct ScanOutcome {
-    /// Diagnostics that survived inline suppression.
+    /// Diagnostics, in source order.
     pub findings: Vec<Finding>,
-    /// Findings silenced by a justified inline allow.
-    pub suppressed: usize,
     /// `true` when the file structurally registers an hwdp-audit checker
     /// (a non-test `impl … Sanitizer for …` item). Aggregated per crate by
     /// the workspace pass for the `audit-coverage` rule.
     pub has_sanitizer_impl: bool,
-    /// Justified inline allow directives as `(line, rule ids)`, so the
-    /// workspace passes (call-graph reachability, metric keys, spec
-    /// knobs) honour the same suppression syntax as the per-file rules.
-    pub allows: Vec<(u32, Vec<String>)>,
-}
-
-fn emit(ctx: &FileContext, tok: &Token, rule: &'static str, message: String, out: &mut Vec<Finding>) {
-    if applies(rule, ctx) {
-        out.push(Finding { file: ctx.path.clone(), line: tok.line, col: tok.col, rule, message });
-    }
-}
-
-/// Applies every pattern anchored at `sig[i]`.
-fn check_at(ctx: &FileContext, sig: &[&Token], i: usize, out: &mut Vec<Finding>) {
-    let t = sig[i];
-    let next = sig.get(i + 1);
-    let next2 = sig.get(i + 2);
-    let prev = i.checked_sub(1).and_then(|p| sig.get(p));
-
-    if t.kind == TokKind::Ident {
-        match t.text.as_str() {
-            "HashMap" | "HashSet" => {
-                let alt = if t.text == "HashMap" { "BTreeMap" } else { "BTreeSet" };
-                emit(
-                    ctx,
-                    t,
-                    "det-hash-container",
-                    format!("{} has randomized iteration order; use {alt} (or a Vec) in simulation state", t.text),
-                    out,
-                );
-            }
-            "Instant" | "SystemTime" => emit(
-                ctx,
-                t,
-                "det-wall-clock",
-                format!("{} reads the host clock; simulation code must use hwdp_sim::time", t.text),
-                out,
-            ),
-            "std" => {
-                if next.is_some_and(|n| n.is_punct(':'))
-                    && next2.is_some_and(|n| n.is_punct(':'))
-                    && sig.get(i + 3).is_some_and(|n| n.is_ident("thread"))
-                {
-                    emit(
-                        ctx,
-                        t,
-                        "det-thread",
-                        "std::thread outside crates/harness breaks deterministic replay".into(),
-                        out,
-                    );
-                }
-            }
-            "thread" => {
-                // `thread::spawn` / `thread::sleep` via a `use std::thread`
-                // import; the path form above catches the import site.
-                if next.is_some_and(|n| n.is_punct(':'))
-                    && next2.is_some_and(|n| n.is_punct(':'))
-                    && sig.get(i + 3).is_some_and(|n| {
-                        n.is_ident("spawn") || n.is_ident("sleep") || n.is_ident("scope")
-                    })
-                    && !prev.is_some_and(|p| p.is_punct(':') || p.is_punct('.'))
-                {
-                    emit(
-                        ctx,
-                        t,
-                        "det-thread",
-                        "thread spawning outside crates/harness breaks deterministic replay".into(),
-                        out,
-                    );
-                }
-            }
-            "unwrap" => {
-                if prev.is_some_and(|p| p.is_punct('.')) && next.is_some_and(|n| n.is_punct('(')) {
-                    emit(
-                        ctx,
-                        t,
-                        "panic-unwrap",
-                        "unwrap() panics without an invariant message; use a typed error or expect(\"invariant\")".into(),
-                        out,
-                    );
-                }
-            }
-            "expect" => {
-                if prev.is_some_and(|p| p.is_punct('.')) && next.is_some_and(|n| n.is_punct('(')) {
-                    emit(
-                        ctx,
-                        t,
-                        "panic-expect",
-                        "expect() panics mid-campaign; prefer a typed error on fallible paths".into(),
-                        out,
-                    );
-                }
-            }
-            "panic" | "todo" | "unimplemented" => {
-                if next.is_some_and(|n| n.is_punct('!')) {
-                    emit(
-                        ctx,
-                        t,
-                        "panic-macro",
-                        format!("{}! aborts the whole campaign job; return an error instead", t.text),
-                        out,
-                    );
-                }
-            }
-            "dbg" => {
-                if next.is_some_and(|n| n.is_punct('!')) {
-                    emit(ctx, t, "hygiene-dbg", "dbg! is debugging debris".into(), out);
-                }
-            }
-            "println" | "print" => {
-                if next.is_some_and(|n| n.is_punct('!')) {
-                    emit(
-                        ctx,
-                        t,
-                        "hygiene-println",
-                        format!("{}! writes to stdout; only the cli/bench binaries own stdout", t.text),
-                        out,
-                    );
-                }
-            }
-            _ => {}
-        }
-    } else if t.kind == TokKind::Str && t.text.contains(":p}") {
-        emit(
-            ctx,
-            t,
-            "det-ptr-format",
-            "{:p} formats an ASLR-dependent pointer address into output".into(),
-            out,
-        );
-    }
 }
 
 /// The `unit-mix` rule: `_ns`/`_us`/`_ms`-suffixed identifiers may not
@@ -516,119 +248,12 @@ fn check_unit_mix(
     }
 }
 
-/// Index of the `(` opening the group that closes at `close_idx`.
-fn matching_open(sig: &[&Token], close_idx: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for k in (0..=close_idx).rev() {
-        if sig[k].is_punct(')') {
-            depth += 1;
-        } else if sig[k].is_punct('(') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-/// The `result-dropped` rule: a statement that discards the value of a
-/// call whose every known signature returns `Result` — either a bare
-/// `f(…);` expression statement or an explicit `let _ = f(…);`.
-fn check_result_dropped(
-    ctx: &FileContext,
-    sig: &[&Token],
-    mask: &[bool],
-    model: &ApiModel,
-    out: &mut Vec<Finding>,
-) {
-    if !applies("result-dropped", ctx) {
-        return;
-    }
-    for i in 2..sig.len() {
-        if !sig[i].is_punct(';') || !sig[i - 1].is_punct(')') {
-            continue;
-        }
-        let Some(open) = matching_open(sig, i - 1) else { continue };
-        if open == 0 {
-            continue;
-        }
-        let callee_idx = open - 1;
-        let callee = sig[callee_idx];
-        if callee.kind != TokKind::Ident || mask.get(callee_idx).copied().unwrap_or(false) {
-            continue;
-        }
-        if callee_idx > 0 && sig[callee_idx - 1].is_punct('!') {
-            continue; // macro invocation
-        }
-        if !model.always_returns_result(&callee.text) {
-            continue;
-        }
-        // Walk back over the receiver/path chain to the statement start.
-        let mut k = callee_idx;
-        while k > 0 {
-            let p = sig[k - 1];
-            if p.kind == TokKind::Ident || p.is_punct('.') || p.is_punct(':') || p.is_punct('?') {
-                k -= 1;
-            } else if p.is_punct(')') || p.is_punct(']') {
-                let (o, c) = if p.is_punct(')') { ('(', ')') } else { ('[', ']') };
-                // Jump over the matched group.
-                let mut depth = 0i64;
-                let mut j = k - 1;
-                loop {
-                    if sig[j].is_punct(c) {
-                        depth += 1;
-                    } else if sig[j].is_punct(o) {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if j == 0 {
-                        break;
-                    }
-                    j -= 1;
-                }
-                k = j;
-            } else {
-                break;
-            }
-        }
-        let boundary = k.checked_sub(1).map(|p| sig[p]);
-        let discarded_stmt = match boundary {
-            None => true,
-            Some(b) if b.is_punct(';') || b.is_punct('{') || b.is_punct('}') => true,
-            // `let _ = f(…);` — the wildcard, not a named `_x` binding.
-            Some(b) if b.is_punct('=') => {
-                k >= 3 && sig[k - 2].is_ident("_") && sig[k - 3].is_ident("let")
-            }
-            _ => false,
-        };
-        if discarded_stmt {
-            out.push(Finding {
-                file: ctx.path.clone(),
-                line: callee.line,
-                col: callee.col,
-                rule: "result-dropped",
-                message: format!(
-                    "the Result of `{}(…)` is discarded; handle it, `?` it, or match on it",
-                    callee.text
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ctx_for(crate_name: &str) -> FileContext {
-        FileContext {
-            crate_name: crate_name.into(),
-            is_bin: false,
-            path: format!("crates/{crate_name}/src/lib.rs"),
-        }
+        FileContext { crate_name: crate_name.into(), path: format!("crates/{crate_name}/src/lib.rs") }
     }
 
     fn rules_found(crate_name: &str, src: &str) -> Vec<&'static str> {
@@ -636,58 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn hash_container_flagged_in_sim_path_only() {
-        let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }";
-        assert_eq!(rules_found("core", src), vec!["det-hash-container"; 2]);
-        assert!(rules_found("harness", src).is_empty(), "harness may hash");
-    }
-
-    #[test]
     fn rules_do_not_fire_inside_strings_or_comments() {
-        let src = r#"
-            // A HashMap mentioned in prose, and .unwrap() too.
-            /* block: std::thread::spawn, panic!("x") */
-            /// Doc: HashSet, Instant, dbg!(x)
-            fn f() -> String { String::from("HashMap panic! .unwrap() {:q}") }
-        "#;
+        let src = r##"
+            // Prose: a_ns + b_us.
+            /* block: a_ns < b_ms */
+            /// Doc: `wall_ms - warm_us`
+            fn f() -> String { String::from(r#"a_ns + b_us"#) }
+        "##;
         assert!(rules_found("core", src).is_empty());
-    }
-
-    #[test]
-    fn ptr_format_fires_inside_format_strings() {
-        let src = r#"fn f(x: &u32) { let _ = format!("{:p}", x); }"#;
-        assert_eq!(rules_found("core", src), vec!["det-ptr-format"]);
-    }
-
-    #[test]
-    fn unwrap_and_expect_in_library_code() {
-        let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() + o.expect(\"set\") }";
-        assert_eq!(rules_found("os", src), vec!["panic-unwrap", "panic-expect"]);
-        // unwrap_or / unwrap_or_else must not match.
-        let src2 = "fn f(o: Option<u32>) -> u32 { o.unwrap_or(0).max(o.unwrap_or_else(|| 1)) }";
-        assert!(rules_found("os", src2).is_empty());
-    }
-
-    #[test]
-    fn bin_targets_are_exempt_from_panic_policy() {
-        let ctx = FileContext {
-            crate_name: "cli".into(),
-            is_bin: true,
-            path: "crates/cli/src/main.rs".into(),
-        };
-        let src = "fn main() { Some(1).unwrap(); println!(\"ok\"); }";
-        assert!(scan(&ctx, src).findings.is_empty());
     }
 
     #[test]
     fn cfg_test_modules_are_skipped_entirely() {
         let src = r#"
-            fn lib() {}
+            fn sink(t_us: u64) {}
             #[cfg(test)]
             mod tests {
-                use std::collections::HashMap;
                 #[test]
-                fn t() { let m: HashMap<u32, u32> = HashMap::new(); Some(1).unwrap(); panic!("x"); }
+                fn t() { let (a_ns, b_us) = (1, 2); sink(a_ns); assert!(a_ns < b_us); }
             }
         "#;
         assert!(rules_found("core", src).is_empty());
@@ -697,112 +288,36 @@ mod tests {
     fn cfg_test_single_item_is_skipped_but_rest_scans() {
         let src = r#"
             #[cfg(test)]
-            fn helper() { Some(1).unwrap(); }
-            fn lib(o: Option<u32>) -> u32 { o.unwrap() }
+            fn helper(a_ns: u64, b_us: u64) -> u64 { a_ns + b_us }
+            fn lib(a_ns: u64, b_us: u64) -> u64 { a_ns + b_us }
         "#;
-        assert_eq!(rules_found("core", src), vec!["panic-unwrap"]);
+        assert_eq!(rules_found("core", src), vec!["unit-mix"]);
     }
 
     #[test]
     fn cfg_all_test_also_skipped() {
         let src = r#"
             #[cfg(all(test, feature = "x"))]
-            mod tests { fn t() { Some(1).unwrap(); } }
+            mod tests { fn t(a_ns: u64, b_us: u64) -> u64 { a_ns + b_us } }
         "#;
         assert!(rules_found("core", src).is_empty());
     }
 
     #[test]
-    fn thread_paths_flagged_outside_harness() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert_eq!(rules_found("core", src), vec!["det-thread"]);
-        let src2 = "use std::thread;\nfn f() { thread::spawn(|| {}); }";
-        assert_eq!(rules_found("core", src2), vec!["det-thread"; 2]);
-        assert!(rules_found("harness", src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_flagged_in_sim_path() {
-        let src = "fn f() { let _ = Instant::now(); }";
-        assert_eq!(rules_found("sim", src), vec!["det-wall-clock"]);
-        assert!(rules_found("harness", src).is_empty());
-    }
-
-    #[test]
-    fn panic_macros_and_hygiene() {
-        let src = "fn f() { panic!(\"x\"); todo!(); dbg!(1); println!(\"y\"); }";
-        assert_eq!(
-            rules_found("mem", src),
-            vec!["panic-macro", "panic-macro", "hygiene-dbg", "hygiene-println"]
-        );
-    }
-
-    #[test]
-    fn println_allowed_in_cli_and_bench() {
-        let src = "pub fn f() { println!(\"table row\"); }";
-        assert!(rules_found("bench", src).is_empty());
-        assert_eq!(rules_found("workloads", src), vec!["hygiene-println"]);
-    }
-
-    #[test]
-    fn inline_allow_with_justification_suppresses() {
-        let src = "fn f(o: Option<u32>) -> u32 {\n    // hwdp-lint: allow(panic-unwrap): checked two lines up\n    o.unwrap()\n}";
-        let out = scan(&ctx_for("os"), src);
-        assert!(out.findings.is_empty());
-        assert_eq!(out.suppressed, 1);
-    }
-
-    #[test]
-    fn trailing_allow_on_same_line_suppresses() {
-        let src =
-            "fn f(o: Option<u32>) -> u32 { o.unwrap() } // hwdp-lint: allow(panic-unwrap): total fn";
-        let out = scan(&ctx_for("os"), src);
-        assert!(out.findings.is_empty());
-        assert_eq!(out.suppressed, 1);
-    }
-
-    #[test]
-    fn allow_without_justification_is_its_own_finding() {
-        let src = "fn f(o: Option<u32>) -> u32 {\n    // hwdp-lint: allow(panic-unwrap)\n    o.unwrap()\n}";
-        let rules: Vec<&str> = scan(&ctx_for("os"), src).findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec!["allow-needs-reason", "panic-unwrap"]);
-    }
-
-    #[test]
-    fn allow_for_wrong_rule_does_not_suppress() {
-        let src = "fn f(o: Option<u32>) -> u32 {\n    // hwdp-lint: allow(det-hash-container): nope\n    o.unwrap()\n}";
-        let out = scan(&ctx_for("os"), src);
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.suppressed, 0);
-    }
-
-    #[test]
-    fn allow_list_covers_multiple_rules() {
-        let src = "fn f(o: Option<u32>) { // hwdp-lint: allow(panic-unwrap, panic-expect): demo\n    o.unwrap(); o.expect(\"x\");\n}";
-        let out = scan(&ctx_for("os"), src);
-        assert!(out.findings.is_empty());
-        assert_eq!(out.suppressed, 2);
-    }
-
-    #[test]
     fn findings_carry_position() {
-        let src = "\n\nfn f(o: Option<u32>) -> u32 { o.unwrap() }";
+        let src = "\n\nfn f(a_ns: u64, b_us: u64) -> u64 { a_ns + b_us }";
         let out = scan(&ctx_for("os"), src);
         assert_eq!(out.findings[0].line, 3);
         assert!(out.findings[0].col > 30);
-        assert!(out.findings[0].render().contains("panic-unwrap"));
+        assert!(out.findings[0].render().contains("unit-mix"));
     }
 
     #[test]
     fn every_rule_id_in_table_is_scoped() {
+        // Each rule applies somewhere.
         for r in &RULES {
-            // Each rule applies somewhere and is absent somewhere else
-            // (except hygiene-dbg which is global).
-            let lib = ctx_for("core");
-            let harness = ctx_for("harness");
-            let bin = FileContext { crate_name: "cli".into(), is_bin: true, path: "x".into() };
             assert!(
-                applies(r.id, &lib) || applies(r.id, &harness) || applies(r.id, &bin),
+                applies(r.id, &ctx_for("core")) || applies(r.id, &ctx_for("harness")),
                 "{} applies nowhere",
                 r.id
             );
@@ -861,59 +376,5 @@ mod tests {
         // Two `sink` fns disagree on the parameter's unit: no finding.
         let src = "fn sink(t_us: u64) {}\nfn sink(t_ns: u64) {}\nfn f(t_ns: u64) { sink(t_ns); }";
         assert!(rules_found("sim", src).is_empty());
-    }
-
-    // ----- result-dropped -----------------------------------------------------
-
-    #[test]
-    fn result_dropped_positive_statement_and_let_underscore() {
-        let src = "fn fallible() -> Result<(), E> { Ok(()) }\n\
-                   fn f() { fallible(); let _ = fallible(); }";
-        assert_eq!(rules_found("os", src), vec!["result-dropped"; 2]);
-    }
-
-    #[test]
-    fn result_dropped_positive_method_chain() {
-        let src = "impl S { fn submit(&mut self, x: u32) -> Result<u32, E> { Ok(x) } }\n\
-                   fn f(s: &mut S) { s.submit(1); }";
-        assert_eq!(rules_found("nvme", src), vec!["result-dropped"]);
-    }
-
-    #[test]
-    fn result_dropped_negative_handled_results() {
-        let src = "fn fallible() -> Result<(), E> { Ok(()) }\n\
-                   fn infallible() -> u32 { 1 }\n\
-                   fn f() -> Result<(), E> {\n\
-                   fallible()?;\n\
-                   let r = fallible();\n\
-                   let _named = fallible();\n\
-                   if fallible().is_ok() { infallible(); }\n\
-                   match fallible() { _ => {} }\n\
-                   fallible()\n\
-                   }";
-        assert!(rules_found("os", src).is_empty());
-    }
-
-    #[test]
-    fn result_dropped_negative_tests_and_macros() {
-        let src = r#"
-            fn fallible() -> Result<(), E> { Ok(()) }
-            fn f() { assert!(fallible().is_ok()); }
-            #[cfg(test)]
-            mod t { use super::*; fn g() { fallible(); } }
-        "#;
-        assert!(rules_found("os", src).is_empty());
-    }
-
-    #[test]
-    fn result_dropped_inline_allow() {
-        let src = "fn fallible() -> Result<(), E> { Ok(()) }\n\
-                   fn f() {\n\
-                   // hwdp-lint: allow(result-dropped): best-effort cleanup\n\
-                   fallible();\n\
-                   }";
-        let out = scan(&ctx_for("os"), src);
-        assert!(out.findings.is_empty());
-        assert_eq!(out.suppressed, 1);
     }
 }

@@ -77,7 +77,7 @@ fn recovery_roster_is_completion_reachable() {
 
 #[test]
 fn completion_path_closure_is_panic_free() {
-    // Zero raw findings, before any baseline or inline-allow filtering:
+    // Zero raw findings, before any baseline filtering:
     // the panic-reachability rule carries no grandfather budget, so a
     // single `.unwrap()` anywhere in the completion closure fails here.
     let g = hwdp_lint::call_graph(&workspace_root()).expect("call graph builds");

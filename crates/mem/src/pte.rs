@@ -276,6 +276,8 @@ fn flag_bits(flags: PteFlags) -> u64 {
 }
 
 impl fmt::Debug for Pte {
+    // Each arm reads the field its own class guarantees is present.
+    #[allow(clippy::expect_used)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.class() {
             PteClass::NotPresentOsHandled => write!(f, "Pte(os-handled, {:#x})", self.0),

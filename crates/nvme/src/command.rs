@@ -85,6 +85,8 @@ impl NvmeCommand {
     /// # Errors
     ///
     /// Returns `Err` with a description if the opcode byte is unknown.
+    // The `expect`s convert fixed 8-byte subslices of a 64-byte array.
+    #[allow(clippy::expect_used)]
     pub fn decode(b: &[u8; 64]) -> Result<Self, String> {
         let opcode = match b[0] {
             0x00 => Opcode::Flush,

@@ -70,6 +70,7 @@ impl MiniFs {
     /// # Panics
     ///
     /// Panics if the device is unregistered or out of space.
+    #[allow(clippy::expect_used)] // documented under `# Panics`
     pub fn create(
         &mut self,
         name: &str,
@@ -187,6 +188,8 @@ impl MiniFs {
     /// # Panics
     ///
     /// Panics if the device is out of space.
+    // A file's device was registered when the file was created.
+    #[allow(clippy::expect_used)]
     pub fn remap_page(&mut self, file: FileId, page: u64) -> (Lba, Lba, bool) {
         let (socket, device) = {
             let f = &self.files[file.0 as usize];

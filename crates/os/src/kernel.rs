@@ -387,6 +387,8 @@ impl Os {
     /// sharing fast-mmapped pages across address spaces. Returns how many
     /// PTEs were reverted.
     pub fn fork_revert_lba(&mut self, id: VmaId) -> u64 {
+        // VMA ids come only from `mmap`; an unknown one is a caller bug.
+        #[allow(clippy::expect_used)]
         let vma = self.aspace.get(id).expect("fork of unmapped VMA");
         let mut reverted = 0;
         for p in 0..vma.pages {
@@ -550,6 +552,8 @@ impl Os {
             let vpn = vma.base.add(p);
             let pte = self.page_table.pte(vpn);
             if pte.is_present() {
+                // A present PTE always carries a frame.
+                #[allow(clippy::expect_used)]
                 let pfn = pte.pfn().expect("present");
                 let file_page = vma.file_page(vpn);
                 let (socket, device, _, lba) = self.fs.location(vma.file, file_page);
@@ -582,6 +586,8 @@ impl Os {
     /// their dirty bits are cleared.
     pub fn msync(&mut self, id: VmaId) -> Vec<Eviction> {
         self.kpted_scan();
+        // VMA ids come only from `mmap`; an unknown one is a caller bug.
+        #[allow(clippy::expect_used)]
         let vma = self.aspace.get(id).expect("msync of unmapped VMA");
         let mut out = Vec::new();
         for p in 0..vma.pages {

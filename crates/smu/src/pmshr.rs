@@ -208,6 +208,7 @@ impl Pmshr {
     /// # Panics
     ///
     /// Panics if the entry is not live.
+    #[allow(clippy::expect_used)] // documented under `# Panics`
     pub fn entry(&self, idx: EntryIdx) -> &Entry {
         self.slots[idx.0 as usize].as_ref().expect("entry not live")
     }

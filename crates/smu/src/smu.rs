@@ -369,7 +369,7 @@ impl Smu {
         // Completion unit: CQ pointer, doorbell, phase (§III-C). A missing
         // descriptor means the SMU no longer owns the device; nothing to
         // advance.
-        // hwdp-lint: allow(result-dropped): missing CQ descriptor means the SMU no longer owns the device; nothing to advance
+        #[allow(clippy::let_underscore_must_use)]
         let _ = self.host.handle_completion(block.device);
         // Step 7: the page-table updater rewrites the three entries by
         // address; LBA bit stays set for kpted.

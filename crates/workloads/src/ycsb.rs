@@ -251,6 +251,8 @@ impl Workload for Ycsb {
             }
             self.build_op();
         }
+        // `build_op` above always queues at least one step.
+        #[allow(clippy::expect_used)]
         let (step, expect) = self.queue.pop_front().expect("op was just built");
         self.awaiting = expect;
         step

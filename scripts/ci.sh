@@ -22,24 +22,59 @@ echo "== tier-1: build =="
 cargo build --release --workspace --offline
 
 echo "== static analysis: hwdp lint =="
-# Determinism, panic-policy, and semantic-contract gate (crates/lint):
-# token rules, unit-mix time dataflow, metric-key registry sync, and
-# spec-knob consistency. Fails on any finding not grandfathered in
-# baselines/LINT_allow.txt or suppressed inline with a justified
-# `hwdp-lint: allow(...)` comment.
+# The workspace contracts clippy cannot prove (crates/lint): call-graph
+# reachability from the event loop and completion paths, unit-mix time
+# dataflow, audit coverage, metric-key registry sync and spec-knob
+# consistency. Fails on any finding not grandfathered in
+# baselines/LINT_allow.txt (which holds only the hot-path-alloc census).
 ./target/release/hwdp lint --deny
 
-echo "== MSRV: no API newer than rust-version =="
-# The workspace declares rust-version 1.75; clippy's incompatible_msrv
-# lint flags any std API stabilized after it (all other lints off).
-cargo clippy --workspace --all-targets --offline -- -A clippy::all -D clippy::incompatible_msrv
+echo "== clippy: style gate =="
+# Every package and target, warnings denied. The default lints include
+# incompatible_msrv, so no std API newer than rust-version (1.75) gets in.
+# Test code may use what clippy.toml disallows (hash containers, clocks,
+# threads); the restriction step below holds library and binary code to it.
+cargo clippy --workspace --all-targets --offline -- -D warnings \
+    -A clippy::disallowed_types -A clippy::disallowed_methods
 
-echo "== clippy: warning-free crates =="
-# These crates are clippy-clean; keep them so. hwdp-lint, hwdp-cli and
-# the facade still carry warnings and are not gated.
-cargo clippy -p hwdp-sim -p hwdp-mem -p hwdp-os -p hwdp-core -p hwdp-nvme -p hwdp-workloads \
-    -p hwdp-tier -p hwdp-smu -p hwdp-cpu -p hwdp-harness -p hwdp-bench --all-targets --offline \
-    -- -D warnings
+# Determinism, panic policy and hygiene in library and binary code: the
+# restriction lints, plus clippy.toml's disallowed hash containers, clocks
+# and thread calls. Deliberate exceptions are narrow #[allow(clippy::...)]
+# attributes with a reason; crate-wide ones sit at the crate root.
+restriction=(
+    -A clippy::all
+    -D clippy::unwrap_used -D clippy::expect_used
+    -D clippy::panic -D clippy::todo -D clippy::unimplemented
+    -D clippy::dbg_macro -D clippy::print_stdout -D clippy::pointer_format
+    -D clippy::let_underscore_must_use
+    -D clippy::disallowed_types -D clippy::disallowed_methods
+)
+
+echo "== clippy: restriction step =="
+# Test code is out of scope (--lib --bins), as it is for hwdp lint; the
+# vendored criterion stand-in is not project code.
+cargo clippy --workspace --exclude criterion --lib --bins --offline -- "${restriction[@]}"
+
+echo "== clippy: seeded-defect corpus =="
+# crates/lint/corpus plants one defect per restriction lint, each line
+# tagged `// fires: <lint>...`, plus look-alikes that must stay silent. The
+# same flags and clippy.toml must report exactly the tagged (line, lint)
+# pairs: a lint dropped from the flags or from clippy.toml, or a false
+# positive, fails the step.
+corpus=crates/lint/corpus
+expected="$(grep -n '// fires: ' "$corpus/src/lib.rs" \
+    | sed 's|^\([0-9]*\):.*// fires: |\1 |' \
+    | awk '{ for (i = 2; i <= NF; i++) print $1, $i }' | sort)"
+reported="$(cargo clippy --manifest-path "$corpus/Cargo.toml" --lib --offline \
+        --target-dir target/lint-corpus --message-format=json -- "${restriction[@]}" 2>/dev/null \
+    | jq -r 'select(.reason == "compiler-message") | .message | select(.code)
+        | "\(.spans[] | select(.is_primary) | .line_start) \(.code.code)"' | sort || true)"
+if [[ "$expected" != "$reported" ]]; then
+  diff <(echo "$expected") <(echo "$reported") || true
+  echo "corpus: clippy's findings differ from the planted defects (< planted, > reported)"
+  exit 1
+fi
+echo "corpus: $(echo "$reported" | wc -l) planted defects reported, nothing else"
 
 echo "== tier-1: tests =="
 cargo test -q --workspace --offline
