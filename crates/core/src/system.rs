@@ -186,6 +186,8 @@ struct TierRuntime {
     engine: TierEngine,
     /// The fast tier's device ID (device 0 is always the slow tier).
     fast_dev: DeviceId,
+    /// The fast tier's index into the system's device tables.
+    fast_index: usize,
     /// Migration-daemon wake period.
     period: Duration,
     /// Page key (home slow LBA) → owning `(file, page)`, for location
@@ -392,6 +394,7 @@ impl System {
             sys.tier = Some(TierRuntime {
                 engine: TierEngine::new(tc),
                 fast_dev,
+                fast_index: sys.device_index[&(0, fast_dev.0)],
                 period: tc.period,
                 pages: DenseMap::new(),
                 dirty_guard: BTreeSet::new(),
@@ -1460,7 +1463,7 @@ impl System {
         if attempt == 0 {
             if let Some(tr) = self.tier.as_mut() {
                 if matches!(purpose, Purpose::HwdpMiss { .. } | Purpose::OsdpRead { .. }) {
-                    let fast = DeviceId(dev as u8) == tr.fast_dev;
+                    let fast = dev == tr.fast_index;
                     tr.engine.record_access(fast, cmd.slba);
                 }
             }
@@ -1626,13 +1629,12 @@ impl System {
             return;
         }
         let mut plans = std::mem::take(&mut self.scratch_plans);
-        let fast_dev = {
+        let fast_index = {
             let Some(tr) = self.tier.as_mut() else {
                 self.scratch_plans = plans;
                 return;
             };
-            let fast_dev = tr.fast_dev;
-            let TierRuntime { engine, pages, .. } = tr;
+            let TierRuntime { engine, pages, fast_index, .. } = tr;
             let cache = &self.os.cache;
             // Pages resident in the page cache are skipped: their next
             // writeback would race the copy (and a cached page's hotness
@@ -1641,14 +1643,12 @@ impl System {
                 |key| pages.get(key).is_some_and(|(f, p)| cache.lookup(*f, *p).is_none()),
                 &mut plans,
             );
-            fast_dev
+            *fast_index
         };
         for plan in plans.drain(..) {
             let (dev, slba, key) = match plan {
                 MigrationPlan::Promote { key, .. } => (0usize, key, key),
-                MigrationPlan::Demote { key, fast_lba } => {
-                    (self.device_index[&(0, fast_dev.0)], fast_lba, key)
-                }
+                MigrationPlan::Demote { key, fast_lba } => (fast_index, fast_lba, key),
             };
             self.wb_cid = self.wb_cid.wrapping_add(1);
             let cmd = NvmeCommand::read4k(self.wb_cid, 1, slba, Pfn(0).base());
@@ -1663,9 +1663,7 @@ impl System {
     fn tier_read_done(&mut self, key: u64, data: PageData, now: Time) {
         let Some(tr) = self.tier.as_ref() else { return };
         let (dev, slba) = match tr.engine.residence_of(key) {
-            Some(TierResidence::PromoteInFlight(f)) => {
-                (self.device_index[&(0, tr.fast_dev.0)], f)
-            }
+            Some(TierResidence::PromoteInFlight(f)) => (tr.fast_index, f),
             Some(TierResidence::DemoteInFlight(_)) => (0usize, key),
             // The migration was aborted while the read was in flight.
             _ => return,
@@ -2173,9 +2171,8 @@ impl System {
         let device_writes = self.devices.iter().map(|d| d.stats().writes).sum();
         let tier = self.tier.as_ref().map(|tr| {
             let mut t = tr.engine.report();
-            let fast = self.device_index[&(0, tr.fast_dev.0)];
-            t.fast_reads = self.devices[fast].stats().reads;
-            t.fast_writes = self.devices[fast].stats().writes;
+            t.fast_reads = self.devices[tr.fast_index].stats().reads;
+            t.fast_writes = self.devices[tr.fast_index].stats().writes;
             t.slow_reads = self.devices[0].stats().reads;
             t.slow_writes = self.devices[0].stats().writes;
             t

@@ -7,6 +7,9 @@
 //! them, never grow one or add a new pair. A budget that needs raising
 //! means new event-loop allocation slipped in; fix the code, don't grow
 //! the baseline.
+//!
+//! The same holds for the inner `#![allow(clippy::…)]` attributes that
+//! exempt a whole crate from a clippy rule: their set is pinned.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -199,4 +202,110 @@ fn every_audit_required_crate_registers_a_sanitizer() {
         .map(|f| f.file.as_str())
         .collect();
     assert!(missing.is_empty(), "crates missing sanitizer registration: {missing:?}");
+}
+
+/// Every inner attribute in `src/` code that allows or expects a clippy
+/// lint, as `(workspace-relative path, lint names)` in path order.
+fn inner_clippy_allows(root: &Path) -> Vec<(String, Vec<String>)> {
+    use hwdp_lint::lexer::{lex, TokKind};
+    let mut dirs = vec![root.join("src")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        dirs.push(entry.expect("crates/ entry").path().join("src"));
+    }
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.expect("src entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    let mut out = Vec::new();
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("source is readable");
+        let toks: Vec<_> = lex(&text)
+            .into_iter()
+            .filter(|t| t.kind != TokKind::Comment)
+            .collect();
+        for i in 0..toks.len().saturating_sub(3) {
+            if !(toks[i].is_punct('#') && toks[i + 1].is_punct('!') && toks[i + 2].is_punct('[')) {
+                continue;
+            }
+            if !["allow", "expect", "cfg_attr"]
+                .iter()
+                .any(|a| toks[i + 3].is_ident(a))
+            {
+                continue;
+            }
+            // The attribute's tokens, up to its closing bracket.
+            let (mut depth, mut end) = (0usize, i + 2);
+            for (j, t) in toks.iter().enumerate().skip(i + 2) {
+                depth = if t.is_punct('[') {
+                    depth + 1
+                } else {
+                    depth - usize::from(t.is_punct(']'))
+                };
+                if depth == 0 {
+                    end = j;
+                    break;
+                }
+            }
+            let attr = &toks[i + 3..end];
+            let lints: Vec<String> = attr
+                .windows(4)
+                .filter(|w| w[0].is_ident("clippy") && w[1].is_punct(':') && w[2].is_punct(':'))
+                .map(|w| w[3].text.clone())
+                .collect();
+            if !lints.is_empty() {
+                let rel = path.strip_prefix(root).expect("under the root");
+                out.push((rel.to_string_lossy().replace('\\', "/"), lints));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn crate_root_clippy_allows_are_pinned() {
+    // A crate-wide allow switches a rule off for every line of the crate,
+    // so only these three crate roots carry one, each with this list: the
+    // harness owns the host clock and threads, and the two binaries print
+    // and may panic. Any other inner allow in `src/` fails here; a lint
+    // exempted at one site takes a narrow `#[allow(clippy::…)]` instead.
+    let binary = [
+        "print_stdout",
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "todo",
+        "unimplemented",
+    ];
+    let pinned: Vec<(String, Vec<String>)> = [
+        ("crates/bench/src/bin/repro.rs", &binary[..]),
+        ("crates/cli/src/main.rs", &binary[..]),
+        (
+            "crates/harness/src/lib.rs",
+            &[
+                "disallowed_types",
+                "disallowed_methods",
+                "let_underscore_must_use",
+            ][..],
+        ),
+    ]
+    .iter()
+    .map(|(path, lints)| {
+        (
+            path.to_string(),
+            lints.iter().map(|l| l.to_string()).collect(),
+        )
+    })
+    .collect();
+    assert_eq!(inner_clippy_allows(&workspace_root()), pinned);
 }

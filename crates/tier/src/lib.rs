@@ -17,7 +17,18 @@
 //! Planning costs what is active, not what is tracked: heats decay
 //! lazily (a page's heat is stored with the epoch of its last access and
 //! read shifted right once per epoch since), and a tick visits only the
-//! warm list of pages with nonzero heat and the fast-tier owners.
+//! warm list of pages with nonzero heat and the fast-tier pages.
+//!
+//! The fast-resident pages are kept in demotion order: one sorted index
+//! of `(last_epoch, key)` entries, the order both demoting policies score
+//! victims in. It changes at four points only: a committed promotion
+//! inserts the page, an aborted demotion re-inserts it, planning a
+//! demotion removes it, and an access that moves a fast page's
+//! `last_epoch` moves its entry. A tick takes its policy victims by
+//! walking the index from the front, so it neither walks the fast map
+//! nor sorts them; under [`PolicyKind::LruEpoch`] the walk stops at the
+//! first page the policy keeps. Only forced demotions under promotion
+//! pressure, ordered by decayed heat, are still collected and sorted.
 //!
 //! Ownership discipline: every page is owned by exactly one tier at any
 //! virtual-time instant. A migration holds the page in an explicit
@@ -240,6 +251,20 @@ fn victim(score: u64, key: u64) -> u128 {
     (u128::from(score) << 64) | u128::from(key)
 }
 
+/// Adds `entry` to the sorted `order` (no-op if present).
+fn order_insert(order: &mut Vec<u128>, entry: u128) {
+    if let Err(i) = order.binary_search(&entry) {
+        order.insert(i, entry);
+    }
+}
+
+/// Removes `entry` from the sorted `order` (no-op if absent).
+fn order_remove(order: &mut Vec<u128>, entry: u128) {
+    if let Ok(i) = order.binary_search(&entry) {
+        order.remove(i);
+    }
+}
+
 /// The tiering engine: hotness tracking, placement planning, and
 /// ownership bookkeeping over one fast / one slow tier.
 pub struct TierEngine {
@@ -254,6 +279,10 @@ pub struct TierEngine {
     /// Fast-LBA ownership: fast LBA → page key. Exactly the pages whose
     /// residence is `Fast`/`PromoteInFlight`/`DemoteInFlight` on that LBA.
     fast_map: DenseMap<u64>,
+    /// The pages whose residence is `Fast`, each once as
+    /// `victim(last_epoch, key)`, strictly ascending: the order the
+    /// planner takes policy demotions in.
+    fast_order: Vec<u128>,
     /// Fast-LBA bump allocator plus free list (LIFO, deterministic).
     next_fast: u64,
     free_fast: Vec<u64>,
@@ -270,7 +299,6 @@ pub struct TierEngine {
     /// Scratch buffers reused across ticks so steady-state planning does
     /// not allocate (always drained before a tick returns).
     scratch_cands: Vec<(u32, u64)>,
-    scratch_victims: Vec<u128>,
     scratch_forced: Vec<u128>,
 }
 
@@ -282,6 +310,7 @@ impl TierEngine {
             pages: DenseMap::new(),
             warm: Vec::new(),
             fast_map: DenseMap::new(),
+            fast_order: Vec::new(),
             next_fast: 0,
             free_fast: Vec::new(),
             epoch: 0,
@@ -293,7 +322,6 @@ impl TierEngine {
             epoch_hits: Vec::new(),
             counted_hits: (0, 0),
             scratch_cands: Vec::new(),
-            scratch_victims: Vec::new(),
             scratch_forced: Vec::new(),
         }
     }
@@ -356,6 +384,10 @@ impl TierEngine {
         };
         let epoch = self.epoch;
         if let Some(p) = self.pages.get_mut(key) {
+            if matches!(p.residence, TierResidence::Fast(_)) && p.last_epoch != epoch {
+                order_remove(&mut self.fast_order, victim(p.last_epoch, key));
+                order_insert(&mut self.fast_order, victim(epoch, key));
+            }
             p.heat = p.heat_at(epoch).saturating_add(1);
             p.last_epoch = epoch;
             if p.warm_slot.is_none() {
@@ -453,53 +485,75 @@ impl TierEngine {
         }
         self.scratch_cands = cands;
 
-        // Demotion victims, from the fast-resident pages (the owners in
-        // `fast_map` that are not in flight, which excludes the pages just
-        // promoted): policy-driven demotions first, then (only under
-        // promotion pressure) forced demotions of the coldest fast-resident
-        // pages to make room for the next tick. Each list is sorted by
-        // score, then key, both packed into one `u128`.
-        let mut victims = std::mem::take(&mut self.scratch_victims);
-        let mut forced = std::mem::take(&mut self.scratch_forced);
-        for (_, &key) in self.fast_map.iter() {
-            let Some(p) = self.pages.get(key) else { continue };
-            if !matches!(p.residence, TierResidence::Fast(_)) {
+        // Policy demotions, from the fast-resident pages in demotion order
+        // (`fast_order`, which excludes the pages just promoted): the
+        // order a sort of the policy's victims by score, then key, would
+        // give, since both demoting policies score a page by its
+        // `last_epoch`. Under `LruEpoch` the victims are a prefix of that
+        // order (idle time falls as `last_epoch` rises), so the walk stops
+        // at the first page the policy keeps; `Static` keeps every page.
+        let batch = self.cfg.batch;
+        let mut demoted = 0usize;
+        let mut i = 0;
+        while demoted < batch && i < self.fast_order.len() {
+            // The low 64 bits of an entry are the page key.
+            let key = self.fast_order[i] as u64;
+            let Some(p) = self.pages.get_mut(key) else {
+                i += 1;
                 continue;
+            };
+            let demote = policy.demote(&p.view(key, epoch), epoch).is_some();
+            if !demote && policy != PolicyKind::Threshold {
+                break;
             }
-            let v = p.view(key, epoch);
-            match policy.demote(&v, epoch) {
-                Some(score) => victims.push(victim(score, key)),
-                None if overflow > 0 => {
+            let TierResidence::Fast(f) = p.residence else {
+                i += 1;
+                continue;
+            };
+            if demote && eligible(key) {
+                p.residence = TierResidence::DemoteInFlight(f);
+                plans.push(MigrationPlan::Demote { key, fast_lba: f });
+                self.fast_order.remove(i);
+                demoted += 1;
+            } else {
+                i += 1;
+            }
+        }
+
+        // Forced demotions, only under promotion pressure: the coldest
+        // fast-resident pages the policy keeps make room for the next
+        // tick. At most `overflow` of them are tried, eligible or not.
+        if overflow > 0 && demoted < batch {
+            let mut forced = std::mem::take(&mut self.scratch_forced);
+            for &entry in &self.fast_order {
+                let key = entry as u64;
+                let Some(p) = self.pages.get(key) else { continue };
+                let v = p.view(key, epoch);
+                if policy.demote(&v, epoch).is_none() {
                     // Coldest first: heat, then staleness, then key.
                     let score = ((v.heat as u64) << 32) | (v.last_epoch & 0xFFFF_FFFF);
                     forced.push(victim(score, key));
                 }
-                None => {}
             }
+            forced.sort_unstable();
+            for &entry in forced.iter().take(overflow) {
+                if demoted >= batch {
+                    break;
+                }
+                let key = entry as u64;
+                if !eligible(key) {
+                    continue;
+                }
+                let Some(p) = self.pages.get_mut(key) else { continue };
+                let TierResidence::Fast(f) = p.residence else { continue };
+                p.residence = TierResidence::DemoteInFlight(f);
+                order_remove(&mut self.fast_order, victim(p.last_epoch, key));
+                plans.push(MigrationPlan::Demote { key, fast_lba: f });
+                demoted += 1;
+            }
+            forced.clear();
+            self.scratch_forced = forced;
         }
-        victims.sort_unstable();
-        forced.sort_unstable();
-        // At most `overflow` forced victims are tried, eligible or not.
-        let mut demoted = 0usize;
-        for &entry in victims.iter().chain(forced.iter().take(overflow)) {
-            if demoted >= self.cfg.batch {
-                break;
-            }
-            // The low 64 bits of the sort key are the page key.
-            let key = entry as u64;
-            if !eligible(key) {
-                continue;
-            }
-            let Some(p) = self.pages.get_mut(key) else { continue };
-            let TierResidence::Fast(f) = p.residence else { continue };
-            p.residence = TierResidence::DemoteInFlight(f);
-            plans.push(MigrationPlan::Demote { key, fast_lba: f });
-            demoted += 1;
-        }
-        victims.clear();
-        forced.clear();
-        self.scratch_victims = victims;
-        self.scratch_forced = forced;
 
         // Close the epoch: fold hit deltas and advance, which halves every
         // heat (see `PageState::heat_at`).
@@ -518,6 +572,7 @@ impl TierEngine {
         match p.residence {
             TierResidence::PromoteInFlight(f) => {
                 p.residence = TierResidence::Fast(f);
+                order_insert(&mut self.fast_order, victim(p.last_epoch, key));
                 self.promotions += 1;
                 Some(p.residence)
             }
@@ -545,6 +600,7 @@ impl TierEngine {
             }
             TierResidence::DemoteInFlight(f) => {
                 p.residence = TierResidence::Fast(f);
+                order_insert(&mut self.fast_order, victim(p.last_epoch, key));
                 self.aborts += 1;
             }
             _ => {}
@@ -614,6 +670,14 @@ impl TierEngine {
     pub(crate) fn corrupt_warm_list_for_test(&mut self) {
         self.warm.pop();
     }
+
+    /// Test hook: drops the newest fast-order entry but leaves its page
+    /// fast-resident, as a commit that skipped the insert would, for
+    /// negative audit tests.
+    #[cfg(test)]
+    pub(crate) fn corrupt_fast_order_for_test(&mut self) {
+        self.fast_order.pop();
+    }
 }
 
 impl std::fmt::Debug for TierEngine {
@@ -682,7 +746,34 @@ impl Sanitizer for TierEngine {
                 format_args!("warm-list entry {i} names page {key}, whose slot is elsewhere"),
             );
         }
+        // fast-order-exact: the planner takes policy demotions from the
+        // fast-order index alone, so it must hold exactly one
+        // `victim(last_epoch, key)` per fast-resident page and nothing
+        // else, strictly ascending (which also lists each page once).
+        report.check_args(
+            "tier",
+            "fast-order-exact",
+            self.fast_order.windows(2).all(|w| w[0] < w[1]),
+            format_args!("fast-order index is not strictly ascending"),
+        );
+        for &entry in &self.fast_order {
+            let key = entry as u64;
+            report.check_args(
+                "tier",
+                "fast-order-exact",
+                self.pages.get(key).is_some_and(|p| {
+                    matches!(p.residence, TierResidence::Fast(_))
+                        && victim(p.last_epoch, key) == entry
+                }),
+                format_args!(
+                    "fast-order entry (epoch {}, page {key}) names no fast page at that epoch",
+                    entry >> 64
+                ),
+            );
+        }
+        let mut fast_resident = 0usize;
         for (key, p) in self.pages.iter() {
+            fast_resident += usize::from(matches!(p.residence, TierResidence::Fast(_)));
             let heat = p.heat_at(self.epoch);
             let listed = p.warm_slot.map(|i| self.warm.get(i) == Some(&key));
             report.check_args(
@@ -720,6 +811,15 @@ impl Sanitizer for TierEngine {
                 );
             }
         }
+        report.check_args(
+            "tier",
+            "fast-order-exact",
+            fast_resident == self.fast_order.len(),
+            format_args!(
+                "{fast_resident} fast-resident pages but {} fast-order entries",
+                self.fast_order.len()
+            ),
+        );
     }
 }
 
@@ -1035,6 +1135,63 @@ mod tests {
     }
 
     #[test]
+    fn negative_unordered_fast_page_detected() {
+        use hwdp_sim::sanitize::AuditReport;
+        let mut e = engine_with_pages(PolicyKind::LruEpoch, 16);
+        e.record_access(false, 5);
+        for p in e.plan_tick(|_| true) {
+            e.commit(p.key());
+        }
+        e.corrupt_fast_order_for_test();
+        let mut report = AuditReport::new();
+        e.sanitize(SanitizeLevel::Full, &mut report);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.invariant == "fast-order-exact"),
+            "expected fast-order-exact, got {:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn fast_pages_stay_in_demotion_order() {
+        // Pages 1..=3 are promoted in one tick; a fast hit on page 1 two
+        // epochs later moves it behind the others, and an aborted
+        // demotion puts page 2 back where its `last_epoch` says.
+        let mut e = engine_with_pages(PolicyKind::LruEpoch, 16);
+        for k in 1..=3 {
+            e.record_access(false, k);
+        }
+        for p in e.plan_tick(|_| true) {
+            e.commit(p.key());
+        }
+        let lba = |e: &TierEngine, key| match e.residence_of(key) {
+            Some(TierResidence::Fast(f)) => f,
+            r => panic!("page {key} is {r:?}"),
+        };
+        let keys = |e: &TierEngine| e.fast_order.iter().map(|&v| v as u64).collect::<Vec<_>>();
+        assert_eq!(keys(&e), [1, 2, 3]);
+        e.plan_tick(|_| false);
+        e.record_access(true, lba(&e, 1));
+        assert_eq!(keys(&e), [2, 3, 1]);
+        for _ in 0..2 {
+            e.plan_tick(|_| false);
+        }
+        // Epoch 4: pages 2 and 3 have idled four epochs, page 1 two.
+        let plans = e.plan_tick(|k| k == 2);
+        let demote_2 = MigrationPlan::Demote { key: 2, fast_lba: 1 };
+        assert_eq!(plans, [demote_2]);
+        assert_eq!(keys(&e), [3, 1]);
+        e.abort(2);
+        assert_eq!(keys(&e), [2, 3, 1]);
+        let mut report = hwdp_sim::sanitize::AuditReport::new();
+        e.sanitize(SanitizeLevel::Full, &mut report);
+        assert!(report.is_clean(), "{:?}", report.violations);
+    }
+
+    #[test]
     fn cold_pages_leave_the_warm_list() {
         let mut e = engine_with_pages(PolicyKind::LruEpoch, 16);
         for _ in 0..4 {
@@ -1273,6 +1430,9 @@ mod tests {
     #[test]
     fn one_pass_planner_matches_the_three_walk_model() {
         use hwdp_sim::rng::Prng;
+        // Fast hits that move a page in the fast-order index, and aborted
+        // demotions that re-insert one: the index's two subtle updates.
+        let (mut moves, mut demote_aborts) = (0u64, 0u64);
         for case in 0..300u64 {
             let mut rng = Prng::seed_from(0x71E2 ^ case);
             let mut c = cfg(PolicyKind::ALL[rng.below(3) as usize]);
@@ -1295,6 +1455,13 @@ mod tests {
                 for _ in 0..if idle { 0 } else { rng.below(4 * span) } {
                     let fast = rng.chance(0.3);
                     let lba = rng.below(span + 4);
+                    if fast {
+                        let page = real.key_of_fast(lba).and_then(|k| real.pages.get(k));
+                        moves += u64::from(page.is_some_and(|p| {
+                            matches!(p.residence, TierResidence::Fast(_))
+                                && p.last_epoch != real.epoch
+                        }));
+                    }
                     real.record_access(fast, lba);
                     model.record_access(fast, lba);
                 }
@@ -1315,6 +1482,10 @@ mod tests {
                     match rng.below(3) {
                         0 => assert_eq!(real.commit(k), model.commit(k)),
                         1 => {
+                            demote_aborts += u64::from(matches!(
+                                real.residence_of(k),
+                                Some(TierResidence::DemoteInFlight(_))
+                            ));
                             real.abort(k);
                             model.abort(k);
                         }
@@ -1348,10 +1519,15 @@ mod tests {
                     "case {case} tick {tick}: engine state diverged"
                 );
                 assert_eq!(real.epoch_hits, model.epoch_hits, "case {case} tick {tick}: hits");
+                // The full audit includes `fast-order-exact`.
                 let mut report = hwdp_sim::sanitize::AuditReport::new();
                 real.sanitize(SanitizeLevel::Full, &mut report);
                 assert!(report.is_clean(), "case {case} tick {tick}: {:?}", report.violations);
             }
         }
+        assert!(
+            moves > 1000 && demote_aborts > 100,
+            "{moves} moves, {demote_aborts} demote aborts"
+        );
     }
 }
