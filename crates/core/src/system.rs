@@ -1635,12 +1635,13 @@ impl System {
                 return;
             };
             let TierRuntime { engine, pages, fast_index, .. } = tr;
-            let cache = &self.os.cache;
-            // Pages resident in the page cache are skipped: their next
-            // writeback would race the copy (and a cached page's hotness
-            // is invisible to the device layer anyway).
+            let os = &self.os;
+            // Pages resident in memory are skipped: in the page cache, or
+            // mapped by the SMU and awaiting `kpted`. Copying such a page
+            // is wasted device time (reads hit DRAM, not a tier), and a
+            // dirtying store before its writeback would race the copy.
             engine.plan_tick_into(
-                |key| pages.get(key).is_some_and(|(f, p)| cache.lookup(*f, *p).is_none()),
+                |key| pages.get(key).is_some_and(|(f, p)| !os.page_resident(*f, *p)),
                 &mut plans,
             );
             *fast_index
@@ -2864,6 +2865,56 @@ mod tests {
         assert!(t.fast_reads > 0 && t.slow_reads > 0, "both tiers serviced I/O: {t:?}");
         let kv = r.export_metrics();
         assert!(kv.iter().any(|(n, v)| *n == "tier/promotions" && *v > 0.0));
+    }
+
+    /// Tracked pages the SMU has mapped that `kpted` has not synced yet:
+    /// in DRAM behind a needs-sync PTE, but absent from the page cache.
+    fn unsynced_tier_keys(sys: &System) -> Vec<u64> {
+        use hwdp_mem::pte::PteClass;
+        let tr = sys.tier.as_ref().expect("tiering is on");
+        let os = &sys.os;
+        let needs_sync = |vpn| os.page_table.pte(vpn).class() == PteClass::ResidentNeedsSync;
+        let mapped_unsynced = |file, page| os.aspace.vpns_of(file, page).any(needs_sync);
+        tr.pages
+            .iter()
+            .filter(|(_, &(f, p))| os.cache.lookup(f, p).is_none() && mapped_unsynced(f, p))
+            .map(|(key, _)| key)
+            .collect()
+    }
+
+    #[test]
+    fn tier_tick_skips_pages_the_smu_mapped_before_kpted_syncs_them() {
+        // An SMU-filled page is in DRAM but enters the page cache only at
+        // the next `kpted` scan (every 20 ms). Stop a tiered HWDP run
+        // inside that window, mid-epoch, so epoch-LRU wants to promote
+        // the pages read since the last tick.
+        let limit = Duration::from_micros(1050);
+        let mut twin = tiered_system(SanitizeLevel::Off);
+        twin.run(limit);
+        let unsynced = unsynced_tier_keys(&twin);
+        assert!(!unsynced.is_empty(), "the SMU mapped tracked pages that kpted has not synced");
+        // The window matters: judged by the page cache alone, this tick
+        // would copy some of those in-DRAM pages between the tiers.
+        let naive = {
+            let TierRuntime { engine, pages, .. } = twin.tier.as_mut().expect("tiering is on");
+            let cache = &twin.os.cache;
+            engine.plan_tick(|key| pages.get(key).is_some_and(|(f, p)| cache.lookup(*f, *p).is_none()))
+        };
+        assert!(
+            naive.iter().any(|plan| unsynced.contains(&plan.key())),
+            "a cache-only check plans an unsynced page: {naive:?}"
+        );
+
+        let mut sys = tiered_system(SanitizeLevel::Off);
+        sys.run(limit);
+        assert_eq!(unsynced_tier_keys(&sys), unsynced, "the twin run is deterministic");
+        let residence = |sys: &System, key: u64| {
+            sys.tier.as_ref().and_then(|tr| tr.engine.residence_of(key))
+        };
+        let before: Vec<_> = unsynced.iter().map(|&key| residence(&sys, key)).collect();
+        sys.tier_tick(Time::ZERO + limit);
+        let after: Vec<_> = unsynced.iter().map(|&key| residence(&sys, key)).collect();
+        assert_eq!(after, before, "the tick planned a page still waiting for kpted: {unsynced:?}");
     }
 
     #[test]

@@ -370,11 +370,7 @@ impl Os {
         // Split borrows: the address-space walk only reads VMAs while the
         // page table is updated, so no intermediate collection is needed.
         let Os { aspace, page_table, .. } = self;
-        for (_, vma) in aspace.iter() {
-            if vma.file != file {
-                continue;
-            }
-            let Some(vpn) = vma.vpn_of_file_page(page) else { continue };
+        for vpn in aspace.vpns_of(file, page) {
             if page_table.pte(vpn).class() == hwdp_mem::pte::PteClass::LbaAugmented {
                 page_table.update_pte(vpn, |p| p.evict_to(block));
             }
@@ -620,6 +616,17 @@ impl Os {
     /// Number of OS-known resident pages (page-cache size).
     pub fn resident_pages(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Whether `(file, page)` is resident in memory: in the page cache, or
+    /// mapped by the SMU into a frame that `kpted` has not synced yet
+    /// (§IV-C; such a page enters the cache only at the next scan).
+    /// Allocation-free.
+    pub fn page_resident(&self, file: FileId, page: u64) -> bool {
+        self.cache.lookup(file, page).is_some()
+            || self.aspace.vpns_of(file, page).any(|vpn| {
+                self.page_table.pte(vpn).class() == hwdp_mem::pte::PteClass::ResidentNeedsSync
+            })
     }
 }
 

@@ -139,6 +139,14 @@ impl AddressSpace {
             .filter_map(|(i, v)| v.map(|v| (VmaId(i as u32), v)))
     }
 
+    /// The VPNs mapping `(file, page)`, one per live VMA of the file that
+    /// covers the page.
+    pub fn vpns_of(&self, file: FileId, page: u64) -> impl Iterator<Item = Vpn> + '_ {
+        self.iter()
+            .filter(move |(_, v)| v.file == file)
+            .filter_map(move |(_, v)| v.vpn_of_file_page(page))
+    }
+
     /// Resolves a virtual address to `(vma, file, file_page, page_offset)`.
     pub fn translate(&self, addr: VirtAddr) -> Option<(VmaId, FileId, u64, usize)> {
         let (id, vma) = self.resolve(addr.vpn())?;
