@@ -8,7 +8,10 @@
 //! * [`system`] — [`System`]/[`SystemBuilder`]: cores with SMT and the
 //!   pollution model, the extended MMU + TLBs, the SMU, NVMe devices, and
 //!   the OS (fault paths, page cache, `kpted`, `kpoold`), all driven by a
-//!   deterministic event loop.
+//!   deterministic event loop. Two private modules own what it drives:
+//!   `io` (the controllers, OS driver queues and each command's watchdog,
+//!   parking and recovery counters) and `tier_driver` (migration copies
+//!   and the file-system side of tier residence).
 //! * [`anatomy`] — closed-form single-miss latency breakdowns (Figs. 3,
 //!   11, 17).
 //! * [`metrics`] — [`RunResult`] and per-thread reports.
@@ -35,8 +38,10 @@
 
 pub mod anatomy;
 pub mod config;
+mod io;
 pub mod metrics;
 pub mod system;
+mod tier_driver;
 
 pub use config::{Mode, RetryPolicy, SystemConfig};
 pub use metrics::{RunResult, ThreadReport, TimeBreakdown};

@@ -10,17 +10,17 @@
 //! completions and kernel-thread ticks are events on one deterministic
 //! queue.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use hwdp_cpu::perf::PerfCounters;
 use hwdp_cpu::pollution::Pollution;
 use hwdp_cpu::smt::{issue_factor, HwThreadState};
-use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, ReadSnapshot, SocketId, Vpn};
+use hwdp_mem::addr::{BlockRef, DeviceId, PageData, Pfn, ReadSnapshot, SocketId, Vpn};
 use hwdp_mem::pte::{Pte, PteClass};
 use hwdp_mem::tlb::Tlb;
 use hwdp_mem::walker::Walker;
-use hwdp_nvme::command::{NvmeCommand, Status};
-use hwdp_nvme::device::{Completed, CompletionToken, ControllerState, NvmeController, QueueId, SubmitError};
+use hwdp_nvme::command::Status;
+use hwdp_nvme::device::{Completed, CompletionToken, NvmeController};
 use hwdp_nvme::namespace::BlockStore;
 use hwdp_nvme::profile::DeviceProfile;
 use hwdp_os::fs::FileId;
@@ -32,18 +32,20 @@ use hwdp_smu::pmshr::{EntryIdx, Pmshr};
 use hwdp_smu::smu::{MissOutcome, MissRequest, Smu};
 use hwdp_smu::timing::SmuTiming;
 use hwdp_sim::dense::DenseMap;
-use hwdp_sim::events::{EventId, EventQueue};
+use hwdp_sim::events::EventQueue;
 use hwdp_sim::rng::Prng;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
 use hwdp_sim::sorted::SortedMap;
 use hwdp_sim::stats::LatencyHist;
 use hwdp_sim::time::{Duration, Time};
-use hwdp_tier::{MigrationPlan, TierEngine, TierResidence};
+use hwdp_tier::MigrationPlan;
 use hwdp_workloads::kvstore::initial_record;
 use hwdp_workloads::{RegionId, Step, Workload};
 
 use crate::config::{Mode, SystemConfig};
+use crate::io::{Completion, Io, Purpose, Request, Submitted};
 use crate::metrics::{RunResult, ThreadReport, TimeBreakdown};
+use crate::tier_driver::TierDriver;
 
 /// Identifies a workload thread.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -110,20 +112,8 @@ struct HwThread {
     walker: Walker,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Purpose {
-    HwdpMiss { entry: EntryIdx },
-    OsdpRead { key: (u32, u64) },
-    Writeback,
-    /// Migration copy read (source tier); `key` is the page's home slow
-    /// LBA.
-    TierRead { key: u64 },
-    /// Migration copy write (destination tier).
-    TierWrite { key: u64 },
-}
-
 #[derive(Debug)]
-enum Event {
+pub(crate) enum Event {
     /// Run the thread's next action.
     Step(ThreadId),
     /// A device finished a command.
@@ -158,47 +148,6 @@ struct OsdpPending {
     waiters: Vec<ThreadId>,
 }
 
-/// Watchdog bookkeeping for one in-flight command. Only populated while
-/// fault injection is active: fault-free runs schedule no timeout events
-/// and keep no per-command state, preserving byte-identical artifacts.
-#[derive(Debug)]
-struct IoMeta {
-    purpose: Purpose,
-    attempt: u32,
-    timeout: EventId,
-}
-
-/// A submission rejected by queue-full backpressure, parked until the
-/// next completion on the device (or the `SqDrain` backstop) retries it.
-struct DeferredIo {
-    qid: QueueId,
-    cmd: NvmeCommand,
-    data: Option<PageData>,
-    purpose: Purpose,
-    attempt: u32,
-}
-
-/// Driver-side tiering state: the placement engine plus what the engine
-/// deliberately does not know — which file page each tracked key belongs
-/// to, and which in-flight copies were invalidated by a concurrent
-/// writeback.
-struct TierRuntime {
-    engine: TierEngine,
-    /// The fast tier's device ID (device 0 is always the slow tier).
-    fast_dev: DeviceId,
-    /// The fast tier's index into the system's device tables.
-    fast_index: usize,
-    /// Migration-daemon wake period.
-    period: Duration,
-    /// Page key (home slow LBA) → owning `(file, page)`, for location
-    /// updates at commit.
-    pages: DenseMap<(FileId, u64)>,
-    /// Keys whose source copy was rewritten while their migration was in
-    /// flight; the commit observes the mark and aborts (the copy is
-    /// stale).
-    dirty_guard: BTreeSet<u64>,
-}
-
 /// An I/O failure that exhausted every recovery layer (device retries,
 /// SMU-to-OS degradation, OS-path retry) and was surfaced to the workload
 /// instead of panicking the simulator.
@@ -217,10 +166,8 @@ pub struct System {
     /// The kernel (public for inspection in tests and benches).
     pub os: Os,
     smu: Smu,
-    devices: Vec<NvmeController>,
-    device_index: BTreeMap<(u8, u8), usize>,
-    /// OS driver queue per device (index-aligned with `devices`).
-    os_queues: Vec<QueueId>,
+    /// The devices and every command's recovery state.
+    io: Io,
     threads: Vec<Thread>,
     hw: Vec<HwThread>,
     runqueue: VecDeque<ThreadId>,
@@ -233,7 +180,6 @@ pub struct System {
     osdp_inflight: SortedMap<(u32, u64), OsdpPending>,
     pending_misses: VecDeque<(ThreadId, Vpn)>,
     rng: Prng,
-    wb_cid: u16,
     last_finish: Time,
     active_threads: usize,
     long_io_switches: u64,
@@ -253,38 +199,20 @@ pub struct System {
     scratch_frames: Vec<Pfn>,
     /// Reusable migration-plan buffer for tier-daemon ticks.
     scratch_plans: Vec<MigrationPlan>,
-    /// Per-command watchdog state, keyed by `(device index, token)`.
-    /// Tokens are issued in increasing order per device, so arming a
-    /// watchdog mostly appends.
-    io_meta: SortedMap<(usize, CompletionToken), IoMeta>,
-    /// Tokens whose watchdog already fired; their late (or dropped)
-    /// completions are retired silently.
-    stale_tokens: SortedMap<(usize, CompletionToken), ()>,
-    /// Parked submissions per device (queue-full recovery).
-    deferred_io: Vec<VecDeque<DeferredIo>>,
     /// Pages the SMU abandoned after exhausting retries: the next access
     /// takes the OSDP software path instead of re-arming the hardware miss.
     force_osdp: BTreeSet<u64>,
     /// Errors surfaced to workloads (see [`System::io_errors`]).
     io_errors: Vec<IoError>,
-    io_retries: u64,
-    io_timeouts: u64,
-    smu_fallbacks_fault: u64,
-    io_errors_surfaced: u64,
-    /// Controller resets the host recovery ladder drove to completion.
-    controller_resets: u64,
-    /// In-flight commands lost to injected controller crashes.
-    crash_ios_lost: u64,
     /// hwdp-audit violations accumulated over the run (empty when
     /// `cfg.sanitize` is `Off`).
     audit: AuditReport,
-    /// Last-seen per-device doorbell-write totals, for the
-    /// `doorbell-monotonic` check (doorbell registers are write-counters;
-    /// going backwards between audit points means queue state was reset
-    /// mid-run).
-    audit_doorbells: Vec<u64>,
-    /// Tiered-storage runtime (`None` when `cfg.tiers` is `None`).
-    tier: Option<TierRuntime>,
+    /// Tiered-storage driver (`None` when `cfg.tiers` is `None`).
+    tier: Option<TierDriver>,
+    /// Completions that reached a finisher whose PMSHR entry or OS fault
+    /// was already resolved (instrumentation for the stale-token rule).
+    #[cfg(test)]
+    unmatched_finishes: u64,
 }
 
 impl System {
@@ -293,7 +221,6 @@ impl System {
     /// pattern-filled namespace).
     pub fn new(cfg: SystemConfig) -> Self {
         let mut rng = Prng::seed_from(cfg.seed);
-        let mut os = Os::new(cfg.memory_frames);
         let timing = SmuTiming::at(cfg.freq);
         // The paper's 4096-entry queue is 0.05 % of a 32 GiB machine; with
         // scaled-down DRAM, cap the queue so it can never absorb the
@@ -312,32 +239,9 @@ impl System {
             smu = smu.with_per_core_queues(cfg.hw_threads(), per_core, cfg.prefetch_entries);
         }
 
-        // Device 0: a namespace 8× memory (room for any experiment's
-        // dataset), pattern-backed so unwritten blocks read deterministic
-        // data. With tiering on, device 0 is the slow tier — data starts
-        // cold there and the fast device is attached below.
-        let blocks = (cfg.memory_frames as u64) * 16;
-        let dev0_profile = cfg.tiers.map_or(cfg.device, |t| t.slow);
-        let mut dev = NvmeController::new(dev0_profile, rng.fork(1));
-        if let Some(faults) = cfg.faults.filter(|f| !f.is_zero()) {
-            dev.set_fault_plan(faults, cfg.seed);
-        }
-        let nsid = dev.add_namespace(BlockStore::with_pattern(blocks, cfg.seed ^ 0xB10C));
-        let os_q = dev.create_queue_pair(1024);
-        let smu_q = dev.create_queue_pair(64);
-        os.fs.register_device(SocketId(0), DeviceId(0), blocks);
-        smu.host.install(
-            DeviceId(0),
-            QueueDescriptor {
-                nsid,
-                qid: smu_q,
-                sq_base: hwdp_mem::addr::PhysAddr(0x40_0000),
-                cq_base: hwdp_mem::addr::PhysAddr(0x41_0000),
-                sq_doorbell: hwdp_mem::addr::PhysAddr(0xF000_0000),
-                cq_doorbell: hwdp_mem::addr::PhysAddr(0xF000_0004),
-                depth: 64,
-            },
-        );
+        // Device 0 is the slow tier when tiering is on: data starts cold
+        // there, and the fast device is attached below.
+        let dev0 = NvmeController::new(cfg.tiers.map_or(cfg.device, |t| t.slow), rng.fork(1));
 
         let hw = (0..cfg.hw_threads())
             .map(|_| HwThread {
@@ -351,11 +255,9 @@ impl System {
         let mut sys = System {
             cfg,
             queue: EventQueue::new(),
-            os,
+            os: Os::new(cfg.memory_frames),
             smu,
-            devices: vec![dev],
-            device_index: BTreeMap::from([((0u8, 0u8), 0usize)]),
-            os_queues: vec![os_q],
+            io: Io::new(cfg.faults, cfg.retry),
             threads: Vec::new(),
             hw,
             runqueue: VecDeque::new(),
@@ -364,7 +266,6 @@ impl System {
             osdp_inflight: SortedMap::new(),
             pending_misses: VecDeque::new(),
             rng,
-            wb_cid: 0,
             last_finish: Time::ZERO,
             active_threads: 0,
             long_io_switches: 0,
@@ -374,31 +275,17 @@ impl System {
             scratch_evictions: Vec::new(),
             scratch_frames: Vec::new(),
             scratch_plans: Vec::new(),
-            io_meta: SortedMap::new(),
-            stale_tokens: SortedMap::new(),
-            deferred_io: vec![VecDeque::new()],
             force_osdp: BTreeSet::new(),
             io_errors: Vec::new(),
-            io_retries: 0,
-            io_timeouts: 0,
-            smu_fallbacks_fault: 0,
-            io_errors_surfaced: 0,
-            controller_resets: 0,
-            crash_ios_lost: 0,
             audit: AuditReport::new(),
-            audit_doorbells: vec![0],
             tier: None,
+            #[cfg(test)]
+            unmatched_finishes: 0,
         };
+        sys.attach(dev0, cfg.seed, cfg.seed ^ 0xB10C);
         if let Some(tc) = sys.cfg.tiers {
             let fast_dev = sys.add_device(tc.fast);
-            sys.tier = Some(TierRuntime {
-                engine: TierEngine::new(tc),
-                fast_dev,
-                fast_index: sys.device_index[&(0, fast_dev.0)],
-                period: tc.period,
-                pages: DenseMap::new(),
-                dirty_guard: BTreeSet::new(),
-            });
+            sys.tier = Some(TierDriver::new(tc, fast_dev));
         }
         // Seed the SMU's free-page queue before anything runs (the OS does
         // this when enabling fast mmap).
@@ -423,36 +310,33 @@ impl System {
     ///
     /// Panics if 8 devices are already attached.
     pub fn add_device(&mut self, profile: DeviceProfile) -> DeviceId {
-        let id = self.devices.len() as u8;
+        let id = self.io.devices.len() as u64;
         assert!(id < 8, "the 3-bit device ID space is full");
+        let dev = NvmeController::new(profile, self.rng.fork(0xD0 + id));
+        // Each device gets its own fault RNG stream.
+        let seed = self.cfg.seed;
+        self.attach(dev, seed ^ (id << 8), seed ^ id)
+    }
+
+    /// Attaches a controller as the next device ID, with a namespace 8×
+    /// memory (room for any dataset) of the `pattern_seed` pattern, and
+    /// registers it with the file system and the SMU's descriptors.
+    fn attach(&mut self, dev: NvmeController, fault_seed: u64, pattern_seed: u64) -> DeviceId {
+        let id = DeviceId(self.io.devices.len() as u8);
         let blocks = (self.cfg.memory_frames as u64) * 16;
-        let mut dev = NvmeController::new(profile, self.rng.fork(0xD0 + id as u64));
-        if let Some(faults) = self.cfg.faults.filter(|f| !f.is_zero()) {
-            // Each device gets its own fault RNG stream.
-            dev.set_fault_plan(faults, self.cfg.seed ^ ((id as u64) << 8));
-        }
-        let nsid = dev.add_namespace(BlockStore::with_pattern(blocks, self.cfg.seed ^ id as u64));
-        let os_q = dev.create_queue_pair(1024);
-        let smu_q = dev.create_queue_pair(64);
-        self.os.fs.register_device(SocketId(0), DeviceId(id), blocks);
-        self.smu.host.install(
-            DeviceId(id),
-            QueueDescriptor {
-                nsid,
-                qid: smu_q,
-                sq_base: hwdp_mem::addr::PhysAddr(0x40_0000 + (id as u64) * 0x2_0000),
-                cq_base: hwdp_mem::addr::PhysAddr(0x41_0000 + (id as u64) * 0x2_0000),
-                sq_doorbell: hwdp_mem::addr::PhysAddr(0xF000_0000 + (id as u64) * 8),
-                cq_doorbell: hwdp_mem::addr::PhysAddr(0xF000_0004 + (id as u64) * 8),
-                depth: 64,
-            },
-        );
-        self.devices.push(dev);
-        self.os_queues.push(os_q);
-        self.deferred_io.push(VecDeque::new());
-        self.audit_doorbells.push(0);
-        self.device_index.insert((0, id), self.devices.len() - 1);
-        DeviceId(id)
+        let (nsid, qid) = self.io.attach(dev, fault_seed, BlockStore::with_pattern(blocks, pattern_seed));
+        self.os.fs.register_device(SocketId(0), id, blocks);
+        let at = |base: u64, stride: u64| hwdp_mem::addr::PhysAddr(base + u64::from(id.0) * stride);
+        self.smu.host.install(id, QueueDescriptor {
+            nsid,
+            qid,
+            sq_base: at(0x40_0000, 0x2_0000),
+            cq_base: at(0x41_0000, 0x2_0000),
+            sq_doorbell: at(0xF000_0000, 8),
+            cq_doorbell: at(0xF000_0004, 8),
+            depth: 64,
+        });
+        id
     }
 
     /// An independent RNG stream for seeding workloads.
@@ -489,30 +373,21 @@ impl System {
     ) -> FileId {
         assert!(records <= capacity, "records exceed capacity");
         let file = self.os.fs.create(name, SocketId(0), device, 1, capacity);
-        let dev = self.device_index[&(0, device.0)];
         // A new file's blocks are one contiguous run (`MiniFs::create`), so
         // its records are one extent read in closed form.
         if records > 0 {
             let first = self.os.fs.lba_of(file, 0);
-            self.devices[dev].namespace_mut(1).init_extent(first, records, initial_record);
+            let dev = &mut self.io.devices[usize::from(device.0)];
+            dev.namespace_mut(1).init_extent(first, records, initial_record);
         }
         self.tier_register_file(file, device, capacity);
         file
     }
 
-    /// Starts hotness tracking for every block of a file homed on the
-    /// slow tier (device 0). Files created on other devices — including
-    /// the fast tier itself — are not migration candidates. No-op without
-    /// a tier configuration.
+    /// Starts hotness tracking for a file's pages when tiering is on.
     fn tier_register_file(&mut self, file: FileId, device: DeviceId, pages: u64) {
-        let Some(tr) = self.tier.as_mut() else { return };
-        if device != DeviceId(0) {
-            return;
-        }
-        for p in 0..pages {
-            let key = self.os.fs.lba_of(file, p).0;
-            tr.engine.register(key);
-            tr.pages.insert(key, (file, p));
+        if let Some(tr) = &mut self.tier {
+            tr.register_file(&self.os.fs, file, device, pages);
         }
     }
 
@@ -538,13 +413,12 @@ impl System {
     pub fn map_file_with(&mut self, file: FileId, flags: MmapFlags) -> RegionId {
         let (id, vma) = self.os.mmap(file, flags);
         if flags.populate {
-            let (socket, device, nsid) = self.os.fs.home(file);
-            let dev = self.device_index[&(socket.0, device.0)];
+            let (_, device, nsid) = self.os.fs.home(file);
             for p in 0..vma.pages {
                 let lba = self.os.fs.lba_of(file, p);
                 let Some((pfn, evictions)) = self.os.alloc_frame() else { break };
                 assert!(evictions.is_empty(), "populate does not fit in memory");
-                let data = self.devices[dev].namespace(nsid).read_block(lba);
+                let data = self.io.devices[usize::from(device.0)].namespace(nsid).read_block(lba);
                 self.os.frames.dma_fill(pfn, data);
                 self.os.map_resident(vma, p, pfn);
             }
@@ -638,13 +512,13 @@ impl System {
     /// and propagates the new LBA into any LBA-augmented PTE. Returns
     /// `(old, new)` LBAs.
     pub fn relocate_file_page(&mut self, file: FileId, page: u64) -> (hwdp_mem::addr::Lba, hwdp_mem::addr::Lba) {
-        let (socket, device, nsid) = self.os.fs.home(file);
-        let dev = self.device_index[&(socket.0, device.0)];
+        let (_, device, nsid) = self.os.fs.home(file);
+        let dev = &mut self.io.devices[usize::from(device.0)];
         let old_lba = self.os.fs.lba_of(file, page);
-        let data = self.devices[dev].namespace(nsid).read_block(old_lba);
+        let data = dev.namespace(nsid).read_block(old_lba);
         let (old, new) = self.os.on_block_remap(file, page);
         debug_assert_eq!(old, old_lba);
-        self.devices[dev].namespace_mut(nsid).write_block(new, data);
+        dev.namespace_mut(nsid).write_block(new, data);
         (old, new)
     }
 
@@ -666,9 +540,11 @@ impl System {
                 self.shoot_down(vpn);
             }
             if ev.dirty {
-                self.tier_note_writeback(&ev.block);
-                let Some(dev) = self.device_of(ev.block) else { continue };
-                self.devices[dev].namespace_mut(1).write_block(ev.block.lba, ev.data.clone());
+                if let Some(tr) = &mut self.tier {
+                    tr.note_writeback(&ev.block);
+                }
+                let dev = self.io.device_of(ev.block);
+                self.io.devices[dev].namespace_mut(1).write_block(ev.block.lba, ev.data.clone());
             }
         }
     }
@@ -1052,7 +928,7 @@ impl System {
                     entry_lat + costs.io_submit.latency,
                 );
                 let submit_at = now + costs.before_device();
-                self.submit_read(block, pfn, submit_at, Purpose::OsdpRead { key }, 0);
+                self.submit_os(block, pfn, None, Purpose::OsdpRead { key }, 0, submit_at);
                 let mut waiters = self.take_waiters();
                 waiters.push(tid);
                 self.osdp_inflight
@@ -1094,7 +970,7 @@ impl System {
             let Some(pfn) = self.os.alloc_frame_into(evictions) else { break };
             self.handle_evictions(evictions, at);
             let block = self.os.block_for(vma.file, file_page);
-            self.submit_read(block, pfn, at, Purpose::OsdpRead { key }, 0);
+            self.submit_os(block, pfn, None, Purpose::OsdpRead { key }, 0, at);
             let waiters = self.take_waiters();
             self.osdp_inflight
                 .insert(key, OsdpPending { vpn: next, pfn, block, attempts: 0, waiters });
@@ -1124,20 +1000,7 @@ impl System {
             let Some((entry, qid, cmd, _pfn, before)) = self.smu.begin_prefetch(req) else {
                 continue;
             };
-            let Some(dev) = self.device_of(block) else {
-                // Unknown device: abandon the prefetch (best-effort).
-                self.smu.abandon_io(entry, 0);
-                continue;
-            };
-            self.submit_or_defer(
-                dev,
-                qid,
-                cmd,
-                None,
-                Purpose::HwdpMiss { entry },
-                0,
-                at + before,
-            );
+            self.submit_or_defer(self.io.device_of(block), Request::hwdp(qid, cmd, entry, 0), at + before);
         }
     }
 
@@ -1151,6 +1014,10 @@ impl System {
         let Some(pending) = self.osdp_inflight.remove(&key) else {
             // Fault recovery already resolved (or surfaced) this fault; a
             // late completion has nothing left to deliver.
+            #[cfg(test)]
+            {
+                self.unmatched_finishes += 1;
+            }
             return;
         };
         self.os.frames.dma_fill(pending.pfn, data);
@@ -1195,7 +1062,8 @@ impl System {
         let req = MissRequest { walk, block, waiter: tid.0 as u64, core: hw.0 };
         let sw = self.cfg.mode == Mode::SwOnly;
         match self.smu.begin_miss(req) {
-            MissOutcome::Started { entry, pfn, dma: _, qid, cmd, before_device } => {
+            // The frame is delivered by `finish_io`.
+            MissOutcome::Started { entry, pfn: _, dma: _, qid, cmd, before_device } => {
                 let before = if sw {
                     let c = self.os.sw_costs;
                     self.charge_kernel(
@@ -1209,23 +1077,9 @@ impl System {
                 } else {
                     before_device
                 };
-                let Some(dev) = self.device_of(block) else {
-                    // Unknown device: abandon the hardware miss and route
-                    // every waiter through the OS fault path.
-                    self.escalate_hwdp(entry, now);
-                    return;
-                };
                 let submit_at = now + before;
-                let _ = pfn; // frame is delivered via finish_io
-                let done_at = self.submit_or_defer(
-                    dev,
-                    qid,
-                    cmd,
-                    None,
-                    Purpose::HwdpMiss { entry },
-                    0,
-                    submit_at,
-                );
+                let req = Request::hwdp(qid, cmd, entry, 0);
+                let done_at = self.submit_or_defer(self.io.device_of(block), req, submit_at);
                 // §V "Long Latency I/O": if the device wait exceeds the
                 // configured threshold, take a timeout exception and
                 // context-switch instead of wasting the core on a stall.
@@ -1301,7 +1155,7 @@ impl System {
                 // Host-controller misconfiguration (no queue descriptor
                 // for the device): the SMU rolled its state back; degrade
                 // to the OS fault path instead of aborting the process.
-                self.smu_fallbacks_fault += 1;
+                self.io.recovery.smu_fallbacks += 1;
                 self.start_osdp_fault(tid, hw, vpn, now + cost);
             }
         }
@@ -1316,6 +1170,10 @@ impl System {
         let Some(fin) = self.smu.finish_io(entry, &mut self.os.page_table) else {
             // Fault recovery abandoned this entry before the (re)read
             // landed; the waiters were already re-routed.
+            #[cfg(test)]
+            {
+                self.unmatched_finishes += 1;
+            }
             return;
         };
         self.os.frames.dma_fill(fin.pfn, data);
@@ -1391,224 +1249,96 @@ impl System {
         self.pending_misses.iter().any(|&(t, _)| t == tid)
     }
 
-    // ----- I/O plumbing -------------------------------------------------------
+    // ----- I/O submission and the recovery route --------------------------------
 
-    /// The device table index for a block reference, or `None` for a block
-    /// naming a device this system was not built with.
-    fn device_of(&self, block: BlockRef) -> Option<usize> {
-        self.device_index.get(&(block.socket.0, block.device.0)).copied()
-    }
-
-    fn submit_read(&mut self, block: BlockRef, pfn: Pfn, at: Time, purpose: Purpose, attempt: u32) {
-        // An unknown device cannot be read from; drop the request (the
-        // fault recovery watchdog surfaces any waiter this strands).
-        let Some(dev) = self.device_of(block) else { return };
-        self.wb_cid = self.wb_cid.wrapping_add(1);
-        let cmd = NvmeCommand::read4k(self.wb_cid, 1, block.lba.0, pfn.base());
-        let qid = self.os_queues[dev];
-        self.submit_or_defer(dev, qid, cmd, None, purpose, attempt, at);
-    }
-
-    /// `true` when a live fault plan can actually fire. Every piece of
-    /// recovery bookkeeping (watchdogs, deferral queues) is gated on this,
-    /// so fault-free runs stay byte-identical to the pre-fault simulator.
-    fn fault_injection_active(&self) -> bool {
-        self.cfg.faults.is_some_and(|f| !f.is_zero())
-    }
-
-    /// Arms the per-command timeout watchdog. Inert when fault injection
-    /// is off (completions then always arrive) and for writebacks (write
-    /// data applies at submission, so there is nothing to recover).
-    fn track_io(
-        &mut self,
-        dev: usize,
-        token: CompletionToken,
-        purpose: Purpose,
-        attempt: u32,
-        submit_at: Time,
-    ) {
-        if !self.fault_injection_active()
-            || matches!(
-                purpose,
-                Purpose::Writeback | Purpose::TierRead { .. } | Purpose::TierWrite { .. }
-            )
-        {
-            return;
+    /// Submits `req` on device `dev` at `at` and routes what the device
+    /// would not take: a dead controller starts the reset ladder, and a
+    /// request it can never accept fails at once. Returns the completion
+    /// time of an accepted request, `None` for a parked or failed one.
+    fn submit_or_defer(&mut self, dev: usize, req: Request, at: Time) -> Option<Time> {
+        // Hotness tracking observes demand reads at first submission
+        // (retries and migration I/O are invisible to placement).
+        if req.attempt == 0 && req.purpose.is_demand_read() {
+            if let Some(tr) = &mut self.tier {
+                tr.record_access(dev, req.cmd.slba);
+            }
         }
-        let deadline = submit_at + self.cfg.retry.command_timeout;
-        let timeout = self.queue.schedule(deadline, Event::IoTimeout { dev, token });
-        self.io_meta.insert((dev, token), IoMeta { purpose, attempt, timeout });
+        let (purpose, attempt) = (req.purpose, req.attempt);
+        match self.io.submit_request(&mut self.queue, dev, req, at) {
+            Submitted::Accepted(done_at) => return Some(done_at),
+            Submitted::Parked => {}
+            Submitted::ControllerDown => self.handle_controller_failure(dev, at),
+            Submitted::Rejected => self.fail_io(purpose, attempt, at),
+        }
+        None
     }
 
-    /// Submits a command at `at`, parking it when the ring pushes back
-    /// (injected queue-full window, or a genuinely exhausted ring that
-    /// previously aborted the simulation). Returns the completion time for
-    /// accepted submissions, `None` for deferred ones.
-    // Each argument is one field of the command's record (device, queue,
-    // command, payload, purpose, attempt, time); bundling them into a
-    // struct would only move the list to every call site.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_or_defer(
+    /// Submits one OS-driver 4 KiB command: a read of `block` into `pfn`,
+    /// or a write of `data` to it.
+    fn submit_os(
         &mut self,
-        dev: usize,
-        qid: QueueId,
-        cmd: NvmeCommand,
+        block: BlockRef,
+        pfn: Pfn,
         data: Option<PageData>,
         purpose: Purpose,
         attempt: u32,
         at: Time,
     ) -> Option<Time> {
-        // Hotness tracking observes demand reads at first submission
-        // (retries and migration I/O are invisible to placement).
-        if attempt == 0 {
-            if let Some(tr) = self.tier.as_mut() {
-                if matches!(purpose, Purpose::HwdpMiss { .. } | Purpose::OsdpRead { .. }) {
-                    let fast = dev == tr.fast_index;
-                    tr.engine.record_access(fast, cmd.slba);
-                }
-            }
-        }
-        // `submit_ref` hands the write payload back on rejection, so the
-        // defer paths below re-park the original instead of a clone.
-        let mut data = data;
-        match self.devices[dev].submit_ref(qid, cmd, &mut data, at) {
-            Ok((token, done_at)) => {
-                self.queue.schedule(done_at, Event::IoDone { dev, token, purpose });
-                self.track_io(dev, token, purpose, attempt, at);
-                Some(done_at)
-            }
-            Err(SubmitError::QueueFull) => {
-                self.deferred_io[dev].push_back(DeferredIo { qid, cmd, data, purpose, attempt });
-                let retry_at = at + self.cfg.retry.backoff_base;
-                self.queue.schedule(retry_at, Event::SqDrain { dev });
-                None
-            }
-            Err(SubmitError::ControllerDown) => {
-                // An ignored doorbell is how the host discovers a crashed
-                // controller on the submission side: park the command and
-                // drive the recovery ladder. No `SqDrain` backstop — the
-                // reset completion drains the parked queue, and while the
-                // controller is down every drain attempt would just spin.
-                self.deferred_io[dev].push_back(DeferredIo { qid, cmd, data, purpose, attempt });
-                self.handle_controller_failure(dev, at);
-                None
-            }
-            Err(SubmitError::UnknownQueue) => {
-                // Unreachable for queues the system itself created; treated
-                // as an instantly failed attempt so nothing leaks.
-                self.fail_submission(purpose, at);
-                None
-            }
-        }
+        let dev = self.io.device_of(block);
+        let req = self.io.os_request(dev, block.lba.0, pfn, data, purpose, attempt);
+        self.submit_or_defer(dev, req, at)
     }
 
-    /// Retries parked submissions. Called after every completion on the
-    /// device and from the `SqDrain` backstop; each rejected attempt also
-    /// consumes queue-full window budget, so progress is guaranteed.
+    /// Retries parked submissions on `dev`: after every completion on the
+    /// device, from the `SqDrain` backstop, and when a reset completes.
     fn drain_deferred(&mut self, dev: usize, now: Time) {
-        while let Some(mut d) = self.deferred_io[dev].pop_front() {
-            match self.devices[dev].submit_ref(d.qid, d.cmd, &mut d.data, now) {
-                Ok((token, done_at)) => {
-                    self.queue
-                        .schedule(done_at, Event::IoDone { dev, token, purpose: d.purpose });
-                    self.track_io(dev, token, d.purpose, d.attempt, now);
-                }
-                Err(SubmitError::ControllerDown) => {
-                    // Dead controller: re-park and let the reset ladder
-                    // re-drain this queue when the controller is back.
-                    self.deferred_io[dev].push_front(d);
-                    self.handle_controller_failure(dev, now);
-                    break;
-                }
-                Err(_) => {
-                    self.deferred_io[dev].push_front(d);
-                    let retry_at = now + self.cfg.retry.backoff_base;
-                    self.queue.schedule(retry_at, Event::SqDrain { dev });
-                    break;
-                }
-            }
+        if self.io.drain_deferred(&mut self.queue, dev, now) {
+            self.handle_controller_failure(dev, now);
         }
     }
 
-    /// Routes a submission that can never be accepted straight into the
-    /// purpose's failure path.
-    fn fail_submission(&mut self, purpose: Purpose, now: Time) {
-        match purpose {
-            Purpose::HwdpMiss { entry } => self.escalate_hwdp(entry, now),
-            Purpose::OsdpRead { key } => self.surface_osdp_error(key, now),
-            Purpose::Writeback => {}
-            Purpose::TierRead { key } | Purpose::TierWrite { key } => self.tier_abort(key),
-        }
-    }
-
-    /// One I/O completion event: retires the command on the device, drains
-    /// the CQ, and dispatches to the finish path (success) or the layered
-    /// recovery machinery (injected media error, stale watchdog-recovered
-    /// token, swallowed completion).
+    /// One I/O completion event: retires the command on the device and
+    /// hands what it delivered to the finish path or the recovery route.
+    /// A token the device does not know was lost with a crashed controller
+    /// (or already retired): this event, due at exactly the completion's
+    /// time, is the host's earliest chance to notice the crash.
     fn handle_io_done(&mut self, dev: usize, token: CompletionToken, purpose: Purpose, now: Time) {
-        let Some(done) = self.devices[dev].complete(token, now) else {
-            // Unknown or already-retired token (watchdog recovery raced
-            // the completion) — or the first signal of a controller crash:
-            // the command was lost with the controller, and this event
-            // firing at exactly the virtual time the completion was due is
-            // the host's earliest possible detection point.
-            if !self.devices[dev].is_ready() {
-                self.handle_controller_failure(dev, now);
-            }
-            return;
-        };
-        if !done.dropped {
-            // Drain the CQ like real host software (keeps queue protocol
-            // state honest; entries checked in tests). Dropped completions
-            // never post a CQ entry, so polling would desync the pairing.
-            let qid = done.qid;
-            let _ = self.devices[dev].queue(qid).host_poll_completion();
-        }
-        let key = (dev, token);
-        if self.stale_tokens.remove(&key).is_some() {
-            // The watchdog already recovered this command; the late (or
-            // dropped) completion is silently retired.
-        } else if done.dropped {
-            // Swallowed completion: leave the watchdog armed — it is the
-            // only way the host learns about this command's fate.
-        } else {
-            let attempt = match self.io_meta.remove(&key) {
-                Some(meta) => {
-                    self.queue.cancel(meta.timeout);
-                    meta.attempt
-                }
-                None => 0,
-            };
-            self.dispatch_completion(purpose, done, attempt, now);
+        match self.io.take_completion(&mut self.queue, dev, token, purpose, now) {
+            Completion::Delivered(done, attempt) => self.dispatch_completion(purpose, done, attempt, now),
+            Completion::Retired => {}
+            Completion::Lost => return self.handle_controller_failure(dev, now),
         }
         self.drain_deferred(dev, now);
     }
 
     fn dispatch_completion(&mut self, purpose: Purpose, done: Completed, attempt: u32, now: Time) {
         let ok = done.status == Status::Success;
-        match purpose {
-            Purpose::HwdpMiss { entry } => match done.read_data {
-                Some(data) if ok => self.finish_hwdp_miss(entry, data, now),
-                _ => self.recover_hwdp(entry, attempt, now),
-            },
-            Purpose::OsdpRead { key } => match done.read_data {
-                Some(data) if ok => self.finish_osdp_read(key, data, now),
-                _ => self.recover_osdp(key, now),
-            },
-            Purpose::Writeback => {
-                // Write data was applied at submission (snapshot
-                // semantics), so a failed writeback loses nothing in-sim;
-                // a real kernel would re-dirty the page.
+        match (purpose, done.read_data) {
+            (Purpose::HwdpMiss { entry }, Some(data)) if ok => self.finish_hwdp_miss(entry, data, now),
+            (Purpose::OsdpRead { key }, Some(data)) if ok => self.finish_osdp_read(key, data, now),
+            (Purpose::TierRead { key }, Some(data)) if ok => self.tier_read_done(key, data, now),
+            (Purpose::TierWrite { key }, _) if ok => {
+                if let Some(tr) = &mut self.tier {
+                    tr.commit(&mut self.os, key);
+                }
             }
-            Purpose::TierRead { key } => match done.read_data {
-                Some(data) if ok => self.tier_read_done(key, data, now),
-                _ => self.tier_abort(key),
-            },
-            Purpose::TierWrite { key } => {
-                if ok {
-                    self.tier_commit(key);
-                } else {
-                    self.tier_abort(key);
+            _ => self.fail_io(purpose, attempt, now),
+        }
+    }
+
+    /// The one recovery route for a command that failed, timed out, was
+    /// lost with its controller or can never be submitted: a hardware miss
+    /// retries, then degrades to the OS path; an OS read retries, then
+    /// surfaces an error; a migration aborts. A writeback has nothing to
+    /// recover: its data applied at submission (snapshot semantics).
+    fn fail_io(&mut self, purpose: Purpose, attempt: u32, now: Time) {
+        match purpose {
+            Purpose::HwdpMiss { entry } => self.recover_hwdp(entry, attempt, now),
+            Purpose::OsdpRead { key } => self.recover_osdp(key, now),
+            Purpose::Writeback => {}
+            Purpose::TierRead { key } | Purpose::TierWrite { key } => {
+                if let Some(tr) = &mut self.tier {
+                    tr.engine.abort(key);
                 }
             }
         }
@@ -1625,36 +1355,15 @@ impl System {
         // tiers, so starting one under a dead (or resetting) controller
         // could only park I/O that the crash recovery would have to abort
         // again. The daemon simply skips the tick and retries next period.
-        if self.devices.iter().any(|d| !d.is_ready()) {
+        if self.io.devices.iter().any(|d| !d.is_ready()) {
             return;
         }
+        let Some(tr) = &mut self.tier else { return };
         let mut plans = std::mem::take(&mut self.scratch_plans);
-        let fast_index = {
-            let Some(tr) = self.tier.as_mut() else {
-                self.scratch_plans = plans;
-                return;
-            };
-            let TierRuntime { engine, pages, fast_index, .. } = tr;
-            let os = &self.os;
-            // Pages resident in memory are skipped: in the page cache, or
-            // mapped by the SMU and awaiting `kpted`. Copying such a page
-            // is wasted device time (reads hit DRAM, not a tier), and a
-            // dirtying store before its writeback would race the copy.
-            engine.plan_tick_into(
-                |key| pages.get(key).is_some_and(|(f, p)| !os.page_resident(*f, *p)),
-                &mut plans,
-            );
-            *fast_index
-        };
+        tr.plan(&self.os, &mut plans);
         for plan in plans.drain(..) {
-            let (dev, slba, key) = match plan {
-                MigrationPlan::Promote { key, .. } => (0usize, key, key),
-                MigrationPlan::Demote { key, fast_lba } => (fast_index, fast_lba, key),
-            };
-            self.wb_cid = self.wb_cid.wrapping_add(1);
-            let cmd = NvmeCommand::read4k(self.wb_cid, 1, slba, Pfn(0).base());
-            let qid = self.os_queues[dev];
-            self.submit_or_defer(dev, qid, cmd, None, Purpose::TierRead { key }, 0, now);
+            let Some(source) = self.tier.as_ref().map(|tr| tr.copy_source(plan)) else { break };
+            self.submit_os(source, Pfn(0), None, Purpose::TierRead { key: plan.key() }, 0, now);
         }
         self.scratch_plans = plans;
     }
@@ -1662,142 +1371,30 @@ impl System {
     /// Migration copy read completed: write the snapshot to the
     /// destination tier.
     fn tier_read_done(&mut self, key: u64, data: PageData, now: Time) {
-        let Some(tr) = self.tier.as_ref() else { return };
-        let (dev, slba) = match tr.engine.residence_of(key) {
-            Some(TierResidence::PromoteInFlight(f)) => (tr.fast_index, f),
-            Some(TierResidence::DemoteInFlight(_)) => (0usize, key),
-            // The migration was aborted while the read was in flight.
-            _ => return,
-        };
-        self.wb_cid = self.wb_cid.wrapping_add(1);
-        let cmd = NvmeCommand::write4k(self.wb_cid, 1, slba, Pfn(0).base());
-        let qid = self.os_queues[dev];
-        self.submit_or_defer(dev, qid, cmd, Some(data), Purpose::TierWrite { key }, 0, now);
-    }
-
-    /// Migration copy write completed: transfer ownership atomically —
-    /// engine residence, file-system location, and any LBA-augmented PTEs
-    /// all flip at this virtual-time instant — unless the source copy was
-    /// invalidated under the migration, in which case the stale copy is
-    /// dropped.
-    fn tier_commit(&mut self, key: u64) {
-        let Some(tr) = self.tier.as_mut() else { return };
-        let Some(&(file, page)) = tr.pages.get(key) else { return };
-        let dirty = tr.dirty_guard.remove(&key);
-        let loc_ok = match tr.engine.residence_of(key) {
-            Some(TierResidence::PromoteInFlight(_)) => {
-                // The page must still live on its home LBA (a remap under
-                // the copy would have changed it).
-                self.os.fs.location_override(file, page).is_none()
-                    && self.os.fs.lba_of(file, page).0 == key
-            }
-            Some(TierResidence::DemoteInFlight(f)) => {
-                self.os.fs.location_override(file, page)
-                    == Some((SocketId(0), tr.fast_dev, 1, Lba(f)))
-            }
-            _ => return,
-        };
-        if dirty || !loc_ok {
-            tr.engine.abort(key);
-            return;
-        }
-        match tr.engine.commit(key) {
-            Some(TierResidence::Fast(f)) => {
-                let block = BlockRef { socket: SocketId(0), device: tr.fast_dev, lba: Lba(f) };
-                self.os.fs.set_location(file, page, SocketId(0), tr.fast_dev, 1, Lba(f));
-                self.os.propagate_block_update(file, page, block);
-            }
-            Some(TierResidence::Slow) => {
-                let block = BlockRef { socket: SocketId(0), device: DeviceId(0), lba: Lba(key) };
-                self.os.fs.clear_location(file, page);
-                self.os.propagate_block_update(file, page, block);
-            }
-            _ => {}
-        }
-    }
-
-    /// Aborts an in-flight migration (I/O failure, timeout, or submission
-    /// that could never be accepted).
-    fn tier_abort(&mut self, key: u64) {
-        if let Some(tr) = self.tier.as_mut() {
-            tr.dirty_guard.remove(&key);
-            tr.engine.abort(key);
-        }
-    }
-
-    /// Marks a page whose source copy is being rewritten while its
-    /// migration copy is in flight; [`System::tier_commit`] observes the
-    /// mark and aborts instead of committing a stale copy.
-    fn tier_note_writeback(&mut self, block: &BlockRef) {
-        let Some(tr) = self.tier.as_mut() else { return };
-        let key = if block.device == tr.fast_dev {
-            match tr.engine.key_of_fast(block.lba.0) {
-                Some(k) => k,
-                None => return,
-            }
-        } else {
-            block.lba.0
-        };
-        if tr.engine.in_flight(key) {
-            tr.dirty_guard.insert(key);
-        }
+        let Some(dest) = self.tier.as_ref().and_then(|tr| tr.copy_destination(key)) else { return };
+        self.submit_os(dest, Pfn(0), Some(data), Purpose::TierWrite { key }, 0, now);
     }
 
     // ----- controller crash recovery ---------------------------------------------
 
-    /// The host recovery ladder for a dead controller. Idempotent: only a
-    /// `Failed` controller is acted on, so the many detection sites (lost
-    /// completions, ignored doorbells, drain backstops) can all call this
-    /// without coordinating. The ladder: quiesce (begin the reset, which
-    /// keeps refusing doorbells), schedule the reset completion at the
-    /// fault plan's deterministic latency, retire every stale watchdog
-    /// token for the device while requeuing or degrading its lost I/O
-    /// (HWDP retries then falls back to OSDP; OSDP retries then surfaces a
-    /// typed [`IoError`]), and abort every in-flight tier migration via
-    /// the existing commit/abort machinery (their copy I/O died with the
-    /// controller).
+    /// The host recovery ladder for a dead controller, idempotent so the
+    /// many detection sites need not coordinate: begin the reset (see
+    /// [`Io::begin_controller_reset`]), send every watched command the
+    /// controller lost down [`System::fail_io`], and abort every in-flight
+    /// tier migration (their copy I/O died with the controller).
     fn handle_controller_failure(&mut self, dev: usize, now: Time) {
-        if self.devices[dev].state() != ControllerState::Failed {
+        if !self.io.begin_controller_reset(&mut self.queue, dev, now) {
             return;
         }
-        self.devices[dev].begin_reset();
-        self.controller_resets += 1;
-        let latency =
-            Duration::from_micros(self.cfg.faults.map_or(100, |f| f.reset_latency_us));
-        self.queue.schedule(now + latency, Event::ControllerReset { dev });
-        // Tokens lost with the controller will never complete; any stale
-        // marks for them would leak (their late completions are gone too).
-        self.stale_tokens.retain(|&(d, _), _| d != dev);
-        // Sweep the watchdogs: cancel each timeout (the recovery below is
-        // the timeout's job, done early) and recover per purpose. The map
-        // is taken whole so recovery actions can re-arm watchdogs for
-        // other devices while we iterate.
-        let meta = std::mem::take(&mut self.io_meta);
-        for ((d, token), m) in meta {
-            if d != dev {
-                self.io_meta.insert((d, token), m);
-                continue;
-            }
-            self.queue.cancel(m.timeout);
-            match m.purpose {
-                Purpose::HwdpMiss { entry } => self.recover_hwdp(entry, m.attempt, now),
-                Purpose::OsdpRead { key } => self.recover_osdp(key, now),
-                // Write data applied at submission; nothing to recover.
-                Purpose::Writeback => {}
-                Purpose::TierRead { key } | Purpose::TierWrite { key } => self.tier_abort(key),
-            }
+        // Each taken watchdog's timeout is cancelled: its recovery is done
+        // now instead.
+        while let Some((purpose, attempt)) = self.io.take_watchdog(&mut self.queue, dev) {
+            self.fail_io(purpose, attempt, now);
         }
-        // Migration copy I/O is not watchdog-tracked; abort every in-flight
-        // migration outright (tier_tick stays quiesced until the reset
-        // completes, so no new ones start under the dead controller).
-        if let Some(tr) = self.tier.as_mut() {
-            let TierRuntime { engine, pages, dirty_guard, .. } = tr;
-            for key in pages.keys() {
-                if engine.in_flight(key) {
-                    dirty_guard.remove(&key);
-                    engine.abort(key);
-                }
-            }
+        // Migration copies are not watched. `tier_tick` stays quiesced
+        // until the reset completes, so no new one starts meanwhile.
+        if let Some(tr) = &mut self.tier {
+            tr.abort_all();
         }
     }
 
@@ -1805,7 +1402,7 @@ impl System {
     /// channels idle. Runs the post-reset audit invariants, then re-drives
     /// the submissions parked while the controller was down.
     fn finish_controller_reset(&mut self, dev: usize, now: Time) {
-        self.devices[dev].finish_reset(now);
+        self.io.devices[dev].finish_reset(now);
         self.post_reset_audit(dev);
         self.drain_deferred(dev, now);
     }
@@ -1813,41 +1410,12 @@ impl System {
     /// Post-reset audit point: the recovery ladder's exit invariants.
     /// Observation-only, gated on `cfg.sanitize` like every audit pass.
     fn post_reset_audit(&mut self, dev: usize) {
-        let level = self.cfg.sanitize;
-        if !level.cheap_checks() {
+        if !self.cfg.sanitize.cheap_checks() {
             return;
         }
         let mut report = AuditReport::new();
-        report.check_args(
-            "core",
-            "reset-rings-empty",
-            self.devices[dev].queue_pairs().all(|q| q.rings_empty()),
-            format_args!("device {dev}: ring not empty after controller reset"),
-        );
-        report.check_args(
-            "core",
-            "reset-phase-consistent",
-            self.devices[dev].queue_pairs().all(|q| q.phases_consistent()),
-            format_args!("device {dev}: CQ phase tags inconsistent after controller reset"),
-        );
-        report.check_args(
-            "core",
-            "reset-watchdogs-cancelled",
-            self.io_meta.keys().all(|&(d, _)| d != dev),
-            format_args!("device {dev}: watchdog tokens survived the controller reset"),
-        );
-        // Every SMU token lost in the crash was retired: submissions still
-        // parked for the device may only reference live PMSHR entries
-        // (anything stale could never be woken by its completion).
-        report.check_args(
-            "core",
-            "reset-pmshr-drained",
-            self.deferred_io[dev].iter().all(|d| match d.purpose {
-                Purpose::HwdpMiss { entry } => self.smu.pmshr.try_entry(entry).is_some(),
-                _ => true,
-            }),
-            format_args!("device {dev}: parked submission references a retired PMSHR entry"),
-        );
+        let pmshr = &self.smu.pmshr;
+        self.io.post_reset_audit(dev, |entry| pmshr.try_entry(entry).is_some(), &mut report);
         if let Some(tr) = &self.tier {
             report.check_args(
                 "core",
@@ -1871,22 +1439,10 @@ impl System {
         };
         if attempt < self.cfg.retry.max_retries {
             if let Some((qid, cmd)) = self.smu.reissue_read(entry) {
-                self.io_retries += 1;
-                let Some(dev) = self.device_of(block) else {
-                    // Device vanished from the table: no retry possible.
-                    self.escalate_hwdp(entry, now);
-                    return;
-                };
+                self.io.recovery.retries += 1;
                 let backoff = self.cfg.retry.backoff_base * (1u64 << attempt.min(16));
-                self.submit_or_defer(
-                    dev,
-                    qid,
-                    cmd,
-                    None,
-                    Purpose::HwdpMiss { entry },
-                    attempt + 1,
-                    now + backoff,
-                );
+                let req = Request::hwdp(qid, cmd, entry, attempt + 1);
+                self.submit_or_defer(self.io.device_of(block), req, now + backoff);
                 return;
             }
         }
@@ -1899,7 +1455,7 @@ impl System {
     /// prefetches) are dropped silently — prefetching is best-effort.
     fn escalate_hwdp(&mut self, entry: EntryIdx, now: Time) {
         let Some(e) = self.smu.abandon_io(entry, 0) else { return };
-        self.smu_fallbacks_fault += 1;
+        self.io.recovery.smu_fallbacks += 1;
         for waiter in e.waiters {
             let tid = ThreadId(waiter as usize);
             if let Some(Step::Read { region, offset, .. } | Step::Write { region, offset, .. }) =
@@ -1928,9 +1484,9 @@ impl System {
         if pending.attempts < 1 {
             pending.attempts += 1;
             let (block, pfn) = (pending.block, pending.pfn);
-            self.io_retries += 1;
+            self.io.recovery.retries += 1;
             let at = now + self.cfg.retry.backoff_base;
-            self.submit_read(block, pfn, at, Purpose::OsdpRead { key }, 1);
+            self.submit_os(block, pfn, None, Purpose::OsdpRead { key }, 1, at);
         } else {
             self.surface_osdp_error(key, now);
         }
@@ -1950,7 +1506,6 @@ impl System {
             self.recycle_waiters(waiters);
             return;
         }
-        self.io_errors_surfaced += 1;
         self.io_errors.push(IoError { block: pending.block, vpn: pending.vpn });
         for tid in waiters.drain(..) {
             let thread = &mut self.threads[tid.0];
@@ -1978,16 +1533,14 @@ impl System {
                 // Batch evictions (kpoold refills) pace their writebacks at
                 // the device's write drain rate instead of dumping the
                 // whole burst at once — the kernel's writeback throttling.
-                self.tier_note_writeback(&ev.block);
-                let Some(dev) = self.device_of(ev.block) else { continue };
-                let pace = self.devices[dev].profile().write_4k
-                    / self.devices[dev].profile().channels as u64;
+                if let Some(tr) = &mut self.tier {
+                    tr.note_writeback(&ev.block);
+                }
+                let profile = self.io.devices[self.io.device_of(ev.block)].profile();
+                let pace = profile.write_4k / profile.channels as u64;
                 let at = now + pace * submitted;
                 submitted += 1;
-                self.wb_cid = self.wb_cid.wrapping_add(1);
-                let cmd = NvmeCommand::write4k(self.wb_cid, 1, ev.block.lba.0, Pfn(0).base());
-                let qid = self.os_queues[dev];
-                self.submit_or_defer(dev, qid, cmd, Some(ev.data), Purpose::Writeback, 0, at);
+                self.submit_os(ev.block, Pfn(0), Some(ev.data), Purpose::Writeback, 0, at);
             }
         }
     }
@@ -2041,20 +1594,7 @@ impl System {
         if let Some(tr) = &self.tier {
             self.queue.schedule(Time::ZERO + tr.period, Event::TierTick);
         }
-        // Controller crashes are scheduled from pure config (no RNG draw):
-        // every attached controller dies at the configured virtual times,
-        // the severest multi-device failure mode. Times beyond the run's
-        // end simply never fire.
-        if let Some(f) = self.cfg.faults.filter(|f| f.crash_at_us > 0) {
-            for dev in 0..self.devices.len() {
-                for t_us in f.crash_times() {
-                    self.queue.schedule(
-                        Time::ZERO + Duration::from_micros(t_us),
-                        Event::ControllerCrash { dev },
-                    );
-                }
-            }
-        }
+        self.io.schedule_crashes(&mut self.queue);
 
         let mut end = Time::ZERO;
         while let Some(at) = self.queue.peek_time() {
@@ -2075,22 +1615,11 @@ impl System {
                     self.handle_io_done(dev, token, purpose, now);
                 }
                 Event::IoTimeout { dev, token } => {
-                    // A cancelled watchdog never fires (lazy deletion), so
-                    // reaching here means the command is genuinely late,
-                    // dropped, or stuck. Mark the token stale and recover.
-                    if let Some(meta) = self.io_meta.remove(&(dev, token)) {
-                        self.stale_tokens.insert((dev, token), ());
-                        self.io_timeouts += 1;
-                        match meta.purpose {
-                            Purpose::HwdpMiss { entry } => {
-                                self.recover_hwdp(entry, meta.attempt, now)
-                            }
-                            Purpose::OsdpRead { key } => self.recover_osdp(key, now),
-                            Purpose::Writeback => {}
-                            Purpose::TierRead { key } | Purpose::TierWrite { key } => {
-                                self.tier_abort(key)
-                            }
-                        }
+                    // A cancelled watchdog never fires, so the command is
+                    // genuinely late, dropped, or stuck. Its completion,
+                    // if one ever comes, is retired.
+                    if let Some((purpose, attempt)) = self.io.expire_watchdog(dev, token) {
+                        self.fail_io(purpose, attempt, now);
                     }
                 }
                 Event::SqDrain { dev } => {
@@ -2099,7 +1628,7 @@ impl System {
                 Event::ControllerCrash { dev } => {
                     // The device dies silently: the host only notices via
                     // lost completions or ignored doorbells.
-                    self.crash_ios_lost += self.devices[dev].crash() as u64;
+                    self.io.crash_controller(dev);
                 }
                 Event::ControllerReset { dev } => {
                     self.finish_controller_reset(dev, now);
@@ -2164,20 +1693,15 @@ impl System {
         }
         // Fault-recovery activity is system-wide, not per-thread: merge it
         // into the aggregate counter set only.
-        perf.io_retries += self.io_retries;
-        perf.io_timeouts += self.io_timeouts;
-        perf.smu_fallbacks_fault += self.smu_fallbacks_fault;
-        perf.io_errors_surfaced += self.io_errors_surfaced;
-        let device_reads = self.devices.iter().map(|d| d.stats().reads).sum();
-        let device_writes = self.devices.iter().map(|d| d.stats().writes).sum();
-        let tier = self.tier.as_ref().map(|tr| {
-            let mut t = tr.engine.report();
-            t.fast_reads = self.devices[tr.fast_index].stats().reads;
-            t.fast_writes = self.devices[tr.fast_index].stats().writes;
-            t.slow_reads = self.devices[0].stats().reads;
-            t.slow_writes = self.devices[0].stats().writes;
-            t
-        });
+        let rec = self.io.recovery;
+        perf.io_retries += rec.retries;
+        perf.io_timeouts += rec.timeouts;
+        perf.smu_fallbacks_fault += rec.smu_fallbacks;
+        perf.io_errors_surfaced += self.io_errors.len() as u64;
+        let devices = &self.io.devices;
+        let device_reads = devices.iter().map(|d| d.stats().reads).sum();
+        let device_writes = devices.iter().map(|d| d.stats().writes).sum();
+        let tier = self.tier.as_ref().map(|tr| tr.report(devices));
         RunResult {
             elapsed: end.since_start(),
             ops,
@@ -2195,8 +1719,8 @@ impl System {
             long_io_switches: self.long_io_switches,
             readahead_reads: self.readahead_reads,
             smu_prefetches: self.smu.stats().prefetches,
-            controller_resets: self.controller_resets,
-            crash_ios_lost: self.crash_ios_lost,
+            controller_resets: rec.controller_resets,
+            crash_ios_lost: rec.crash_ios_lost,
             events_processed: self.events_processed,
             audit: self.audit.clone(),
             tier,
@@ -2210,7 +1734,7 @@ impl System {
 
     /// Direct access to device 0 (tests).
     pub fn device(&self) -> &NvmeController {
-        &self.devices[0]
+        &self.io.devices[0]
     }
 
     /// Typed I/O errors surfaced to workloads so far. Empty unless fault
@@ -2222,12 +1746,12 @@ impl System {
     /// Device-side injected-fault ground truth for device `dev` (`None`
     /// when no fault plan is installed).
     pub fn fault_stats(&self, dev: usize) -> Option<&hwdp_nvme::FaultStats> {
-        self.devices.get(dev).and_then(|d| d.fault_stats())
+        self.io.devices.get(dev).and_then(|d| d.fault_stats())
     }
 
     /// Controller resets driven to completion by the recovery ladder.
     pub fn controller_resets(&self) -> u64 {
-        self.controller_resets
+        self.io.recovery.controller_resets
     }
 
     /// FNV-1a digest of the user-visible storage state: for every file
@@ -2252,11 +1776,9 @@ impl System {
                 let checksum = match self.os.cache.lookup(file, page) {
                     Some(pfn) => self.os.frames.checksum(pfn),
                     None => {
-                        let (socket, devid, nsid, lba) = self.os.fs.location(file, page);
-                        match self.device_index.get(&(socket.0, devid.0)) {
-                            Some(&d) => self.devices[d].namespace(nsid).block_checksum(lba),
-                            None => 0,
-                        }
+                        let (_, devid, nsid, lba) = self.os.fs.location(file, page);
+                        let dev = self.io.devices.get(usize::from(devid.0));
+                        dev.map_or(0, |d| d.namespace(nsid).block_checksum(lba))
                     }
                 };
                 mix(&mut h, u64::from(file.0));
@@ -2281,17 +1803,7 @@ impl System {
         self.sanitize(level, &mut report);
         // The doorbell history check needs mutable last-seen state, so it
         // lives outside the (stateless) Sanitizer pass.
-        for (i, dev) in self.devices.iter().enumerate() {
-            let total = dev.doorbell_writes_total();
-            let last = self.audit_doorbells[i];
-            report.check_args(
-                "core",
-                "doorbell-monotonic",
-                total >= last,
-                format_args!("device {i}: doorbell-write total went backwards ({last} -> {total})"),
-            );
-            self.audit_doorbells[i] = total;
-        }
+        self.io.audit_doorbells(&mut report);
         self.audit.merge(report);
     }
 
@@ -2299,125 +1811,6 @@ impl System {
     /// a broken invariant).
     pub fn audit_report(&self) -> &AuditReport {
         &self.audit
-    }
-
-    /// Test-only corruption hook: registers a fake in-flight OSDP fault
-    /// whose frame was never allocated, so the `osdp-inflight-frame`
-    /// negative test can inject the submit/complete mismatch the real
-    /// fault path (correctly) makes unreachable.
-    #[cfg(test)]
-    pub(crate) fn corrupt_osdp_inflight_for_test(&mut self) {
-        let bogus = Pfn(self.cfg.memory_frames as u64 + 7);
-        let block = BlockRef {
-            socket: SocketId(0),
-            device: DeviceId(0),
-            lba: hwdp_mem::addr::Lba(0),
-        };
-        self.osdp_inflight.insert(
-            (u32::MAX, u64::MAX),
-            OsdpPending { vpn: Vpn(0), pfn: bogus, block, attempts: 0, waiters: Vec::new() },
-        );
-    }
-
-    /// Test-only corruption hook: makes the file system claim a page
-    /// lives on the fast tier while the tiering engine still holds it
-    /// slow-resident — the cross-namespace LBA corruption the
-    /// `tier-residence-consistent` negative test injects.
-    #[cfg(test)]
-    pub(crate) fn corrupt_tier_residence_for_test(&mut self) {
-        // No-op without tiering or tracked pages: the negative test then
-        // fails loudly on its missing-violation assertion.
-        let Some(tr) = self.tier.as_ref() else { return };
-        let Some((key, &(file, page))) = tr.pages.iter().next() else { return };
-        let fast_dev = tr.fast_dev;
-        self.os.fs.set_location(file, page, SocketId(0), fast_dev, 1, Lba(key));
-    }
-
-    /// Test-only corruption hook for `idle-context-tlb-empty`: fills a
-    /// translation into an idle context's TLB, the state a fill on the
-    /// wrong context would leave.
-    #[cfg(test)]
-    pub(crate) fn corrupt_idle_tlb_for_test(&mut self) {
-        if let Some(hw) = self.hw.iter_mut().find(|hw| hw.running.is_none()) {
-            hw.tlb.fill(Vpn(0), Pfn(0));
-        }
-    }
-
-    /// Test-only entry point: runs the post-reset audit for device `dev`
-    /// so the negative tests can assert each reset invariant actually
-    /// detects its corruption.
-    #[cfg(test)]
-    pub(crate) fn post_reset_audit_for_test(&mut self, dev: usize) {
-        self.post_reset_audit(dev);
-    }
-
-    /// Test-only corruption hook for `reset-rings-empty`: leaves a
-    /// submitted-but-unfetched command in device 0's OS ring, the state a
-    /// botched reset would fail to clear.
-    #[cfg(test)]
-    pub(crate) fn corrupt_ring_for_test(&mut self) {
-        let qid = self.os_queues[0];
-        let cmd = NvmeCommand::read4k(1, 1, 0, Pfn(0).base());
-        let _ = self.devices[0].queue(qid).host_submit(cmd);
-    }
-
-    /// Test-only corruption hook for `reset-phase-consistent`: walks the
-    /// device-side CQ through a full lap so its posting phase flips while
-    /// the host's expectation does not — the desync a reset must erase.
-    #[cfg(test)]
-    pub(crate) fn corrupt_phase_for_test(&mut self) {
-        let qid = self.os_queues[0];
-        let q = self.devices[0].queue(qid);
-        for _ in 0..q.depth() {
-            q.device_post_completion(0, Status::Success);
-        }
-    }
-
-    /// Test-only corruption hook for `reset-watchdogs-cancelled`: arms a
-    /// watchdog for a live device-0 command as if the failure sweep had
-    /// missed it.
-    #[cfg(test)]
-    pub(crate) fn corrupt_watchdog_for_test(&mut self) {
-        let qid = self.os_queues[0];
-        let cmd = NvmeCommand::read4k(2, 1, 0, Pfn(0).base());
-        if let Ok((token, _)) = self.devices[0].submit(qid, cmd, None, Time::ZERO) {
-            let timeout = self
-                .queue
-                .schedule(Time::ZERO + self.cfg.retry.command_timeout, Event::IoTimeout {
-                    dev: 0,
-                    token,
-                });
-            self.io_meta.insert((0, token), IoMeta { purpose: Purpose::Writeback, attempt: 0, timeout });
-        }
-    }
-
-    /// Test-only corruption hook for `reset-pmshr-drained`: parks a
-    /// deferred HWDP submission referencing a PMSHR entry that was never
-    /// allocated (the dangling token a crash sweep must never leave).
-    #[cfg(test)]
-    pub(crate) fn corrupt_deferred_pmshr_for_test(&mut self) {
-        let qid = self.os_queues[0];
-        let cmd = NvmeCommand::read4k(3, 1, 0, Pfn(0).base());
-        self.deferred_io[0].push_back(DeferredIo {
-            qid,
-            cmd,
-            data: None,
-            purpose: Purpose::HwdpMiss { entry: EntryIdx(u16::MAX) },
-            attempt: 0,
-        });
-    }
-
-    /// Test-only corruption hook for `reset-tier-quiesced`: heats a
-    /// tracked page and runs a planning tick directly on the engine, so a
-    /// migration is in flight with no driver I/O backing it.
-    #[cfg(test)]
-    pub(crate) fn corrupt_tier_inflight_for_test(&mut self) {
-        let Some(tr) = self.tier.as_mut() else { return };
-        let Some(key) = tr.pages.keys().next() else { return };
-        for _ in 0..64 {
-            tr.engine.record_access(false, key);
-        }
-        let _ = tr.engine.plan_tick(|_| true);
     }
 }
 
@@ -2452,9 +1845,7 @@ impl Sanitizer for System {
         }
         self.os.sanitize(level, report);
         self.smu.sanitize(level, report);
-        for dev in &self.devices {
-            dev.sanitize(level, report);
-        }
+        self.io.sanitize(level, report);
         for (&(file, page), pending) in self.osdp_inflight.iter() {
             report.check_args(
                 "core",
@@ -2481,61 +1872,28 @@ impl Sanitizer for System {
         // Fault-recovery pairing: every armed watchdog must reference live
         // state — a dangling reference means a retry chain lost its
         // target and can never resolve.
-        for (&(dev, token), meta) in self.io_meta.iter() {
-            match meta.purpose {
+        for (&(dev, token), purpose) in self.io.watched() {
+            let (invariant, live) = match purpose {
                 Purpose::HwdpMiss { entry } => {
-                    report.check_args(
-                        "core",
-                        "fault-watchdog-entry",
-                        self.smu.pmshr.try_entry(entry).is_some(),
-                        format_args!(
-                            "watchdog for device {dev} token {token:?} references retired PMSHR entry {entry:?}"
-                        ),
-                    );
+                    ("fault-watchdog-entry", self.smu.pmshr.try_entry(entry).is_some())
                 }
-                Purpose::OsdpRead { key } => {
-                    report.check_args(
-                        "core",
-                        "fault-watchdog-osdp",
-                        self.osdp_inflight.contains_key(&key),
-                        format_args!(
-                            "watchdog for device {dev} token {token:?} references resolved OS fault {key:?}"
-                        ),
-                    );
-                }
-                Purpose::Writeback | Purpose::TierRead { .. } | Purpose::TierWrite { .. } => {}
-            }
+                Purpose::OsdpRead { key } => ("fault-watchdog-osdp", self.osdp_inflight.contains_key(&key)),
+                Purpose::Writeback | Purpose::TierRead { .. } | Purpose::TierWrite { .. } => continue,
+            };
+            report.check_args(
+                "core",
+                invariant,
+                live,
+                format_args!("watchdog for device {dev} token {token:?} references the resolved {purpose:?}"),
+            );
         }
         // Tier layer: the engine's own invariants (capacity, ownership
-        // bijection), plus the cross-layer residence check — what the
-        // engine believes about a page's placement must agree with the
-        // file system's per-page location override, or reads would be
-        // routed to a block the tier layer does not own.
+        // bijection), plus the cross-layer residence check against the
+        // file system's location overrides.
         if let Some(tr) = &self.tier {
             tr.engine.sanitize(level, report);
             if level.full_checks() {
-                for (key, &(file, page)) in tr.pages.iter() {
-                    let over = self.os.fs.location_override(file, page);
-                    let res = tr.engine.residence_of(key);
-                    let ok = match res {
-                        Some(TierResidence::Slow | TierResidence::PromoteInFlight(_)) | None => {
-                            over.is_none()
-                        }
-                        Some(TierResidence::Fast(f) | TierResidence::DemoteInFlight(f)) => {
-                            over == Some((SocketId(0), tr.fast_dev, 1, Lba(f)))
-                        }
-                    };
-                    report.check_args(
-                        "core",
-                        "tier-residence-consistent",
-                        ok,
-                        format_args!(
-                            "page key {key} (file {} page {page}): engine residence {res:?} \
-                             disagrees with fs location override {over:?}",
-                            file.0
-                        ),
-                    );
-                }
+                tr.check_residence(&self.os.fs, report);
             }
         }
         // Clean-exit drain: once every thread finished, no in-flight fault
@@ -2752,7 +2110,10 @@ mod tests {
         // was never allocated — the completion would DMA into untracked
         // memory.
         let mut sys = small_system(SanitizeLevel::Full);
-        sys.corrupt_osdp_inflight_for_test();
+        let pfn = Pfn(sys.cfg.memory_frames as u64 + 7);
+        let block = BlockRef { socket: SocketId(0), device: DeviceId(0), lba: hwdp_mem::addr::Lba(0) };
+        let pending = OsdpPending { vpn: Vpn(0), pfn, block, attempts: 0, waiters: Vec::new() };
+        sys.osdp_inflight.insert((u32::MAX, u64::MAX), pending);
         sys.run_audit();
         let report = sys.audit_report();
         assert!(!report.is_clean());
@@ -2772,7 +2133,8 @@ mod tests {
         let mut sys = small_system(SanitizeLevel::Cheap);
         sys.run_audit();
         assert!(sys.audit_report().is_clean());
-        sys.corrupt_idle_tlb_for_test();
+        let idle = sys.hw.iter_mut().find(|hw| hw.running.is_none()).expect("an idle context");
+        idle.tlb.fill(Vpn(0), Pfn(0));
         sys.run_audit();
         let v = sys
             .audit_report()
@@ -2788,10 +2150,10 @@ mod tests {
     fn doorbell_history_advances_monotonically() {
         let mut sys = small_system(SanitizeLevel::Full);
         sys.run(Duration::from_millis(100));
-        let before = sys.audit_doorbells.clone();
+        let before = sys.io.doorbells.clone();
         sys.run_audit();
         assert!(sys.audit_report().is_clean());
-        assert_eq!(sys.audit_doorbells, before, "idle audit sees unchanged doorbells");
+        assert_eq!(sys.io.doorbells, before, "idle audit sees unchanged doorbells");
     }
 
     #[test]
@@ -2799,11 +2161,8 @@ mod tests {
         let mut sys = SystemBuilder::new(Mode::Hwdp).memory_frames(128).seed(3).build();
         let id = sys.add_device(DeviceProfile::OPTANE_PMM);
         assert_eq!(id, DeviceId(1));
-        assert_eq!(sys.devices.len(), 2);
-        assert_eq!(sys.os_queues.len(), 2);
-        assert_eq!(sys.deferred_io.len(), 2);
-        assert_eq!(sys.audit_doorbells.len(), 2);
-        assert_eq!(sys.device_index[&(0, 1)], 1);
+        assert_eq!(sys.io.devices.len(), 2);
+        assert_eq!(sys.io.doorbells.len(), 2);
         // The SMU got its own descriptor register set for the new device,
         // with doorbell addresses disjoint from device 0's.
         let d0 = *sys.smu().host.descriptor(DeviceId(0)).expect("device 0 installed");
@@ -2823,8 +2182,8 @@ mod tests {
         let r = sys.run(Duration::from_millis(400));
         assert!(r.ops > 0, "workload made progress");
         assert_eq!(r.verify_failures(), 0, "pattern data verified across devices");
-        assert!(sys.devices[1].stats().reads > 0, "misses served by the added device");
-        assert_eq!(sys.devices[0].stats().reads, 0, "device 0 holds no data for this run");
+        assert!(sys.io.devices[1].stats().reads > 0, "misses served by the added device");
+        assert_eq!(sys.io.devices[0].stats().reads, 0, "device 0 holds no data for this run");
     }
 
     fn tier_config(policy: hwdp_tier::PolicyKind) -> hwdp_tier::TierConfig {
@@ -2896,7 +2255,7 @@ mod tests {
         // The window matters: judged by the page cache alone, this tick
         // would copy some of those in-DRAM pages between the tiers.
         let naive = {
-            let TierRuntime { engine, pages, .. } = twin.tier.as_mut().expect("tiering is on");
+            let TierDriver { engine, pages, .. } = twin.tier.as_mut().expect("tiering is on");
             let cache = &twin.os.cache;
             engine.plan_tick(|key| pages.get(key).is_some_and(|(f, p)| cache.lookup(*f, *p).is_none()))
         };
@@ -2929,7 +2288,7 @@ mod tests {
     fn queue_full_fault_window_aborts_migrations_and_stays_clean() {
         // Queue-full windows park tier copy I/O in the deferral queue;
         // while a copy waits, demand writebacks dirty its source page and
-        // `tier_commit` must abort instead of committing a stale copy.
+        // the commit must abort instead of committing a stale copy.
         // End to end: the run completes, data integrity holds, the audit
         // is clean, and at least one migration was aborted.
         use hwdp_nvme::fault::FaultConfig;
@@ -2979,7 +2338,7 @@ mod tests {
         // tier while the engine still owns it on the slow tier — reads
         // would be routed to an LBA the tier layer never wrote.
         let mut sys = tiered_system(SanitizeLevel::Full);
-        sys.corrupt_tier_residence_for_test();
+        crate::tier_driver::tests::corrupt_residence(sys.tier.as_ref().expect("tiered"), &mut sys.os.fs);
         sys.run_audit();
         let report = sys.audit_report();
         assert!(!report.is_clean());
@@ -3054,6 +2413,36 @@ mod tests {
     }
 
     #[test]
+    fn late_completions_after_a_watchdog_fired_are_retired_not_finished() {
+        // Delays only: a fifth of the reads take 40x their service time,
+        // far past the 200 us watchdog, which fires and retries while the
+        // original is still in flight. The original's late completion has
+        // no watchdog left, so it must be retired: delivered, it would
+        // finish the PMSHR entry or OS fault early, and the retry's
+        // completion would then finish it (or the miss that took its
+        // entry next) a second time.
+        use hwdp_nvme::fault::FaultConfig;
+        for mode in [Mode::Osdp, Mode::Hwdp] {
+            let mut sys = SystemBuilder::new(mode)
+                .memory_frames(256)
+                .seed(11)
+                .sanitize(SanitizeLevel::Full)
+                .faults(FaultConfig { delay_rate: 0.2, delay_factor: 40.0, ..FaultConfig::default() })
+                .build();
+            let file = sys.create_pattern_file("late.dat", 512);
+            let region = sys.map_file(file);
+            let rng = sys.fork_rng();
+            sys.spawn(Box::new(FioRandRead::new(region, 512, 400, rng)), 1.5, None);
+            let r = sys.run(Duration::from_millis(1000));
+            assert_eq!(r.ops, 400, "{mode:?}: the workload finished");
+            assert!(r.perf.io_timeouts > 10, "{mode:?}: watchdogs fired: {:?}", r.perf.io_timeouts);
+            assert_eq!(sys.unmatched_finishes, 0, "{mode:?}: a completion was finished twice");
+            assert_eq!(r.verify_failures(), 0, "{mode:?}");
+            assert!(r.audit.is_clean(), "{mode:?}: {:?}", r.audit.violations);
+        }
+    }
+
+    #[test]
     fn content_digest_is_deterministic() {
         let mut a = small_system(SanitizeLevel::Off);
         let mut b = small_system(SanitizeLevel::Off);
@@ -3066,7 +2455,7 @@ mod tests {
     #[test]
     fn clean_post_reset_audit_reports_no_violations() {
         let mut sys = small_system(SanitizeLevel::Full);
-        sys.post_reset_audit_for_test(0);
+        sys.post_reset_audit(0);
         assert!(sys.audit_report().is_clean(), "{:?}", sys.audit_report().violations);
     }
 
@@ -3075,8 +2464,8 @@ mod tests {
         // Injected corruption: a command still sits in the SQ after the
         // reset supposedly reinitialized the rings.
         let mut sys = small_system(SanitizeLevel::Full);
-        sys.corrupt_ring_for_test();
-        sys.post_reset_audit_for_test(0);
+        crate::io::tests::corrupt_ring(&mut sys.io);
+        sys.post_reset_audit(0);
         let report = sys.audit_report();
         let v = report
             .violations
@@ -3092,8 +2481,8 @@ mod tests {
         // Injected corruption: the device-side CQ phase flipped a lap
         // while the host expectation did not.
         let mut sys = small_system(SanitizeLevel::Full);
-        sys.corrupt_phase_for_test();
-        sys.post_reset_audit_for_test(0);
+        crate::io::tests::corrupt_phase(&mut sys.io);
+        sys.post_reset_audit(0);
         let v = sys
             .audit_report()
             .violations
@@ -3108,8 +2497,8 @@ mod tests {
         // Injected corruption: an armed watchdog survives the failure
         // sweep — its timeout would fire against a token the reset wiped.
         let mut sys = small_system(SanitizeLevel::Full);
-        sys.corrupt_watchdog_for_test();
-        sys.post_reset_audit_for_test(0);
+        crate::io::tests::corrupt_watchdog(&mut sys.io, &mut sys.queue);
+        sys.post_reset_audit(0);
         let v = sys
             .audit_report()
             .violations
@@ -3124,8 +2513,8 @@ mod tests {
         // Injected corruption: a parked submission references a PMSHR
         // entry that was already retired — it could never be woken.
         let mut sys = small_system(SanitizeLevel::Full);
-        sys.corrupt_deferred_pmshr_for_test();
-        sys.post_reset_audit_for_test(0);
+        crate::io::tests::corrupt_parked_pmshr(&mut sys.io);
+        sys.post_reset_audit(0);
         let v = sys
             .audit_report()
             .violations
@@ -3140,8 +2529,8 @@ mod tests {
         // Injected corruption: a tier migration is still marked in flight
         // after the reset aborted every copy I/O.
         let mut sys = tiered_system(SanitizeLevel::Full);
-        sys.corrupt_tier_inflight_for_test();
-        sys.post_reset_audit_for_test(0);
+        crate::tier_driver::tests::corrupt_inflight(sys.tier.as_mut().expect("tiered"));
+        sys.post_reset_audit(0);
         let v = sys
             .audit_report()
             .violations
@@ -3163,7 +2552,7 @@ mod tests {
             let records = 256u64;
             let file = sys.create_kv_file("inline.db", records, records);
             let stored = |sys: &System, key| {
-                sys.devices[0].namespace(1).read_block(sys.os.fs.lba_of(file, key))
+                sys.io.devices[0].namespace(1).read_block(sys.os.fs.lba_of(file, key))
             };
             for key in 0..records {
                 assert!(!stored(&sys, key).is_materialized(), "{mode:?}: built record {key}");

@@ -52,13 +52,14 @@ use crate::rules::{FileContext, Finding, SIM_PATH_CRATES};
 /// dispatchers and recovery arms a device completion (or its timeout)
 /// fires into. Kept in one place so DESIGN.md and the roster test quote
 /// the same list.
-pub const COMPLETION_ROOT_NAMES: [&str; 7] = [
+pub const COMPLETION_ROOT_NAMES: [&str; 8] = [
     "handle_io_done",
     "handle_completion",
     "osdp_fault_complete",
     "osdp_fault_abort",
     "submit_or_defer",
     "drain_deferred",
+    "expire_watchdog",
     "handle_controller_failure",
 ];
 

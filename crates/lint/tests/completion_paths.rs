@@ -14,7 +14,10 @@
 //! (so renames update the root set instead of silently dropping
 //! coverage), while the panic-reachability rule checks the *transitive
 //! closure* — every function reachable from a completion root, not just
-//! the roster itself.
+//! the roster itself. That rule's zero findings are asserted by
+//! `ratchet.rs`: `committed_baseline_absorbs_every_finding` leaves no
+//! finding unbudgeted, and `semantic_rule_families_carry_zero_grandfather_budget`
+//! pins panic-reachability's budget at zero.
 
 use std::path::Path;
 
@@ -28,9 +31,10 @@ fn workspace_root() -> std::path::PathBuf {
 /// completion-path closure; a missing name means a rename broke root
 /// coverage and this roster (plus `COMPLETION_ROOT_NAMES` if the rename
 /// touched a root) must track it.
-const ROSTER: [&str; 23] = [
+const ROSTER: [&str; 30] = [
     "System::handle_io_done",
     "System::dispatch_completion",
+    "System::fail_io",
     "System::recover_hwdp",
     "System::escalate_hwdp",
     "System::recover_osdp",
@@ -38,8 +42,14 @@ const ROSTER: [&str; 23] = [
     "System::finish_hwdp_miss",
     "System::finish_osdp_read",
     "System::submit_or_defer",
+    "System::submit_os",
     "System::drain_deferred",
-    "System::fail_submission",
+    "Io::take_completion",
+    "Io::submit_request",
+    "Io::drain_deferred",
+    "Io::begin_controller_reset",
+    "Io::take_watchdog",
+    "TierDriver::commit",
     "Smu::finish_io",
     "Smu::finish_zero_fill",
     "Smu::reissue_read",
@@ -71,24 +81,6 @@ fn recovery_roster_is_completion_reachable() {
     assert!(
         offences.is_empty(),
         "completion-path roster out of sync with the call graph:\n  {}",
-        offences.join("\n  ")
-    );
-}
-
-#[test]
-fn completion_path_closure_is_panic_free() {
-    // Zero raw findings, before any baseline filtering:
-    // the panic-reachability rule carries no grandfather budget, so a
-    // single `.unwrap()` anywhere in the completion closure fails here.
-    let g = hwdp_lint::call_graph(&workspace_root()).expect("call graph builds");
-    let offences: Vec<String> = hwdp_lint::callgraph::findings(&g)
-        .into_iter()
-        .filter(|f| f.rule == "panic-reachability")
-        .map(|f| f.render())
-        .collect();
-    assert!(
-        offences.is_empty(),
-        "completion paths must recover, not panic:\n  {}",
         offences.join("\n  ")
     );
 }

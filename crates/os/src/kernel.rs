@@ -282,17 +282,8 @@ impl Os {
     /// Runs the clock over OS-known pages, evicting up to `n`. Fast-VMA
     /// pages get their PTE rewritten to LBA-augmented (§IV-B: LBA written
     /// back, present cleared, LBA bit set); normal pages get an empty PTE.
-    /// The freed frames return to the pool.
-    ///
-    /// Convenience wrapper over [`Os::reclaim_into`] for tests and setup
-    /// paths.
-    pub fn reclaim(&mut self, n: usize) -> Vec<Eviction> {
-        let mut out = Vec::new();
-        self.reclaim_into(n, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Os::reclaim`]: evictions are appended to `out`.
+    /// The freed frames return to the pool, and the evictions are appended
+    /// to `out`.
     pub fn reclaim_into(&mut self, n: usize, out: &mut Vec<Eviction>) {
         // Split borrows: the clock callback inspects PTE accessed bits.
         let mut victims = std::mem::take(&mut self.scratch_victims);
@@ -494,20 +485,8 @@ impl Os {
     }
 
     /// `kpoold` support: allocates up to `n` frames for the SMU free-page
-    /// queue (reclaiming as needed). Returns the frames and any
-    /// evictions/writebacks produced.
-    ///
-    /// Convenience wrapper over [`Os::take_frames_for_refill_into`] for
-    /// tests; the kpoold tick passes reusable scratch buffers.
-    pub fn take_frames_for_refill(&mut self, n: usize) -> (Vec<Pfn>, Vec<Eviction>) {
-        let mut frames = Vec::new();
-        let mut evictions = Vec::new();
-        self.take_frames_for_refill_into(n, &mut frames, &mut evictions);
-        (frames, evictions)
-    }
-
-    /// Allocation-free [`Os::take_frames_for_refill`]: frames and
-    /// evictions are appended to the caller's scratch buffers.
+    /// queue (reclaiming as needed), appending the frames and any
+    /// evictions/writebacks produced to the caller's scratch buffers.
     pub fn take_frames_for_refill_into(
         &mut self,
         n: usize,
@@ -781,7 +760,8 @@ mod tests {
         for p in 0..8 {
             os.page_table.update_pte(vma.base.add(p), Pte::clear_accessed);
         }
-        let evs = os.reclaim(4);
+        let mut evs = Vec::new();
+        os.reclaim_into(4, &mut evs);
         assert_eq!(evs.len(), 4);
         for ev in &evs {
             let pte = os.page_table.pte(ev.vpn.unwrap());
@@ -837,7 +817,8 @@ mod tests {
     #[test]
     fn refill_produces_frames_and_accounts() {
         let (mut os, _f) = os_with_file(64, 8);
-        let (frames, evs) = os.take_frames_for_refill(10);
+        let (mut frames, mut evs) = (Vec::new(), Vec::new());
+        os.take_frames_for_refill_into(10, &mut frames, &mut evs);
         assert_eq!(frames.len(), 10);
         assert!(evs.is_empty());
         assert_eq!(os.stats().refilled_frames, 10);
@@ -902,7 +883,7 @@ mod tests {
             os.map_resident(vma, p, pfn);
             os.page_table.update_pte(vma.base.add(p), Pte::clear_accessed);
         }
-        os.reclaim(4);
+        os.reclaim_into(4, &mut Vec::new());
         assert_eq!(os.layer(), "os");
         let mut report = AuditReport::new();
         os.sanitize(SanitizeLevel::Full, &mut report);

@@ -114,26 +114,11 @@ impl PageCache {
         })
     }
 
-    /// Runs the second-chance clock to select up to `n` victims.
-    /// `referenced(file, page, vpn)` reports whether the page was touched
-    /// since the last sweep (its PTE accessed bit) — if so the page gets a
-    /// second chance and rotates to the tail; the callback should clear
-    /// the accessed bit.
-    ///
-    /// Convenience wrapper over [`PageCache::select_victims_into`] for
-    /// tests.
-    pub fn select_victims(
-        &mut self,
-        n: usize,
-        referenced: impl FnMut(FileId, u64, Option<Vpn>) -> bool,
-    ) -> Vec<Victim> {
-        let mut victims = Vec::with_capacity(n);
-        self.select_victims_into(n, referenced, &mut victims);
-        victims
-    }
-
-    /// Allocation-free [`PageCache::select_victims`]: clears `victims`,
-    /// then fills it with up to `n` victims.
+    /// Runs the second-chance clock to select up to `n` victims into
+    /// `victims` (cleared first). `referenced(file, page, vpn)` reports
+    /// whether the page was touched since the last sweep (its PTE accessed
+    /// bit) — if so the page gets a second chance and rotates to the tail;
+    /// the callback should clear the accessed bit.
     pub fn select_victims_into(
         &mut self,
         n: usize,
@@ -195,7 +180,8 @@ mod tests {
         for p in 0..4 {
             pc.insert(f(0), p, Pfn(p), None);
         }
-        let victims = pc.select_victims(2, |_, _, _| false);
+        let mut victims = Vec::new();
+        pc.select_victims_into(2, |_, _, _| false, &mut victims);
         let pages: Vec<u64> = victims.iter().map(|v| v.page).collect();
         assert_eq!(pages, vec![0, 1], "FIFO order when nothing is referenced");
         assert_eq!(pc.len(), 2);
@@ -209,14 +195,16 @@ mod tests {
         }
         // Page 0 is referenced on first inspection; pages 1, 2 are not.
         let mut first_pass_for_0 = true;
-        let victims = pc.select_victims(2, |_, page, _| {
+        let mut victims = Vec::new();
+        let referenced = |_, page, _| {
             if page == 0 && first_pass_for_0 {
                 first_pass_for_0 = false;
                 true
             } else {
                 false
             }
-        });
+        };
+        pc.select_victims_into(2, referenced, &mut victims);
         let pages: Vec<u64> = victims.iter().map(|v| v.page).collect();
         assert_eq!(pages, vec![1, 2], "page 0 got its second chance");
         assert_eq!(pc.lookup(f(0), 0), Some(Pfn(0)), "survivor still cached");
@@ -226,7 +214,8 @@ mod tests {
     fn victims_carry_reverse_mapping() {
         let mut pc = PageCache::new();
         pc.insert(f(2), 9, Pfn(99), Some(Vpn(0x900)));
-        let victims = pc.select_victims(1, |_, _, _| false);
+        let mut victims = Vec::new();
+        pc.select_victims_into(1, |_, _, _| false, &mut victims);
         assert_eq!(
             victims,
             vec![Victim { file: f(2), page: 9, pfn: Pfn(99), vpn: Some(Vpn(0x900)) }]
@@ -239,7 +228,8 @@ mod tests {
         for p in 0..3 {
             pc.insert(f(0), p, Pfn(p), None);
         }
-        let victims = pc.select_victims(3, |_, _, _| true);
+        let mut victims = Vec::new();
+        pc.select_victims_into(3, |_, _, _| true, &mut victims);
         assert!(victims.is_empty(), "sweep budget prevents livelock");
         assert_eq!(pc.len(), 3);
     }
@@ -257,7 +247,8 @@ mod tests {
         );
         // Iteration must not rotate the clock: the oldest insert is still
         // the first victim.
-        let victims = pc.select_victims(1, |_, _, _| false);
+        let mut victims = Vec::new();
+        pc.select_victims_into(1, |_, _, _| false, &mut victims);
         assert_eq!(victims[0].page, 9);
     }
 
@@ -281,7 +272,8 @@ mod tests {
         pc.insert(f(0), 0, Pfn(0), None);
         pc.insert(f(0), 1, Pfn(1), None);
         pc.remove(f(0), 0); // clock entry for (0,0) is now stale
-        let victims = pc.select_victims(1, |_, _, _| false);
+        let mut victims = Vec::new();
+        pc.select_victims_into(1, |_, _, _| false, &mut victims);
         assert_eq!(victims[0].page, 1);
     }
 }

@@ -81,7 +81,8 @@ fn clock_respects_references() {
         for p in 0..n as u64 {
             pc.insert(FileId(0), p, Pfn(p), None);
         }
-        let victims = pc.select_victims(n, |_, page, _| protected.contains(&page));
+        let mut victims = Vec::new();
+        pc.select_victims_into(n, |_, page, _| protected.contains(&page), &mut victims);
         for v in &victims {
             assert!(!protected.contains(&v.page), "protected page {} evicted; {ctx}", v.page);
         }

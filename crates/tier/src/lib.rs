@@ -230,6 +230,10 @@ struct PageState {
     last_epoch: u64,
     /// The page's position on the engine's warm list, if listed.
     warm_slot: Option<usize>,
+    /// The page's source was rewritten while its migration was in flight,
+    /// so the copy is stale: [`TierEngine::commit`] refuses it. Set only
+    /// in flight; commit and abort clear it.
+    dirty: bool,
 }
 
 impl PageState {
@@ -338,6 +342,7 @@ impl TierEngine {
             heat: 0,
             last_epoch: 0,
             warm_slot: None,
+            dirty: false,
         });
     }
 
@@ -365,23 +370,21 @@ impl TierEngine {
         )
     }
 
-    /// The page owning a fast-tier LBA, if any.
-    pub fn key_of_fast(&self, fast_lba: u64) -> Option<u64> {
-        self.fast_map.get(fast_lba).copied()
+    /// The page key behind a device-local LBA on the fast (`fast`) or
+    /// slow tier: a fast LBA names its owner, if any; a slow LBA is a key.
+    fn key_of(&self, fast: bool, lba: u64) -> Option<u64> {
+        if fast {
+            self.fast_map.get(lba).copied()
+        } else {
+            Some(lba)
+        }
     }
 
     /// Records one demand read serviced by a device. `fast` selects the
     /// tier the read hit; `lba` is the device-local LBA. Reads of
     /// untracked blocks are ignored.
     pub fn record_access(&mut self, fast: bool, lba: u64) {
-        let key = if fast {
-            match self.fast_map.get(lba) {
-                Some(k) => *k,
-                None => return,
-            }
-        } else {
-            lba
-        };
+        let Some(key) = self.key_of(fast, lba) else { return };
         let epoch = self.epoch;
         if let Some(p) = self.pages.get_mut(key) {
             if matches!(p.residence, TierResidence::Fast(_)) && p.last_epoch != epoch {
@@ -564,10 +567,25 @@ impl TierEngine {
         self.epoch += 1;
     }
 
+    /// Records a write of a device-local LBA (addressed as in
+    /// [`TierEngine::record_access`]). If the page it holds has a
+    /// migration in flight, the copy is now stale and is marked so.
+    pub fn mark_dirty(&mut self, fast: bool, lba: u64) {
+        let Some(key) = self.key_of(fast, lba) else { return };
+        if let Some(p) = self.pages.get_mut(key) {
+            p.dirty |= !matches!(p.residence, TierResidence::Slow | TierResidence::Fast(_));
+        }
+    }
+
     /// Commits an in-flight migration: ownership transfers atomically at
     /// this virtual-time instant. Returns the new residence, or `None`
-    /// when no migration was in flight for `key`.
+    /// when no migration was in flight for `key`. A copy marked dirty
+    /// ([`TierEngine::mark_dirty`]) is aborted instead, and `None` returned.
     pub fn commit(&mut self, key: u64) -> Option<TierResidence> {
+        if self.pages.get(key)?.dirty {
+            self.abort(key);
+            return None;
+        }
         let p = self.pages.get_mut(key)?;
         match p.residence {
             TierResidence::PromoteInFlight(f) => {
@@ -588,9 +606,11 @@ impl TierEngine {
     }
 
     /// Aborts an in-flight migration, restoring the previous residence
-    /// (a reserved promotion slot returns to the free pool).
+    /// (a reserved promotion slot returns to the free pool) and clearing
+    /// its dirty mark.
     pub fn abort(&mut self, key: u64) {
         let Some(p) = self.pages.get_mut(key) else { return };
+        p.dirty = false;
         match p.residence {
             TierResidence::PromoteInFlight(f) => {
                 p.residence = TierResidence::Slow;
@@ -1025,13 +1045,37 @@ mod tests {
         assert_eq!(plans.len(), 1);
         e.abort(1);
         assert_eq!(e.residence_of(1), Some(TierResidence::Slow));
-        assert_eq!(e.key_of_fast(0), None);
+        assert_eq!(e.fast_map.get(0), None);
         assert_eq!(e.report().aborts, 1);
         // The freed slot is reused.
         e.record_access(false, 2);
         e.record_access(false, 2);
         let plans = e.plan_tick(|_| true);
         assert_eq!(plans, vec![MigrationPlan::Promote { key: 2, fast_lba: 0 }]);
+    }
+
+    #[test]
+    fn commit_refuses_a_copy_marked_dirty_and_abort_clears_the_mark() {
+        let mut e = engine_with_pages(PolicyKind::Threshold, 8);
+        let heat = |e: &mut TierEngine| (0..2).for_each(|_| e.record_access(false, 1));
+        e.mark_dirty(false, 1);
+        heat(&mut e);
+        assert_eq!(e.plan_tick(|_| true), [MigrationPlan::Promote { key: 1, fast_lba: 0 }]);
+        assert_eq!(e.commit(1), Some(TierResidence::Fast(0)), "no mark outside a migration");
+        let demote = |e: &mut TierEngine| {
+            (0..40).find(|_| e.plan_tick(|_| true) == [MigrationPlan::Demote { key: 1, fast_lba: 0 }])
+        };
+        assert!(demote(&mut e).is_some(), "the idle page is demoted");
+        e.mark_dirty(true, 0);
+        assert_eq!(e.commit(1), None, "a copy marked through its fast LBA is refused");
+        assert_eq!(e.residence_of(1), Some(TierResidence::Fast(0)));
+        assert_eq!(e.report().aborts, 1);
+        assert!(demote(&mut e).is_some());
+        e.mark_dirty(false, 1);
+        e.abort(1);
+        assert!(demote(&mut e).is_some());
+        assert_eq!(e.commit(1), Some(TierResidence::Slow), "abort cleared the mark");
+        assert_eq!(e.report().aborts, 2);
     }
 
     #[test]
@@ -1112,7 +1156,7 @@ mod tests {
             let mut eager = heat;
             for epoch in 0..40u64 {
                 let p =
-                    PageState { residence: TierResidence::Slow, heat, last_epoch: 0, warm_slot: None };
+                    PageState { residence: TierResidence::Slow, heat, last_epoch: 0, warm_slot: None, dirty: false };
                 assert_eq!(p.heat_at(epoch), eager, "heat {heat:#x} after {epoch} epochs");
                 eager /= 2;
             }
@@ -1456,7 +1500,7 @@ mod tests {
                     let fast = rng.chance(0.3);
                     let lba = rng.below(span + 4);
                     if fast {
-                        let page = real.key_of_fast(lba).and_then(|k| real.pages.get(k));
+                        let page = real.key_of(true, lba).and_then(|k| real.pages.get(k));
                         moves += u64::from(page.is_some_and(|p| {
                             matches!(p.residence, TierResidence::Fast(_))
                                 && p.last_epoch != real.epoch
