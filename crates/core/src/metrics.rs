@@ -28,15 +28,6 @@ impl TimeBreakdown {
     pub fn total(&self) -> Duration {
         self.compute + self.miss_wait + self.kernel + self.access + self.sched_wait
     }
-
-    /// Fraction of time in demand paging (miss wait + kernel).
-    pub fn paging_fraction(&self) -> f64 {
-        let t = self.total();
-        if t.is_zero() {
-            return 0.0;
-        }
-        (self.miss_wait + self.kernel).as_nanos_f64() / t.as_nanos_f64()
-    }
 }
 
 /// One thread's results.
@@ -375,19 +366,5 @@ mod tests {
         let kv = never_ran.export_metrics();
         assert_eq!(kv[0], ("hw_context", -1.0));
         assert_eq!(never_ran.adjusted_user_ipc(), 0.0);
-    }
-
-    #[test]
-    fn breakdown_fraction() {
-        let b = TimeBreakdown {
-            compute: Duration::from_micros(30),
-            miss_wait: Duration::from_micros(50),
-            kernel: Duration::from_micros(20),
-            access: Duration::ZERO,
-            sched_wait: Duration::ZERO,
-        };
-        assert!((b.paging_fraction() - 0.7).abs() < 1e-9);
-        assert_eq!(b.total(), Duration::from_micros(100));
-        assert_eq!(TimeBreakdown::default().paging_fraction(), 0.0);
     }
 }

@@ -1317,11 +1317,7 @@ impl System {
             (Purpose::HwdpMiss { entry }, Some(data)) if ok => self.finish_hwdp_miss(entry, data, now),
             (Purpose::OsdpRead { key }, Some(data)) if ok => self.finish_osdp_read(key, data, now),
             (Purpose::TierRead { key }, Some(data)) if ok => self.tier_read_done(key, data, now),
-            (Purpose::TierWrite { key }, _) if ok => {
-                if let Some(tr) = &mut self.tier {
-                    tr.commit(&mut self.os, key);
-                }
-            }
+            (Purpose::TierWrite { key }, _) if ok => self.commit_migration(key),
             _ => self.fail_io(purpose, attempt, now),
         }
     }
@@ -1349,7 +1345,9 @@ impl System {
     /// One migration-daemon wakeup: asks the engine for a plan and starts
     /// the copy reads. Migration I/O goes through the same submission path
     /// as demand misses, so it contends for the OS driver queues and
-    /// device bandwidth.
+    /// device bandwidth. A demotion of a page no write has reached since
+    /// its promotion copies nothing: its home block still holds its
+    /// bytes, so it commits at once.
     fn tier_tick(&mut self, now: Time) {
         // Quiesce while any controller is down: migration copies span both
         // tiers, so starting one under a dead (or resetting) controller
@@ -1362,10 +1360,78 @@ impl System {
         let mut plans = std::mem::take(&mut self.scratch_plans);
         tr.plan(&self.os, &mut plans);
         for plan in plans.drain(..) {
-            let Some(source) = self.tier.as_ref().map(|tr| tr.copy_source(plan)) else { break };
-            self.submit_os(source, Pfn(0), None, Purpose::TierRead { key: plan.key() }, 0, now);
+            let Some(tr) = &self.tier else { break };
+            match plan {
+                MigrationPlan::Demote { key, .. } if !tr.engine.diverged(key) => self.commit_migration(key),
+                _ => {
+                    let source = tr.copy_source(plan);
+                    self.submit_os(source, Pfn(0), None, Purpose::TierRead { key: plan.key() }, 0, now);
+                }
+            }
         }
         self.scratch_plans = plans;
+    }
+
+    /// Commits `key`'s migration (see [`TierDriver::commit`]), unless it
+    /// is a demotion whose fast slot a demand read still targets: freeing
+    /// the slot would let a promotion refill it before the read completes.
+    /// That demotion aborts, and a later tick retries it.
+    fn commit_migration(&mut self, key: u64) {
+        let Some(tr) = &self.tier else { return };
+        let busy = tr.demoting_slot(key).is_some_and(|slot| self.demand_read_targets(slot));
+        let Some(tr) = &mut self.tier else { return };
+        if busy {
+            tr.engine.abort(key);
+        } else {
+            tr.commit(&mut self.os, key);
+        }
+    }
+
+    /// Whether an outstanding demand read targets `block`: a PMSHR
+    /// entry's or an in-flight OS read's. Parked and retried reads keep
+    /// their entry until they resolve, so they count. An NVMe read takes
+    /// its data at completion, so it returns whatever `block` holds then.
+    fn demand_read_targets(&self, block: BlockRef) -> bool {
+        self.smu.pmshr.live_entries().any(|e| e.block == block)
+            || self.osdp_inflight.iter().any(|(_, pending)| pending.block == block)
+    }
+
+    /// `demand-read-slot-owned`: no outstanding demand read targets a
+    /// fast slot that is free or owned by another page, or it would
+    /// return that page's bytes (see [`System::commit_migration`]).
+    fn check_demand_read_slots(&self, tr: &TierDriver, report: &mut AuditReport) {
+        let os = &self.os;
+        for e in self.smu.pmshr.live_entries() {
+            let Some(owner) = tr.fast_slot_owner(e.block) else { continue };
+            // The miss is the owner's if it will rewrite one of the
+            // owner's PTEs.
+            let ours = |(file, page)| {
+                os.aspace
+                    .vpns_of(file, page)
+                    .any(|vpn| os.page_table.walk(vpn).is_some_and(|w| w.pte_addr == e.walk.pte_addr))
+            };
+            report.check_args(
+                "core",
+                "demand-read-slot-owned",
+                owner.is_some_and(ours),
+                format_args!(
+                    "the hardware miss on PTE {:#x} reads fast {:?}, owned by {owner:?}",
+                    e.walk.pte_addr.0, e.block.lba
+                ),
+            );
+        }
+        for (&(file, page), pending) in self.osdp_inflight.iter() {
+            let Some(owner) = tr.fast_slot_owner(pending.block) else { continue };
+            report.check_args(
+                "core",
+                "demand-read-slot-owned",
+                owner == Some((FileId(file), page)),
+                format_args!(
+                    "the OS read of file {file} page {page} reads fast {:?}, owned by {owner:?}",
+                    pending.block.lba
+                ),
+            );
+        }
     }
 
     /// Migration copy read completed: write the snapshot to the
@@ -1888,12 +1954,15 @@ impl Sanitizer for System {
             );
         }
         // Tier layer: the engine's own invariants (capacity, ownership
-        // bijection), plus the cross-layer residence check against the
-        // file system's location overrides.
+        // bijection), plus the cross-layer checks: residence against the
+        // file system's location overrides, clean pages' two copies, and
+        // the fast slots outstanding demand reads target.
         if let Some(tr) = &self.tier {
             tr.engine.sanitize(level, report);
             if level.full_checks() {
                 tr.check_residence(&self.os.fs, report);
+                tr.check_clean_copies(&self.io.devices, report);
+                self.check_demand_read_slots(tr, report);
             }
         }
         // Clean-exit drain: once every thread finished, no in-flight fault
@@ -2198,8 +2267,12 @@ mod tests {
     }
 
     fn tiered_system(level: SanitizeLevel) -> System {
+        tiered_system_with(level, 128)
+    }
+
+    fn tiered_system_with(level: SanitizeLevel, frames: usize) -> System {
         let mut sys = SystemBuilder::new(Mode::Hwdp)
-            .memory_frames(128)
+            .memory_frames(frames)
             .seed(21)
             .sanitize(level)
             .tiers(tier_config(hwdp_tier::PolicyKind::LruEpoch))
@@ -2330,6 +2403,169 @@ mod tests {
             t.aborts > 0,
             "queue-full windows stall copies long enough for dirtying writes to abort them: {t:?}"
         );
+    }
+
+    /// [`tiered_system_with`] 32 frames, stopped once pages sit on the
+    /// fast tier, and a page there that is clean (the read-only job never
+    /// diverges one) and out of memory, so the daemon may demote it: `(key,
+    /// fast block)`. The run stopped at [`CLEAN_FAST_AT`].
+    fn clean_fast_page(level: SanitizeLevel) -> (System, u64, BlockRef) {
+        let mut sys = tiered_system_with(level, 32);
+        sys.run(CLEAN_FAST_AT);
+        let tr = sys.tier.as_ref().expect("tiering is on");
+        let (key, f) = tr
+            .engine
+            .clean_fast_pages()
+            .find(|(key, _)| {
+                let &(file, page) = tr.pages.get(*key).expect("a tracked page");
+                !sys.os.page_resident(file, page) && !sys.osdp_inflight.contains_key(&(file.0, page))
+            })
+            .expect("a clean fast page out of memory");
+        let slot = BlockRef::new(SocketId(0), tr.fast_dev, hwdp_mem::addr::Lba(f));
+        (sys, key, slot)
+    }
+
+    const CLEAN_FAST_AT: Duration = Duration::from_micros(500);
+
+    /// Plants an outstanding OS read of page `key` from `block`, as a
+    /// fault started while the page lived there would have left it.
+    fn plant_os_read(sys: &mut System, key: u64, block: BlockRef) {
+        let &(file, page) = sys.tier.as_ref().and_then(|tr| tr.pages.get(key)).expect("a tracked page");
+        let pending = OsdpPending { vpn: Vpn(0), pfn: Pfn(0), block, attempts: 0, waiters: Vec::new() };
+        sys.osdp_inflight.insert((file.0, page), pending);
+    }
+
+    fn residence(sys: &System, key: u64) -> Option<hwdp_tier::TierResidence> {
+        sys.tier.as_ref().and_then(|tr| tr.engine.residence_of(key))
+    }
+
+    fn tier_aborts(sys: &System) -> u64 {
+        sys.tier.as_ref().map_or(0, |tr| tr.engine.report().aborts)
+    }
+
+    #[test]
+    fn a_clean_demotion_commits_without_a_copy_once_no_read_targets_its_slot() {
+        use hwdp_tier::TierResidence::{Fast, Slow};
+        let (mut sys, key, slot) = clean_fast_page(SanitizeLevel::Off);
+        let now = Time::ZERO + CLEAN_FAST_AT;
+        plant_os_read(&mut sys, key, slot);
+        let aborts = tier_aborts(&sys);
+        let planned = (0..40).any(|_| {
+            sys.tier_tick(now);
+            tier_aborts(&sys) > aborts
+        });
+        assert!(planned, "the idle page is planned for demotion");
+        for _ in 0..4 {
+            sys.tier_tick(now);
+            assert_eq!(residence(&sys, key), Some(Fast(slot.lba.0)), "a read of the slot holds the demotion back");
+        }
+        let &(file, page) = sys.tier.as_ref().and_then(|tr| tr.pages.get(key)).expect("tracked");
+        sys.osdp_inflight.remove(&(file.0, page));
+        sys.tier_tick(now);
+        // No event ran since the tick: the demotion committed with no I/O.
+        assert_eq!(residence(&sys, key), Some(Slow), "the clean page demotes at once");
+        assert_eq!(sys.os.block_for(file, page), BlockRef::new(SocketId(0), DeviceId(0), hwdp_mem::addr::Lba(key)));
+    }
+
+    #[test]
+    fn a_copied_demotion_aborts_when_its_write_completes_under_a_read_of_its_slot() {
+        use hwdp_nvme::command::NvmeCommand;
+        use hwdp_nvme::device::QueueId;
+        use hwdp_tier::TierResidence::{DemoteInFlight, Fast};
+        let (mut sys, key, slot) = clean_fast_page(SanitizeLevel::Off);
+        let now = Time::ZERO + CLEAN_FAST_AT;
+        // A writeback diverges the page, so its demotion copies it home.
+        sys.tier.as_mut().expect("tiered").note_writeback(&slot);
+        let copying = (0..40).any(|_| {
+            sys.tier_tick(now);
+            residence(&sys, key) == Some(DemoteInFlight(slot.lba.0))
+        });
+        assert!(copying, "the diverged page's demotion copies");
+        plant_os_read(&mut sys, key, slot);
+        let done = Completed {
+            qid: QueueId(1),
+            cmd: NvmeCommand::write4k(0, 1, key, Pfn(0).base()),
+            read_data: None,
+            status: Status::Success,
+            latency: Duration::ZERO,
+            dropped: false,
+        };
+        sys.dispatch_completion(Purpose::TierWrite { key }, done, 0, now);
+        assert_eq!(residence(&sys, key), Some(Fast(slot.lba.0)), "the slot stays the page's while it is read");
+    }
+
+    #[test]
+    fn negative_read_of_a_freed_fast_slot_detected() {
+        // Planted defect: the demotion commits with a demand read of its
+        // slot outstanding (the commit skips `System::commit_migration`).
+        let (mut sys, key, slot) = clean_fast_page(SanitizeLevel::Full);
+        plant_os_read(&mut sys, key, slot);
+        let slot_violations = |sys: &System| {
+            let v = &sys.audit_report().violations;
+            v.iter().filter(|v| v.invariant == "demand-read-slot-owned").count()
+        };
+        sys.run_audit();
+        assert_eq!(slot_violations(&sys), 0, "a read of the page's own slot is sound");
+        let tr = sys.tier.as_mut().expect("tiered");
+        let demote = hwdp_tier::MigrationPlan::Demote { key, fast_lba: slot.lba.0 };
+        assert!((0..40).any(|_| tr.engine.plan_tick(|k| k == key).contains(&demote)), "demotion planned");
+        tr.commit(&mut sys.os, key);
+        sys.run_audit();
+        let v = sys
+            .audit_report()
+            .violations
+            .iter()
+            .find(|v| v.invariant == "demand-read-slot-owned")
+            .expect("a read of a freed slot detected");
+        assert!(v.message.contains("owned by None"), "{}", v.message);
+    }
+
+    /// A one-thread YCSB-F job (read-modify-write) on a 4× dataset, over
+    /// a pmm/zssd tier pair when `tiered`. Its op sequence does not depend
+    /// on timing, so every correct run ends with the same contents.
+    fn ycsb_f_system(mode: Mode, tiered: bool, level: SanitizeLevel) -> System {
+        use hwdp_workloads::{MiniDb, Ycsb, YcsbKind};
+        let mut b = SystemBuilder::new(mode).memory_frames(64).seed(5).sanitize(level);
+        if tiered {
+            b = b.tiers(tier_config(hwdp_tier::PolicyKind::LruEpoch));
+        }
+        let mut sys = b.build();
+        let records = 256u64;
+        let capacity = records + records / 4;
+        let file = sys.create_kv_file("tierdb", records, capacity);
+        let region = sys.map_file(file);
+        let db = MiniDb::new(region, records, capacity);
+        sys.spawn(Box::new(Ycsb::new(YcsbKind::F, db, 4000, Prng::seed_from(0xF))), 1.6, None);
+        sys
+    }
+
+    #[test]
+    fn demotions_keep_every_write() {
+        // Under OSDP, so every dirty page in memory is in the page cache,
+        // which the content digest reads.
+        let mut plain = ycsb_f_system(Mode::Osdp, false, SanitizeLevel::Off);
+        plain.run(Duration::from_millis(4000));
+        let mut sys = ycsb_f_system(Mode::Osdp, true, SanitizeLevel::Full);
+        let r = sys.run(Duration::from_millis(4000));
+        assert_eq!(r.verify_failures(), 0);
+        assert!(r.audit.is_clean(), "{:?}", r.audit.violations);
+        let t = r.tier.expect("tiered");
+        assert!(t.demotions > 0, "{t:?}");
+        assert_eq!(sys.content_digest(), plain.content_digest(), "a demotion lost a write");
+    }
+
+    #[test]
+    fn negative_write_that_never_diverges_its_page_detected() {
+        // Planted defect: writes to fast-resident pages never mark them
+        // diverged, so demoting them loses the write.
+        let caught = |forget: bool| {
+            let mut sys = ycsb_f_system(Mode::Hwdp, true, SanitizeLevel::Full);
+            sys.tier.as_mut().expect("tiered").forget_divergence = forget;
+            let r = sys.run(Duration::from_millis(4000));
+            r.verify_failures() > 0 || r.audit.violations.iter().any(|v| v.invariant == "tier-clean-copy-equal")
+        };
+        assert!(!caught(false), "the sound run is clean");
+        assert!(caught(true), "the lost divergence went unnoticed");
     }
 
     #[test]
@@ -2610,3 +2846,4 @@ mod tests {
         assert_eq!(sys.threads[tid.0].state, ThreadState::Finished);
     }
 }
+

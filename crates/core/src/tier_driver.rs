@@ -6,7 +6,10 @@
 //! through the same queues as demand misses), and at commit moves the
 //! file system's location and any LBA-augmented PTEs in step with the
 //! engine. A writeback of a page under migration marks its copy dirty in
-//! the engine, which then refuses to commit it.
+//! the engine, which then refuses to commit it; a writeback of a
+//! fast-resident page marks it diverged, so its demotion copies it home.
+//! A demotion of a page that has not diverged needs no copy at all: its
+//! home block still holds its bytes, and `System` commits it at once.
 
 use hwdp_mem::addr::{BlockRef, DeviceId, Lba, SocketId};
 use hwdp_nvme::device::NvmeController;
@@ -31,11 +34,22 @@ pub(crate) struct TierDriver {
     pub(crate) period: Duration,
     /// Page key (home slow LBA) → owning `(file, page)`.
     pub(crate) pages: DenseMap<(FileId, u64)>,
+    /// Planted defect for the negative test of `tier-clean-copy-equal`:
+    /// writes to fast-resident pages never mark them diverged.
+    #[cfg(test)]
+    pub(crate) forget_divergence: bool,
 }
 
 impl TierDriver {
     pub(crate) fn new(cfg: TierConfig, fast_dev: DeviceId) -> TierDriver {
-        TierDriver { engine: TierEngine::new(cfg), fast_dev, period: cfg.period, pages: DenseMap::new() }
+        TierDriver {
+            engine: TierEngine::new(cfg),
+            fast_dev,
+            period: cfg.period,
+            pages: DenseMap::new(),
+            #[cfg(test)]
+            forget_divergence: false,
+        }
     }
 
     /// Starts hotness tracking for every block of a file homed on the slow
@@ -58,9 +72,17 @@ impl TierDriver {
     }
 
     /// A writeback of `block`: a migration copying the page it holds is
-    /// now stale.
+    /// now stale, and a fast-resident page has diverged from its home.
     pub(crate) fn note_writeback(&mut self, block: &BlockRef) {
-        self.engine.mark_dirty(block.device == self.fast_dev, block.lba.0);
+        let fast = block.device == self.fast_dev;
+        #[cfg(test)]
+        if self.forget_divergence && fast {
+            let owner = self.engine.fast_owner(block.lba.0);
+            if matches!(owner.and_then(|key| self.engine.residence_of(key)), Some(TierResidence::Fast(_))) {
+                return;
+            }
+        }
+        self.engine.mark_dirty(fast, block.lba.0);
     }
 
     /// One daemon tick: appends the migrations to start to `plans`. Pages
@@ -79,6 +101,22 @@ impl TierDriver {
             MigrationPlan::Promote { key, .. } => block(DeviceId(0), key),
             MigrationPlan::Demote { fast_lba, .. } => block(self.fast_dev, fast_lba),
         }
+    }
+
+    /// The fast slot a demotion in flight for `key` frees at commit.
+    pub(crate) fn demoting_slot(&self, key: u64) -> Option<BlockRef> {
+        match self.engine.residence_of(key)? {
+            TierResidence::DemoteInFlight(f) => Some(block(self.fast_dev, f)),
+            _ => None,
+        }
+    }
+
+    /// Whose bytes a read of `target` returns, if it is a fast-tier
+    /// block: `Some(Some(owner))` for a slot a page owns, `Some(None)` for
+    /// a free slot, `None` for a block on another device.
+    pub(crate) fn fast_slot_owner(&self, target: BlockRef) -> Option<Option<(FileId, u64)>> {
+        (target.device == self.fast_dev)
+            .then(|| self.engine.fast_owner(target.lba.0).and_then(|key| self.pages.get(key).copied()))
     }
 
     /// Where a migration whose copy read completed writes, or `None` if
@@ -156,6 +194,22 @@ impl TierDriver {
                      disagrees with fs location override {over:?}",
                     file.0
                 ),
+            );
+        }
+    }
+
+    /// `tier-clean-copy-equal`: a fast-resident page that has not
+    /// diverged holds the same bytes on its fast and home blocks, or a
+    /// demotion that skips the copy would lose a write. Compares the
+    /// blocks' contents in place, without copying or hashing them.
+    pub(crate) fn check_clean_copies(&self, devices: &[NvmeController], report: &mut AuditReport) {
+        let (fast, slow) = (devices[usize::from(self.fast_dev.0)].namespace(1), devices[0].namespace(1));
+        for (key, f) in self.engine.clean_fast_pages() {
+            report.check_args(
+                "core",
+                "tier-clean-copy-equal",
+                fast.block(Lba(f)) == slow.block(Lba(key)),
+                format_args!("page key {key} is not marked diverged, but fast LBA {f} and its home block differ"),
             );
         }
     }

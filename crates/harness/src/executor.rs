@@ -33,8 +33,7 @@ pub enum JobOutcome {
 /// Runs every job of `campaign` on `workers` threads via the default
 /// runner and packages the results as an [`Artifact`].
 pub fn execute_campaign(campaign: &Campaign, workers: usize, progress: &mut dyn Progress) -> Artifact {
-    let results = execute(campaign, workers, progress);
-    Artifact::from_outcomes(campaign, &results)
+    Artifact::from_owned_outcomes(campaign, execute(campaign, workers, progress))
 }
 
 /// Runs every job through [`run_job`](crate::runner::run_job), returning
@@ -281,19 +280,26 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl Artifact {
-    /// Packages executor outcomes for `campaign` into an artifact.
-    pub fn from_outcomes(campaign: &Campaign, outcomes: &[(JobOutcome, f64)]) -> Artifact {
+    /// Packages executor outcomes for `campaign` into an artifact, moving
+    /// each job's metrics into its record.
+    pub fn from_owned_outcomes(campaign: &Campaign, outcomes: Vec<(JobOutcome, f64)>) -> Artifact {
         let jobs = campaign
             .jobs
             .iter()
             .zip(outcomes)
             .enumerate()
             .map(|(index, (spec, (outcome, wall_ms)))| {
-                let (status, metrics) = outcome_status(outcome.clone());
-                JobRecord { index, spec: *spec, status, metrics, wall_ms: *wall_ms }
+                let (status, metrics) = outcome_status(outcome);
+                JobRecord { index, spec: *spec, status, metrics, wall_ms }
             })
             .collect();
         Artifact { campaign: campaign.name.clone(), seed: campaign.seed, jobs }
+    }
+
+    /// [`Artifact::from_owned_outcomes`] for outcomes the caller keeps:
+    /// copies them.
+    pub fn from_outcomes(campaign: &Campaign, outcomes: &[(JobOutcome, f64)]) -> Artifact {
+        Artifact::from_owned_outcomes(campaign, outcomes.to_vec())
     }
 }
 
@@ -368,9 +374,9 @@ mod tests {
     #[test]
     fn resume_completes_half_artifact_identically() {
         let campaign = fake_campaign(8);
-        let full = Artifact::from_outcomes(
+        let full = Artifact::from_owned_outcomes(
             &campaign,
-            &execute_with(&campaign, 2, &mut Counting::default(), spec_metric),
+            execute_with(&campaign, 2, &mut Counting::default(), spec_metric),
         );
         // A half-written artifact: the first three records only.
         let partial = Artifact {
@@ -393,9 +399,9 @@ mod tests {
     #[test]
     fn resume_reruns_failed_and_mismatched_records() {
         let campaign = fake_campaign(4);
-        let full = Artifact::from_outcomes(
+        let full = Artifact::from_owned_outcomes(
             &campaign,
-            &execute_with(&campaign, 1, &mut Counting::default(), spec_metric),
+            execute_with(&campaign, 1, &mut Counting::default(), spec_metric),
         );
         let mut prior = full.clone();
         // Record 1 failed last time; record 2 was produced by a different
@@ -412,9 +418,9 @@ mod tests {
     #[test]
     fn resume_ignores_prior_from_different_campaign_or_seed() {
         let campaign = fake_campaign(3);
-        let full = Artifact::from_outcomes(
+        let full = Artifact::from_owned_outcomes(
             &campaign,
-            &execute_with(&campaign, 1, &mut Counting::default(), spec_metric),
+            execute_with(&campaign, 1, &mut Counting::default(), spec_metric),
         );
         let mut renamed = full.clone();
         renamed.campaign = "other".into();
@@ -453,7 +459,7 @@ mod tests {
         assert_eq!(progress.finished, 3, "campaign completed despite the hang");
         assert_eq!(progress.failed, 1);
         // Timed-out outcomes land in the artifact as failed records.
-        let artifact = Artifact::from_outcomes(&campaign, &results);
+        let artifact = Artifact::from_owned_outcomes(&campaign, results);
         assert!(!artifact.jobs[1].is_ok());
         assert!(artifact.jobs[0].is_ok() && artifact.jobs[2].is_ok());
     }

@@ -8,6 +8,8 @@
 //! pattern. Datasets therefore exist without materializing gigabytes, and
 //! creating one costs the same whatever its size.
 
+use std::borrow::Cow;
+
 use hwdp_mem::addr::{Lba, PageData};
 use hwdp_sim::DenseMap;
 
@@ -89,10 +91,23 @@ impl BlockStore {
     /// Panics if `lba` is out of range (device-level code validates and
     /// reports `LbaOutOfRange` before getting here).
     pub fn read_block(&self, lba: Lba) -> PageData {
+        match self.block(lba) {
+            Cow::Borrowed(d) => d.clone(),
+            Cow::Owned(d) => d,
+        }
+    }
+
+    /// A block's contents without copying a written one: borrowed when
+    /// written, built in closed form (no heap) when not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lba` is out of range.
+    pub fn block(&self, lba: Lba) -> Cow<'_, PageData> {
         assert!(self.contains(lba), "read of {lba:?} beyond namespace end");
         match self.written.get(lba.0) {
-            Some(d) => d.clone(),
-            None => self.unwritten(lba),
+            Some(d) => Cow::Borrowed(d),
+            None => Cow::Owned(self.unwritten(lba)),
         }
     }
 
@@ -102,11 +117,7 @@ impl BlockStore {
     ///
     /// Panics if `lba` is out of range.
     pub fn block_checksum(&self, lba: Lba) -> u64 {
-        assert!(self.contains(lba), "checksum of {lba:?} beyond namespace end");
-        match self.written.get(lba.0) {
-            Some(d) => d.checksum(),
-            None => self.unwritten(lba).checksum(),
-        }
+        self.block(lba).checksum()
     }
 
     /// Contents of `lba` while it has never been written.

@@ -109,14 +109,6 @@ impl Prng {
         let u2 = self.f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -219,16 +211,5 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-3.0));
         assert!(r.chance(7.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Prng::seed_from(99);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should move elements");
     }
 }

@@ -170,12 +170,6 @@ impl FreePageQueue {
         n
     }
 
-    /// Drains everything (munmap/teardown), returning the frames so the OS
-    /// can put them back in its allocator.
-    pub fn drain(&mut self) -> Vec<FreePage> {
-        self.prefetch.drain(..).chain(self.ring.drain(..)).collect()
-    }
-
     /// hwdp-audit checker for this queue. Cheap checks validate capacity
     /// bounds and counter sanity; full checks sweep every queued entry and
     /// verify its DMA address is the frame base the producer is contracted
@@ -287,19 +281,6 @@ mod tests {
         let n = q.push_batch((0..10).map(fp));
         assert_eq!(n, 3);
         assert_eq!(q.available(), 3);
-    }
-
-    #[test]
-    fn drain_returns_everything() {
-        let mut q = FreePageQueue::new(8, 4);
-        q.push_batch((0..6).map(fp));
-        q.refill_prefetch();
-        let drained = q.drain();
-        assert_eq!(drained.len(), 6);
-        assert_eq!(q.available(), 0);
-        // Prefetched entries come out first, preserving overall order.
-        assert_eq!(drained[0], fp(0));
-        assert_eq!(drained[5], fp(5));
     }
 
     #[test]

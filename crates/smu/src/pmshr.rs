@@ -220,6 +220,11 @@ impl Pmshr {
         self.slots.get(idx.0 as usize).and_then(|s| s.as_ref())
     }
 
+    /// The live entries, in slot order.
+    pub fn live_entries(&self) -> impl Iterator<Item = &Entry> + '_ {
+        self.slots.iter().flatten()
+    }
+
     /// Invalidates the entry after broadcast (§III-C step 8), returning it
     /// (waiter list included); `None` when the slot is already free (an
     /// already-abandoned entry, or a late completion racing fault

@@ -529,7 +529,7 @@ mod tests {
     #[test]
     fn empty_free_queue_falls_back() {
         let (mut smu, mut pt) = setup();
-        let _ = smu.free_queue().drain();
+        while smu.free_queue().fetch().is_some() {}
         let req = augment(&mut pt, 3, 9);
         let MissOutcome::FreeQueueEmpty { .. } = smu.begin_miss(req) else {
             panic!("empty queue must fail to OS")

@@ -33,10 +33,13 @@
 //! Ownership discipline: every page is owned by exactly one tier at any
 //! virtual-time instant. A migration holds the page in an explicit
 //! in-flight state (`PromoteInFlight` / `DemoteInFlight`) while its copy
-//! I/O is outstanding and transfers ownership atomically at commit; the
-//! [`Sanitizer`] impl audits the fast-LBA ownership bijection and the
-//! capacity bound, and the system driver cross-checks engine residence
-//! against the file system's per-page location overrides.
+//! I/O is outstanding and transfers ownership atomically at commit. A
+//! fast-resident page also carries a *diverged* mark, set by a write that
+//! reaches it: until then its home block still holds its bytes, and its
+//! demotion needs no copy. The [`Sanitizer`] impl audits the fast-LBA
+//! ownership bijection and the capacity bound, and the core cross-checks
+//! engine residence against the file system's per-page location
+//! overrides and a clean page's two copies.
 
 use hwdp_nvme::profile::DeviceProfile;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
@@ -234,6 +237,11 @@ struct PageState {
     /// so the copy is stale: [`TierEngine::commit`] refuses it. Set only
     /// in flight; commit and abort clear it.
     dirty: bool,
+    /// A write reached the page while it was fast-resident, so its home
+    /// block no longer holds its bytes and a demotion must copy them
+    /// back. Set only on fast-resident pages; a committed migration
+    /// clears it, and an aborted demotion keeps it.
+    diverged: bool,
 }
 
 impl PageState {
@@ -343,6 +351,7 @@ impl TierEngine {
             last_epoch: 0,
             warm_slot: None,
             dirty: false,
+            diverged: false,
         });
     }
 
@@ -370,11 +379,39 @@ impl TierEngine {
         )
     }
 
+    /// Whether a write reached the fast-resident page `key` since its
+    /// promotion (see [`TierEngine::mark_dirty`]): its demotion must then
+    /// copy the page home. A page that has not diverged is *clean*: its
+    /// home block still holds its bytes, so its demotion can commit with
+    /// no I/O.
+    pub fn diverged(&self, key: u64) -> bool {
+        self.pages.get(key).is_some_and(|p| p.diverged)
+    }
+
+    /// The page that owns fast-tier LBA `fast_lba` (resident or in
+    /// flight), or `None` if the slot is free.
+    pub fn fast_owner(&self, fast_lba: u64) -> Option<u64> {
+        self.fast_map.get(fast_lba).copied()
+    }
+
+    /// Every fast-resident page that has not diverged, as `(key,
+    /// fast_lba)`, in demotion order.
+    pub fn clean_fast_pages(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.fast_order.iter().filter_map(|&entry| {
+            // The low 64 bits of an entry are the page key.
+            let key = entry as u64;
+            match self.pages.get(key)? {
+                PageState { residence: TierResidence::Fast(f), diverged: false, .. } => Some((key, *f)),
+                _ => None,
+            }
+        })
+    }
+
     /// The page key behind a device-local LBA on the fast (`fast`) or
     /// slow tier: a fast LBA names its owner, if any; a slow LBA is a key.
     fn key_of(&self, fast: bool, lba: u64) -> Option<u64> {
         if fast {
-            self.fast_map.get(lba).copied()
+            self.fast_owner(lba)
         } else {
             Some(lba)
         }
@@ -569,11 +606,13 @@ impl TierEngine {
 
     /// Records a write of a device-local LBA (addressed as in
     /// [`TierEngine::record_access`]). If the page it holds has a
-    /// migration in flight, the copy is now stale and is marked so.
+    /// migration in flight, the copy is now stale and is marked so; if
+    /// the page is fast-resident, it has diverged from its home block.
     pub fn mark_dirty(&mut self, fast: bool, lba: u64) {
         let Some(key) = self.key_of(fast, lba) else { return };
         if let Some(p) = self.pages.get_mut(key) {
             p.dirty |= !matches!(p.residence, TierResidence::Slow | TierResidence::Fast(_));
+            p.diverged |= matches!(p.residence, TierResidence::Fast(_) | TierResidence::DemoteInFlight(_));
         }
     }
 
@@ -590,12 +629,14 @@ impl TierEngine {
         match p.residence {
             TierResidence::PromoteInFlight(f) => {
                 p.residence = TierResidence::Fast(f);
+                p.diverged = false;
                 order_insert(&mut self.fast_order, victim(p.last_epoch, key));
                 self.promotions += 1;
                 Some(p.residence)
             }
             TierResidence::DemoteInFlight(f) => {
                 p.residence = TierResidence::Slow;
+                p.diverged = false;
                 self.fast_map.remove(f);
                 self.free_fast.push(f);
                 self.demotions += 1;
@@ -1079,6 +1120,30 @@ mod tests {
     }
 
     #[test]
+    fn a_write_to_a_fast_page_diverges_it_until_a_migration_commits() {
+        let mut e = engine_with_pages(PolicyKind::Threshold, 8);
+        (0..2).for_each(|_| e.record_access(false, 1));
+        assert_eq!(e.plan_tick(|_| true), [MigrationPlan::Promote { key: 1, fast_lba: 0 }]);
+        assert_eq!(e.commit(1), Some(TierResidence::Fast(0)));
+        assert!(!e.diverged(1), "a committed promotion leaves both blocks equal");
+        assert_eq!(e.clean_fast_pages().collect::<Vec<_>>(), [(1, 0)]);
+        e.mark_dirty(true, 0);
+        assert!(e.diverged(1), "a write through the fast LBA diverges the page");
+        assert_eq!(e.clean_fast_pages().count(), 0);
+        let demote = |e: &mut TierEngine| {
+            (0..40).find(|_| e.plan_tick(|_| true) == [MigrationPlan::Demote { key: 1, fast_lba: 0 }])
+        };
+        assert!(demote(&mut e).is_some());
+        e.abort(1);
+        assert!(e.diverged(1), "an aborted demotion still has to copy the page home");
+        assert!(demote(&mut e).is_some());
+        assert_eq!(e.commit(1), Some(TierResidence::Slow));
+        assert!(!e.diverged(1), "a slow page has no fast copy to diverge from");
+        e.mark_dirty(false, 1);
+        assert!(!e.diverged(1), "a write to a slow page diverges nothing");
+    }
+
+    #[test]
     fn hit_ratio_splits_early_and_late() {
         let mut e = engine_with_pages(PolicyKind::Threshold, 8);
         // Epoch 0: all slow. Epoch 1: all fast.
@@ -1156,7 +1221,14 @@ mod tests {
             let mut eager = heat;
             for epoch in 0..40u64 {
                 let p =
-                    PageState { residence: TierResidence::Slow, heat, last_epoch: 0, warm_slot: None, dirty: false };
+                    PageState {
+                    residence: TierResidence::Slow,
+                    heat,
+                    last_epoch: 0,
+                    warm_slot: None,
+                    dirty: false,
+                    diverged: false,
+                };
                 assert_eq!(p.heat_at(epoch), eager, "heat {heat:#x} after {epoch} epochs");
                 eager /= 2;
             }
@@ -1486,7 +1558,9 @@ mod tests {
             // A sparse key set with holes, registered in random order.
             let span = rng.range(8, 300);
             let mut keys: Vec<u64> = (0..span).filter(|_| rng.chance(0.7)).collect();
-            rng.shuffle(&mut keys);
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, rng.below(i as u64 + 1) as usize);
+            }
             for &k in &keys {
                 real.register(k);
                 model.register(k);

@@ -56,13 +56,6 @@ impl SpecKernel {
     pub fn profile(&self) -> SpecProfile {
         self.profile
     }
-
-    /// Overrides the chunk size.
-    pub fn with_chunk(mut self, instructions: u64) -> Self {
-        assert!(instructions > 0, "chunk must be nonzero");
-        self.chunk = instructions;
-        self
-    }
 }
 
 impl Workload for SpecKernel {
@@ -105,11 +98,5 @@ mod tests {
         }
         assert_eq!(k.ops_done(), 1000);
         assert_eq!(k.name(), "spec-xz");
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_chunk_rejected() {
-        let _ = SpecKernel::new(SpecProfile::ALL[0]).with_chunk(0);
     }
 }

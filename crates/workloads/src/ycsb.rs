@@ -54,15 +54,6 @@ impl YcsbKind {
             YcsbKind::F => "ycsb-f",
         }
     }
-
-    /// Fraction of operations that write (update/insert/RMW-write).
-    pub fn write_fraction(self) -> f64 {
-        match self {
-            YcsbKind::A | YcsbKind::F => 0.5,
-            YcsbKind::B | YcsbKind::D | YcsbKind::E => 0.05,
-            YcsbKind::C => 0.0,
-        }
-    }
 }
 
 /// Maximum pages touched by one YCSB-E scan (YCSB defaults to up to 100
@@ -365,13 +356,6 @@ mod tests {
             }
         }
         assert_eq!(w.verify_failures(), 10);
-    }
-
-    #[test]
-    fn write_fractions_documented() {
-        assert_eq!(YcsbKind::C.write_fraction(), 0.0);
-        assert_eq!(YcsbKind::A.write_fraction(), 0.5);
-        assert_eq!(YcsbKind::ALL.len(), 6);
     }
 
     #[test]

@@ -249,7 +249,37 @@ grep -Eq '"tier/demotions": [1-9]' "$out/BENCH_tier.json"
 # must not copy them: HWDP promotes at most twice what OSDP does here.
 jq -e '[.jobs[] | {(.config.mode): .metrics["tier/promotions"]}] | add
     | .HWDP <= 2 * .OSDP' "$out/BENCH_tier.json" > /dev/null
+# YCSB-C never writes, so no page diverges from its home block on the fast
+# tier and every demotion commits without a copy: the slow tier is never
+# written.
+jq -e '[.jobs[] | select(.config.scenario == "ycsb-c") | .metrics["tier/slow_writes"] // 0]
+    | length > 0 and all(. == 0)' "$out/BENCH_tier.json" > /dev/null
 echo "tiered storage: pages migrated under full sanitize (zero violations)"
+
+echo "== tiered storage: demand-read race smoke =="
+# Tier migration beside demand reads under dropped completions: a 200 us
+# watchdog, then a retry of the same block, keeps a read of a fast-tier
+# slot outstanding while the daemon could demote its page. Freeing that
+# slot before the read completes lets a promotion refill it, and the read
+# returns another page's bytes with status Success. A job is bad when it
+# fails more verifications than its surfaced I/O errors explain (two
+# threads may each see a surfaced error); a missing counter is 0, since
+# recovery counters are exported only when nonzero. Seed 26 hit the race
+# before the guard.
+for seed in $(seq 20 30); do
+  ./target/release/hwdp sweep \
+    --name "race$seed" \
+    --scenarios ycsb-c,ycsb-f --modes osdp,hwdp \
+    --threads-list 2 --ratios 4 \
+    --memory 128 --ops 3000 --seed "$seed" \
+    --tiers fast:pmm,slow:zssd,policy:lru \
+    --faults drop=0.01 \
+    --workers 4 --out "$out" > /dev/null
+  jq -e '[.jobs[] | .metrics | select((.verify_failures // 0) > 2 * (.io_errors_surfaced // 0))]
+      | length == 0' "$out/BENCH_race$seed.json" > /dev/null \
+    || { echo "race smoke: seed $seed read another page's bytes"; exit 1; }
+done
+echo "tiered storage: every read of the race grid verified"
 
 echo "== repro: every paper table at quick scale =="
 # crates/bench/tests/tables.rs pins a hash of each table's text; the

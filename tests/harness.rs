@@ -115,7 +115,7 @@ fn panicking_jobs_fail_without_crashing_the_campaign() {
     assert_eq!(progress.finished, 16);
     assert_eq!(progress.failed, 8);
     // And the artifact records the failures without losing the others.
-    let artifact = Artifact::from_outcomes(&campaign, &results);
+    let artifact = Artifact::from_owned_outcomes(&campaign, results);
     assert_eq!(artifact.jobs.iter().filter(|j| j.is_ok()).count(), 8);
     let parsed = Artifact::parse(&artifact.to_json_string()).unwrap();
     assert_eq!(parsed, artifact);
